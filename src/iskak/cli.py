@@ -5,9 +5,9 @@
 
 Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 only if every check
-passed (2 for configuration errors).  ISKAK_THREADS caps delta-sweep
-parallelism.  The CSV and summary contents do not depend on --output-dir,
-so reruns into different directories give byte-identical files.
+passed (2 for configuration errors).  The CSV and summary contents do not
+depend on --output-dir, so reruns into different directories give
+byte-identical files.
 """
 
 from __future__ import annotations

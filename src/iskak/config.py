@@ -84,28 +84,9 @@ def parse_dtn(spec: str) -> tuple[str, int]:
     return parts[0], n
 
 
-_CASTERS = {
-    "experiment": str,
-    "n_points": int,
-    "length": float,
-    "delta_list": _parse_delta_list,
-    "delta": float,
-    "amplitude": float,
-    "phi_amplitude": float,
-    "k0": int,
-    "t_end": float,
-    "dt": float,
-    "dtn": str,
-    "seed": int,
-    "output_dir": str,
-    "record_every": int,
-    "reproject_every": int,
-    "cg_tol": float,
-    "dtn_tol": float,
-    "noise_floor": float,
-    "trials": int,
-    "model": str,
-}
+# one parser per field: the type of its default, delta_list a comma list
+_CASTERS = {f.name: _parse_delta_list if f.name == "delta_list" else type(f.default)
+            for f in fields(ExperimentConfig)}
 
 # keys accepted in files as aliases
 _ALIASES = {"name": "experiment"}

@@ -26,8 +26,7 @@ import numpy as np
 
 from .ik_solver import IkDerivative, time_derivatives
 from .operators import CG_TOL_DEFAULT, IkState, surface_potential
-from .operators import _dp, _dx, _lap
-from .spectral import RealField, l2_norm
+from .spectral import RealField, dp, dx, l2_norm, lap
 from .waterwave import DtnBackend, dtn_series
 
 __all__ = [
@@ -69,13 +68,13 @@ def remainders_R1_to_R5(s: IkState):
     p1 = s.phi1.values
 
     def step(v):
-        return 0.5 * _lap(grid, _dp(grid, h2, v)) - 0.1 * _dp(grid, h2, _lap(grid, v))
+        return 0.5 * lap(grid, dp(grid, h2, v)) - 0.1 * dp(grid, h2, lap(grid, v))
 
     r1 = step(p1)
     r2 = step(r1)
-    r3 = (2.0 / 3.0) * _lap(grid, _dp(grid, h3, p1))
-    r4 = (2.0 / 3.0) * _lap(grid, _dp(grid, h3, r1))
-    r5 = (2.0 / 3.0) * _lap(grid, _dp(grid, h3, r2))
+    r3 = (2.0 / 3.0) * lap(grid, dp(grid, h3, p1))
+    r4 = (2.0 / 3.0) * lap(grid, dp(grid, h3, r1))
+    r5 = (2.0 / 3.0) * lap(grid, dp(grid, h3, r2))
     return tuple(RealField(grid, v) for v in (r1, r2, r3, r4, r5))
 
 
@@ -88,11 +87,11 @@ def remainder_R6(s: IkState, d: IkDerivative) -> RealField:
     r1, r2, r3, r4, _ = (f.values for f in remainders_R1_to_R5(s))
 
     phi = surface_potential(s).values
-    lap_phi = _lap(grid, phi)
-    lap2_phi = _lap(grid, lap_phi)
-    b = 0.5 * _lap(grid, h2 * lap_phi) - 0.1 * h2 * lap2_phi
-    eta_x = _dx(grid, s.eta.values)
-    phi_x = _dx(grid, phi)
+    lap_phi = lap(grid, phi)
+    lap2_phi = lap(grid, lap_phi)
+    b = 0.5 * lap(grid, h2 * lap_phi) - 0.1 * h2 * lap2_phi
+    eta_x = dx(grid, s.eta.values)
+    phi_x = dx(grid, phi)
     eta_t = d.eta_t.values
 
     term_h = -lap_phi * r4 - b * r3 + 2.0 * (eta_t + eta_x * phi_x) * r2
@@ -119,8 +118,8 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
     # exact reconstruction of dt phi; gauge-free (no additive constant)
     phi_t = d.phi0_t.values + d2 * (2.0 * h * d.eta_t.values * s.phi1.values
                                     + h * h * d.phi1_t.values)
-    eta_x = _dx(grid, s.eta.values)
-    phi_x = _dx(grid, phi.values)
+    eta_x = dx(grid, s.eta.values)
+    phi_x = dx(grid, phi.values)
     flux = lam + eta_x * phi_x
     bernoulli = (
         phi_t

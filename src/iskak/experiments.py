@@ -9,8 +9,6 @@ named pass/fail checks with pinned thresholds.
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -32,7 +30,7 @@ from .operators import (
     solve_initial_data,
     surface_potential,
 )
-from .spectral import PeriodicGrid, RealField, deriv, field_from_function, l2_norm
+from .spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
 from .waterwave import DtnBackend, WwState, ww_run
 
 __all__ = [
@@ -142,15 +140,6 @@ def summary_text(report: ExperimentReport) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _sweep_map(fn, items):
-    """Run independent sweep legs, optionally in parallel (ISKAK_THREADS)."""
-    n_threads = int(os.environ.get("ISKAK_THREADS", "1") or "1")
-    if n_threads > 1 and len(items) > 1:
-        with ThreadPoolExecutor(max_workers=min(n_threads, len(items))) as pool:
-            return list(pool.map(fn, items))
-    return [fn(item) for item in items]
-
-
 def _cos_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
     scale = 2.0 * np.pi / grid.length
     return field_from_function(grid, lambda x: amplitude * np.cos(k0 * scale * x))
@@ -242,8 +231,8 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
             phi_model = surface_potential(si)
             times.append(tw)
             e_eta.append(l2_norm(RealField(grid, sw.eta.values - si.eta.values)))
-            e_du.append(l2_norm(RealField(grid, deriv(sw.phi, 1).values
-                                          - deriv(phi_model, 1).values)))
+            e_du.append(l2_norm(RealField(grid, dx(grid, sw.phi.values)
+                                          - dx(grid, phi_model.values))))
             e_ctrl.append(l2_norm(RealField(grid, sw.eta.values - sc.eta.values)))
     min_depth = min(model.diagnostics.min_depth) if model.diagnostics.min_depth else np.nan
     min_a = min(model.diagnostics.min_a) if model.diagnostics.min_a else np.nan
@@ -251,7 +240,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
-    legs = _sweep_map(lambda d: _convergence_leg(cfg, d), list(cfg.delta_list))
+    legs = [_convergence_leg(cfg, d) for d in cfg.delta_list]
     rows = []
     max_eta, max_du, max_ctrl, deltas = [], [], [], []
     any_abort = []
@@ -314,11 +303,9 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     phi_p = _sin_profile(grid, cfg.phi_amplitude or cfg.amplitude, cfg.k0)
     backend = _backend_from(cfg)
 
-    def leg(delta):
-        s = ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol)
-        return residuals(s, backend, cg_tol=cfg.cg_tol)
-
-    reports = _sweep_map(leg, list(cfg.delta_list))
+    reports = [residuals(ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol),
+                         backend, cg_tol=cfg.cg_tol)
+               for delta in cfg.delta_list]
     rows = [[r.delta, r.r1_norm, r.r2_norm, r.identity_gap, r.r5_max,
              cfg.n_points, cfg.dtn] for r in reports]
 
@@ -455,7 +442,8 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # randomized elliptic solver suite
 
-def _random_band_limited(rng, grid, modes, amplitude) -> RealField:
+def _random_band_limited(rng, grid, modes=5, amplitude=1.0) -> RealField:
+    """Random trig polynomial, normalized to the requested max amplitude."""
     v = np.zeros(grid.n_points)
     x = grid.nodes * (2.0 * np.pi / grid.length)
     for k in range(1, modes + 1):
@@ -464,6 +452,10 @@ def _random_band_limited(rng, grid, modes, amplitude) -> RealField:
     if m > 0:
         v *= amplitude / m
     return RealField(grid, v)
+
+
+def _grad_norm(f: RealField) -> float:
+    return l2_norm(RealField(f.grid, dx(f.grid, f.values)))
 
 
 def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
@@ -482,7 +474,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
         psi = _random_band_limited(rng, grid, 6, 1.0)
         dc = DepthCoefs.from_eta(eta)
         quad = grid.spacing * float(np.dot(op_l1(delta, dc, psi).values, psi.values))
-        lower = l2_norm(psi) ** 2 + delta**2 * l2_norm(deriv(psi, 1)) ** 2
+        lower = l2_norm(psi) ** 2 + delta**2 * _grad_norm(psi) ** 2
         ratio = quad / lower
         positives += int(ratio > 0.0)
         min_ratio = min(min_ratio, ratio)
@@ -527,7 +519,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
         eq2 = np.abs(
             dc.H2 * (op_l11(dc, psi0).values + d2 * op_l12(dc, psi1).values)
             - op_l12(dc, psi0).values - op_l22(delta, dc, psi1).values
-            - f2.values - deriv(f3, 1).values
+            - f2.values - dx(grid, f3.values)
         ).max()
         worst_res = max(worst_res, eq1, eq2)
         rows.append(["back_substitution", trial, delta, max(eq1, eq2), ""])
@@ -545,10 +537,10 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
             dc = DepthCoefs.from_eta(eta)
             psi0, psi1 = solve_elliptic_pair(delta, dc, EllipticRhs(f1, f2, f3),
                                              cg_tol=cfg.cg_tol)
-            lhs = (l2_norm(deriv(psi0, 1)) ** 2
+            lhs = (_grad_norm(psi0) ** 2
                    + delta**2 * l2_norm(psi1) ** 2
-                   + delta**4 * l2_norm(deriv(psi1, 1)) ** 2)
-            rhs = (l2_norm(deriv(f1, 1)) ** 2 + l2_norm(f3) ** 2
+                   + delta**4 * _grad_norm(psi1) ** 2)
+            rhs = (_grad_norm(f1) ** 2 + l2_norm(f3) ** 2
                    + delta**2 * l2_norm(f2) ** 2)
             ratios_by_delta[delta].append(lhs / rhs)
             rows.append(["estimate_ratio", trial, delta, lhs / rhs, ""])
@@ -575,25 +567,17 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
                     cg_tol=cfg.cg_tol, record_every=cfg.record_every,
                     store_trajectory=True)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
-    snapshots = []
+    phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
     if cfg.model == "ik":
-        phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
         res = run(ik_state_from_surface(eta0, phi, cfg.delta, cg_tol=cfg.cg_tol), sim)
-        diag = res.diagnostics
-        for t, s in res.trajectory or []:
-            for j in range(grid.n_points):
-                snapshots.append([t, grid.nodes[j], s.eta.values[j],
-                                  s.phi0.values[j], s.phi1.values[j]])
-        snap_cols = ["time", "x", "eta", "phi0", "phi1"]
     else:
-        phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
         res = ww_run(WwState(eta0, phi, cfg.delta), sim,
                      _backend_from(cfg, warm_start=True))
-        diag = res.diagnostics
-        for t, s in res.trajectory or []:
-            for j in range(grid.n_points):
-                snapshots.append([t, grid.nodes[j], s.eta.values[j], s.phi.values[j]])
-        snap_cols = ["time", "x", "eta", "phi"]
+    diag = res.diagnostics
+    names = res.final.FIELDS
+    snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]
+                 for t, s in res.trajectory or [] for j in range(grid.n_points)]
+    snap_cols = ["time", "x", *names]
 
     rows = []
     for i, t in enumerate(diag.times):

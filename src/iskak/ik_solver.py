@@ -1,4 +1,4 @@
-"""Time integration of the constrained model.
+"""Time integration of the constrained model, and the run loop of both models.
 
 The state (eta, phi0, phi1) is advanced with classical RK4.  Each stage
 evaluates dt(eta) from the divergence-form continuity equation and recovers
@@ -7,14 +7,18 @@ f1 = -F1, f2 = F2, f3 = 0, so the compatibility constraint is transported
 rather than enforced; periodic reprojection through the initial-data solve
 keeps its discrete drift at the solver-tolerance level.
 
-The potential phi0 is defined up to a constant on a periodic domain; run()
-re-centers it to zero mean after every step (pure gauge, nothing measurable
-depends on it).
+rk4_fields and run_loop step any state that names its evolved fields in
+FIELDS; run() here and waterwave.ww_run() are thin callers, so both models
+share one scheme, one set of guards, one record cadence and one abort path.
+The potential (phi0 here, phi on the water-wave side) is defined up to a
+constant on a periodic domain; the loop re-centers it to zero mean after
+every step (pure gauge, nothing measurable depends on it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -33,20 +37,20 @@ from .operators import (
     solve_elliptic_pair,
     solve_initial_data,
     surface_potential,
-    _dp,
-    _dx,
 )
-from .spectral import RealField, integrate
+from .spectral import RealField, dp, dx, integrate
 
 __all__ = [
     "IkDerivative",
     "SimConfig",
     "Diagnostics",
-    "IkRunResult",
+    "RunResult",
     "eta_rhs",
     "time_derivatives",
+    "rk4_fields",
     "rk4_step",
     "reproject",
+    "run_loop",
     "run",
 ]
 
@@ -54,10 +58,9 @@ BLOWUP_GUARD = 1e6
 CFL_FACTOR = 0.5
 
 
-@dataclass
-class IkDerivative:
-    """Time derivatives of the state; phi0_t + d^2 H^2 phi1_t = -F1 holds by
-    construction of the elliptic solve."""
+class IkDerivative(NamedTuple):
+    """Time derivatives of the state, in the order of IkState.FIELDS;
+    phi0_t + d^2 H^2 phi1_t = -F1 holds by construction of the elliptic solve."""
 
     eta_t: RealField
     phi0_t: RealField
@@ -105,16 +108,16 @@ class Diagnostics:
 
 
 @dataclass
-class IkRunResult:
-    final: IkState
+class RunResult:
+    final: object                     # IkState or waterwave.WwState
     diagnostics: Diagnostics
-    trajectory: list | None = None    # [(t, IkState)] at the record cadence
+    trajectory: list | None = None    # [(t, state)] at the record cadence
 
 
 def _eta_rhs_v(grid, delta, dc: DepthCoefs, phi0v, phi1v) -> np.ndarray:
-    flux = _dp(grid, dc.H, _dx(grid, phi0v)) \
-        + (delta * delta / 3.0) * _dp(grid, dc.H3, _dx(grid, phi1v))
-    return -_dx(grid, flux)
+    flux = dp(grid, dc.H, dx(grid, phi0v)) \
+        + (delta * delta / 3.0) * dp(grid, dc.H3, dx(grid, phi1v))
+    return -dx(grid, flux)
 
 
 def eta_rhs(s: IkState) -> RealField:
@@ -132,7 +135,7 @@ def time_derivatives(
     grid = s.grid
     dc = s.depth()
     eta_t = RealField(grid, _eta_rhs_v(grid, s.delta, dc, s.phi0.values, s.phi1.values))
-    f1 = -f1_nonlinear(s)
+    f1 = RealField(grid, -f1_nonlinear(s).values)
     f2 = f2_forcing(s, eta_t)
     f3 = RealField(grid, np.zeros(grid.n_points))
     guess = warm.phi1_t.values if warm is not None else None
@@ -141,44 +144,40 @@ def time_derivatives(
     return IkDerivative(eta_t, phi0_t, phi1_t)
 
 
-def _state_add(s: IkState, d: IkDerivative, h: float) -> IkState:
-    return IkState(
-        RealField(s.grid, s.eta.values + h * d.eta_t.values),
-        RealField(s.grid, s.phi0.values + h * d.phi0_t.values),
-        RealField(s.grid, s.phi1.values + h * d.phi1_t.values),
-        s.delta,
-        s.h_min,
-    )
+def rk4_fields(s, dt, rhs, time, guard, warm):
+    """One classical RK4 step over the fields a state names in s.FIELDS.
 
+    rhs(state, warm) returns the time derivatives of those fields, in that
+    order, as RealFields; each stage is warm-started from the one before.
+    Returns the new state and the last stage's derivative.  The max-norm
+    blow-up guard is checked here, on the combined state, before run_loop
+    re-centers the potential; the state constructors reject NaN/Inf and
+    depth collapse first.
+    """
+    names = s.FIELDS
 
-def _max_norm(s: IkState) -> float:
-    return max(
-        float(np.abs(s.eta.values).max()),
-        float(np.abs(s.phi0.values).max()),
-        float(np.abs(s.phi1.values).max()),
-    )
+    def shifted(k, h):
+        return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d.values)
+                             for n, d in zip(names, k)})
 
-
-def _rk4_stages(s, dt, cg_tol, time, guard, warm):
-    k1 = time_derivatives(s, cg_tol, warm=warm)
-    k2 = time_derivatives(_state_add(s, k1, 0.5 * dt), cg_tol, warm=k1)
-    k3 = time_derivatives(_state_add(s, k2, 0.5 * dt), cg_tol, warm=k2)
-    k4 = time_derivatives(_state_add(s, k3, dt), cg_tol, warm=k3)
+    k1 = rhs(s, warm)
+    k2 = rhs(shifted(k1, 0.5 * dt), k1)
+    k3 = rhs(shifted(k2, 0.5 * dt), k2)
+    k4 = rhs(shifted(k3, dt), k3)
     c = dt / 6.0
-    out = IkState(
-        RealField(s.grid, s.eta.values + c * (k1.eta_t.values + 2 * k2.eta_t.values
-                                              + 2 * k3.eta_t.values + k4.eta_t.values)),
-        RealField(s.grid, s.phi0.values + c * (k1.phi0_t.values + 2 * k2.phi0_t.values
-                                               + 2 * k3.phi0_t.values + k4.phi0_t.values)),
-        RealField(s.grid, s.phi1.values + c * (k1.phi1_t.values + 2 * k2.phi1_t.values
-                                               + 2 * k3.phi1_t.values + k4.phi1_t.values)),
-        s.delta,
-        s.h_min,
-    )
-    m = _max_norm(out)
+    out = replace(s, **{
+        n: RealField(s.grid, getattr(s, n).values
+                     + c * (a.values + 2 * b.values + 2 * e.values + d.values))
+        for n, a, b, e, d in zip(names, k1, k2, k3, k4)
+    })
+    m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
     if m > guard:
         raise BlowUpError(time + dt, m, guard)
     return out, k4
+
+
+def _rk4_stages(s, dt, cg_tol, time, guard, warm):
+    return rk4_fields(s, dt, lambda st, w: time_derivatives(st, cg_tol, warm=w), time, guard, warm)
 
 
 def rk4_step(
@@ -212,14 +211,23 @@ def _record(diag: Diagnostics, t: float, s: IkState, cg_tol: float) -> None:
     diag.min_a.append(float(a.values.min()))
 
 
-def _recenter(s: IkState) -> IkState:
-    s.phi0.values -= s.phi0.values.mean()
-    return s
+def _recenter(s, gauge: str) -> None:
+    v = getattr(s, gauge).values
+    v -= v.mean()
 
 
-def run(initial: IkState, cfg: SimConfig) -> IkRunResult:
-    """Step to t_end recording diagnostics; aborts cleanly on blow-up,
-    depth collapse or elliptic non-convergence, keeping the partial record."""
+def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) -> RunResult:
+    """Step a copy of initial to cfg.t_end; the one run loop of both models.
+
+    step(state, t, warm) advances one cfg.dt from time t and returns the new
+    state and the warm start of the next step; record(diagnostics, t, state)
+    appends one record at t = 0, every cfg.record_every steps and at the
+    end; project(state), if given, runs every cfg.reproject_every steps.
+    The gauge field is re-centered to zero mean at the start and after every
+    step, after the step's blow-up guard (rk4_fields) has run.  Blow-up, depth collapse, solver non-convergence and a NaN/Inf
+    stage value abort the run cleanly: diagnostics.aborted holds the message
+    and the record up to the last completed step is kept.
+    """
     cfg.check_cfl(initial.grid.spacing)
     n_steps = int(round(cfg.t_end / cfg.dt))
     if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
@@ -227,26 +235,38 @@ def run(initial: IkState, cfg: SimConfig) -> IkRunResult:
 
     diag = Diagnostics()
     traj = [] if cfg.store_trajectory else None
-    s = _recenter(IkState(initial.eta.copy(), initial.phi0.copy(),
-                          initial.phi1.copy(), initial.delta, initial.h_min))
-    t = 0.0
-    _record(diag, t, s, cfg.cg_tol)
-    if traj is not None:
-        traj.append((t, s))
 
+    def keep(t, state):
+        record(diag, t, state)
+        if traj is not None:
+            traj.append((t, state))
+
+    s = replace(initial, **{n: getattr(initial, n).copy() for n in initial.FIELDS})
+    _recenter(s, gauge)
+    t = 0.0
+    keep(t, s)
     warm = None
     try:
-        for step in range(1, n_steps + 1):
-            s, warm = _rk4_stages(s, cfg.dt, cfg.cg_tol, t, BLOWUP_GUARD, warm)
-            s = _recenter(s)
-            t = step * cfg.dt
-            if cfg.reproject_every and step % cfg.reproject_every == 0:
-                s = reproject(s, cfg.cg_tol)
-            if step % cfg.record_every == 0 or step == n_steps:
-                _record(diag, t, s, cfg.cg_tol)
-                if traj is not None:
-                    traj.append((t, s))
-    except (BlowUpError, NonConvergenceError, DepthTooSmallError) as exc:
+        for i in range(1, n_steps + 1):
+            s, warm = step(s, t, warm)
+            _recenter(s, gauge)
+            t = i * cfg.dt
+            if project is not None and cfg.reproject_every and i % cfg.reproject_every == 0:
+                s = project(s)
+            if i % cfg.record_every == 0 or i == n_steps:
+                keep(t, s)
+    except (BlowUpError, NonConvergenceError, DepthTooSmallError, FloatingPointError) as exc:
         diag.aborted = str(exc)
+    return RunResult(s, diag, traj)
 
-    return IkRunResult(s, diag, traj)
+
+def run(initial: IkState, cfg: SimConfig) -> RunResult:
+    """Step the model to t_end with run_loop, recording mass, energy, the
+    constraint residual and both sign conditions."""
+    return run_loop(
+        initial, cfg,
+        step=lambda s, t, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, t, BLOWUP_GUARD, warm),
+        record=lambda diag, t, s: _record(diag, t, s, cfg.cg_tol),
+        gauge="phi0",
+        project=lambda s: reproject(s, cfg.cg_tol),
+    )

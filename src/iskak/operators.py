@@ -29,7 +29,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DepthTooSmallError, NonConvergenceError
-from .spectral import PeriodicGrid, RealField, dealiased_product, deriv, integrate
+from .spectral import PeriodicGrid, RealField, dealias, dp, dx, lap
 
 __all__ = [
     "H_MIN_DEFAULT",
@@ -37,6 +37,7 @@ __all__ = [
     "CG_MAX_ITER_DEFAULT",
     "DepthCoefs",
     "IkState",
+    "check_state",
     "EllipticRhs",
     "op_l11",
     "op_l12",
@@ -58,47 +59,6 @@ __all__ = [
 H_MIN_DEFAULT = 0.1
 CG_TOL_DEFAULT = 1e-12
 CG_MAX_ITER_DEFAULT = 500
-
-
-# ---------------------------------------------------------------------------
-# raw-array spectral kernels (hot path)
-
-def _dx(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    vh = np.fft.rfft(v)
-    vh *= 1j * grid.wavenumbers_half
-    vh[-1] = 0.0
-    return np.fft.irfft(vh, n=grid.n_points)
-
-
-def _dx_rows(grid: PeriodicGrid, rows: np.ndarray) -> np.ndarray:
-    """First derivative of several stacked fields in one transform pair."""
-    h = np.fft.rfft(rows, axis=-1)
-    h *= 1j * grid.wavenumbers_half
-    h[..., -1] = 0.0
-    return np.fft.irfft(h, n=grid.n_points, axis=-1)
-
-
-def _dealias_rows(grid: PeriodicGrid, rows: np.ndarray) -> np.ndarray:
-    h = np.fft.rfft(rows, axis=-1)
-    h[..., ~grid.dealias_keep] = 0.0
-    return np.fft.irfft(h, n=grid.n_points, axis=-1)
-
-
-def _lap(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    vh = np.fft.rfft(v)
-    vh *= -grid.wavenumbers_half**2
-    return np.fft.irfft(vh, n=grid.n_points)
-
-
-def _dealias(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    vh = np.fft.rfft(v)
-    vh[~grid.dealias_keep] = 0.0
-    return np.fft.irfft(vh, n=grid.n_points)
-
-
-def _dp(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """2/3-rule product on raw values."""
-    return _dealias(grid, _dealias(grid, a) * _dealias(grid, b))
 
 
 # ---------------------------------------------------------------------------
@@ -127,7 +87,20 @@ class DepthCoefs:
         h3 = h2 * h
         h4 = h2 * h2
         h5 = h4 * h
-        return cls(eta.grid, h, h2, h3, h4, h5, h5 * h2, _dx(eta.grid, eta.values))
+        return cls(eta.grid, h, h2, h3, h4, h5, h5 * h2, dx(eta.grid, eta.values))
+
+
+def check_state(s) -> None:
+    """Validate either model's state: delta range, FIELDS on one grid and finite, depth floor."""
+    if not 0.0 < s.delta <= 1.0:
+        raise ValueError(f"delta must lie in (0, 1], got {s.delta}")
+    fields = [getattr(s, n) for n in s.FIELDS]
+    if any(f.grid != s.eta.grid for f in fields):
+        raise ValueError("state fields live on different grids")
+    for f in fields:
+        f.check_finite()
+    if float(1.0 + s.eta.values.min()) < s.h_min:
+        raise DepthTooSmallError(float(1.0 + s.eta.values.min()), s.h_min)
 
 
 @dataclass
@@ -139,6 +112,8 @@ class IkState:
     constraint, mid-step states may violate it at the discretization level.
     """
 
+    FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order
+
     eta: RealField
     phi0: RealField
     phi1: RealField
@@ -146,14 +121,7 @@ class IkState:
     h_min: float = H_MIN_DEFAULT
 
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.phi0.grid != self.eta.grid or self.phi1.grid != self.eta.grid:
-            raise ValueError("state fields live on different grids")
-        for f in (self.eta, self.phi0, self.phi1):
-            f.check_finite()
-        if float(1.0 + self.eta.values.min()) < self.h_min:
-            raise DepthTooSmallError(float(1.0 + self.eta.values.min()), self.h_min)
+        check_state(self)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -180,22 +148,10 @@ class EllipticRhs:
 # ---------------------------------------------------------------------------
 # the L operators
 
-def _l11_v(grid: PeriodicGrid, H: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -_dx(grid, H * _dx(grid, v))
-
-
-def _l12_v(grid: PeriodicGrid, H3: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return -_dx(grid, H3 * _dx(grid, v)) / 3.0
-
-
-def _l22_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np.ndarray:
-    return -(delta * delta) * _dx(grid, dc.H5 * _dx(grid, v)) / 5.0 + (4.0 / 3.0) * dc.H3 * v
-
-
 def _l1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np.ndarray:
     d2 = delta * delta
-    dg, dv = _dx_rows(grid, np.stack((dc.H2 * v, v)))
-    fluxes = _dx_rows(grid, np.stack((dc.H * dg, dc.H3 * dg, dc.H5 * dv, dc.H3 * dv)))
+    dg, dv = dx(grid, np.stack((dc.H2 * v, v)))
+    fluxes = dx(grid, np.stack((dc.H * dg, dc.H3 * dg, dc.H5 * dv, dc.H3 * dv)))
     l11_g = -fluxes[0]
     l12_g = -fluxes[1] / 3.0
     l22_v = -d2 * fluxes[2] / 5.0 + (4.0 / 3.0) * dc.H3 * v
@@ -204,15 +160,19 @@ def _l1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np
 
 
 def op_l11(coefs: DepthCoefs, psi: RealField) -> RealField:
-    return RealField(psi.grid, _l11_v(psi.grid, coefs.H, psi.values))
+    grid = psi.grid
+    return RealField(grid, -dx(grid, coefs.H * dx(grid, psi.values)))
 
 
 def op_l12(coefs: DepthCoefs, psi: RealField) -> RealField:
-    return RealField(psi.grid, _l12_v(psi.grid, coefs.H3, psi.values))
+    grid = psi.grid
+    return RealField(grid, -dx(grid, coefs.H3 * dx(grid, psi.values)) / 3.0)
 
 
 def op_l22(delta: float, coefs: DepthCoefs, psi: RealField) -> RealField:
-    return RealField(psi.grid, _l22_v(psi.grid, delta, coefs, psi.values))
+    grid, v = psi.grid, psi.values
+    return RealField(grid, -(delta * delta) * dx(grid, coefs.H5 * dx(grid, v)) / 5.0
+                     + (4.0 / 3.0) * coefs.H3 * v)
 
 
 def op_l1(delta: float, coefs: DepthCoefs, psi: RealField) -> RealField:
@@ -227,8 +187,8 @@ def constraint_residual(s: IkState) -> RealField:
     grid = s.grid
     dc = s.depth()
     res = (
-        (2.0 / 3.0) * _lap(grid, s.phi0.values)
-        + (2.0 / 15.0) * s.delta**2 * dc.H2 * _lap(grid, s.phi1.values)
+        (2.0 / 3.0) * lap(grid, s.phi0.values)
+        + (2.0 / 15.0) * s.delta**2 * dc.H2 * lap(grid, s.phi1.values)
         + (4.0 / 3.0) * s.phi1.values
     )
     return RealField(grid, res)
@@ -238,7 +198,7 @@ def surface_velocity(s: IkState) -> RealField:
     """Horizontal fluid velocity at the surface: grad phi0 + d^2 H^2 grad phi1."""
     grid = s.grid
     dc = s.depth()
-    return RealField(grid, _dx(grid, s.phi0.values) + s.delta**2 * dc.H2 * _dx(grid, s.phi1.values))
+    return RealField(grid, dx(grid, s.phi0.values) + s.delta**2 * dc.H2 * dx(grid, s.phi1.values))
 
 
 def surface_potential(s: IkState) -> RealField:
@@ -250,10 +210,10 @@ def surface_potential(s: IkState) -> RealField:
 def _f1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, s: IkState) -> np.ndarray:
     # pairwise 2/3-rule chains, batched: truncate factors, multiply, truncate
     d2 = delta * delta
-    u0, u1 = _dx_rows(grid, np.stack((s.phi0.values, s.phi1.values)))
-    u0, u1, p1, h2, h4 = _dealias_rows(grid, np.stack((u0, u1, s.phi1.values, dc.H2, dc.H4)))
-    q00, q01, q11, qpp = _dealias_rows(grid, np.stack((u0 * u0, u0 * u1, u1 * u1, p1 * p1)))
-    c01, c11, cpp = _dealias_rows(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp)))
+    u0, u1 = dx(grid, np.stack((s.phi0.values, s.phi1.values)))
+    u0, u1, p1, h2, h4 = dealias(grid, np.stack((u0, u1, s.phi1.values, dc.H2, dc.H4)))
+    q00, q01, q11, qpp = dealias(grid, np.stack((u0 * u0, u0 * u1, u1 * u1, p1 * p1)))
+    c01, c11, cpp = dealias(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp)))
     return s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
 
 
@@ -266,7 +226,7 @@ def f2_forcing(s: IkState, eta_t: RealField) -> RealField:
     """(4/15) d^2 H^4 (dt eta) lap phi1 for the time-derivative elliptic solve."""
     grid = s.grid
     dc = s.depth()
-    v = (4.0 / 15.0) * s.delta**2 * _dp(grid, dc.H4, _dp(grid, eta_t.values, _lap(grid, s.phi1.values)))
+    v = (4.0 / 15.0) * s.delta**2 * dp(grid, dc.H4, dp(grid, eta_t.values, lap(grid, s.phi1.values)))
     return RealField(grid, v)
 
 
@@ -275,15 +235,15 @@ def coef_a(s: IkState, phi1_t: RealField) -> RealField:
     grid = s.grid
     dc = s.depth()
     d2 = s.delta**2
-    u0 = _dx(grid, s.phi0.values)
-    u1 = _dx(grid, s.phi1.values)
+    u0 = dx(grid, s.phi0.values)
+    u1 = dx(grid, s.phi1.values)
     p1 = s.phi1.values
     v = (
         1.0
-        + 2.0 * d2 * _dp(grid, dc.H, phi1_t.values)
-        + 2.0 * d2 * _dp(grid, dc.H, _dp(grid, u0, u1))
-        + 2.0 * d2 * d2 * _dp(grid, dc.H3, _dp(grid, u1, u1))
-        + 4.0 * d2 * _dp(grid, dc.H, _dp(grid, p1, p1))
+        + 2.0 * d2 * dp(grid, dc.H, phi1_t.values)
+        + 2.0 * d2 * dp(grid, dc.H, dp(grid, u0, u1))
+        + 2.0 * d2 * d2 * dp(grid, dc.H3, dp(grid, u1, u1))
+        + 4.0 * d2 * dp(grid, dc.H, dp(grid, p1, p1))
     )
     return RealField(grid, v)
 
@@ -294,8 +254,8 @@ def coef_a(s: IkState, phi1_t: RealField) -> RealField:
 def _kinetic_density(grid, delta, H, H3, H5, phi0v, phi1v) -> np.ndarray:
     """Vertical integral of the squared scaled gradient of the potential ansatz."""
     d2 = delta * delta
-    u0 = _dx(grid, phi0v)
-    u1 = _dx(grid, phi1v)
+    u0 = dx(grid, phi0v)
+    u1 = dx(grid, phi1v)
     return (
         H * u0 * u0
         + (2.0 / 3.0) * d2 * H3 * u0 * u1
@@ -324,8 +284,8 @@ def linearized_energy_E1(s: IkState) -> float:
     x-derivative of the state; conserved by the rest-state linearization."""
     grid = s.grid
     e0 = _flat_quadratic(grid, s.delta, s.eta.values, s.phi0.values, s.phi1.values)
-    e1 = _flat_quadratic(grid, s.delta, _dx(grid, s.eta.values),
-                         _dx(grid, s.phi0.values), _dx(grid, s.phi1.values))
+    e1 = _flat_quadratic(grid, s.delta, dx(grid, s.eta.values),
+                         dx(grid, s.phi0.values), dx(grid, s.phi1.values))
     return e0 + 0.4 * s.delta**2 * e1
 
 
@@ -388,9 +348,9 @@ def solve_elliptic_pair(
     grid = coefs.grid
     d2 = delta * delta
     f1v, f2v, f3v = rhs.f1.values, rhs.f2.values, rhs.f3.values
-    df1 = _dx(grid, f1v)
+    df1 = dx(grid, f1v)
     b = (
-        -_dx(grid, (2.0 / 3.0) * coefs.H3 * df1 + f3v)
+        -dx(grid, (2.0 / 3.0) * coefs.H3 * df1 + f3v)
         + 2.0 * coefs.H2 * coefs.grad_eta * df1
         - f2v
     )

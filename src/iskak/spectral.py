@@ -1,9 +1,15 @@
-"""Periodic 1-D pseudo-spectral toolbox.
+"""Periodic 1-D pseudo-spectral kernel layer.
 
-Grid functions live on the uniform nodes of [0, L); derivatives, Fourier
-multipliers and norms act through the FFT of the trigonometric interpolant.
-Quadratic nonlinearities use the 2/3-rule dealiased product; higher powers
-are chained pairwise.
+Grid functions live on the uniform nodes of [0, L).  The kernels dx, lap,
+dealias and dp act on raw float arrays along the last axis, so one call
+transforms a single field of shape (N,) or a stack of fields of shape
+(..., N) in one rfft/irfft pair, and every row of a stack gets exactly the
+values it would get alone.  Derivatives act through the FFT of the
+trigonometric interpolant; quadratic nonlinearities use the 2/3-rule
+dealiased product, and higher powers are chained pairwise.
+
+RealField is the typed boundary of the solvers: a grid function whose
+shape is checked on construction and whose values can be checked finite.
 """
 
 from __future__ import annotations
@@ -16,13 +22,12 @@ import numpy as np
 __all__ = [
     "PeriodicGrid",
     "RealField",
-    "Multiplier",
-    "deriv",
-    "apply_multiplier",
-    "dealiased_product",
+    "dx",
+    "lap",
+    "dealias",
+    "dp",
     "integrate",
     "l2_norm",
-    "hs_norm",
     "field_from_function",
 ]
 
@@ -67,11 +72,6 @@ class PeriodicGrid:
         return np.arange(self.n_points // 2 + 1) <= cutoff
 
 
-def _check_same_grid(a: "RealField", b: "RealField") -> None:
-    if a.grid is not b.grid and a.grid != b.grid:
-        raise ValueError("fields live on different grids")
-
-
 @dataclass
 class RealField:
     """Real grid function; values are physical-space samples on grid.nodes."""
@@ -93,92 +93,36 @@ class RealField:
             raise FloatingPointError("field contains NaN/Inf")
         return self
 
-    # arithmetic conveniences used throughout the solvers
-    def __add__(self, other):
-        if isinstance(other, RealField):
-            _check_same_grid(self, other)
-            return RealField(self.grid, self.values + other.values)
-        return RealField(self.grid, self.values + other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        if isinstance(other, RealField):
-            _check_same_grid(self, other)
-            return RealField(self.grid, self.values - other.values)
-        return RealField(self.grid, self.values - other)
-
-    def __rsub__(self, other):
-        return RealField(self.grid, other - self.values)
-
-    def __mul__(self, scalar):
-        return RealField(self.grid, self.values * float(scalar))
-
-    __rmul__ = __mul__
-
-    def __neg__(self):
-        return RealField(self.grid, -self.values)
-
 
 def field_from_function(grid: PeriodicGrid, fn) -> RealField:
     return RealField(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
-@dataclass(frozen=True)
-class Multiplier:
-    """Fourier multiplier with a real, even-in-k symbol on the grid's wavenumbers."""
-
-    grid: PeriodicGrid
-    symbol: np.ndarray = field(repr=False)
-
-    def __post_init__(self):
-        s = np.asarray(self.symbol, dtype=float)
-        if s.shape != (self.grid.n_points,):
-            raise ValueError("symbol must be sampled on the full wavenumber layout")
-        object.__setattr__(self, "symbol", s)
-
-    @classmethod
-    def from_symbol(cls, grid: PeriodicGrid, fn) -> "Multiplier":
-        return cls(grid, np.asarray(fn(grid.wavenumbers), dtype=float))
-
-    @cached_property
-    def _symbol_half(self) -> np.ndarray:
-        # even symbol: the rfft half-spectrum [0..N/2] carries it entirely
-        return self.symbol[: self.grid.n_points // 2 + 1].copy()
+def dx(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
+    """First derivative along the last axis."""
+    h = np.fft.rfft(v, axis=-1)
+    h *= 1j * grid.wavenumbers_half
+    h[..., -1] = 0.0  # Nyquist mode carries no sign information for odd derivatives
+    return np.fft.irfft(h, n=grid.n_points, axis=-1)
 
 
-def deriv(f: RealField, order: int) -> RealField:
-    """order-th spectral derivative of the trigonometric interpolant of f."""
-    if order < 1:
-        raise ValueError(f"derivative order must be >= 1, got {order}")
-    k = f.grid.wavenumbers_half
-    mult = (1j * k) ** order
-    if order % 2 == 1:
-        mult[-1] = 0.0  # Nyquist mode carries no sign information for odd derivatives
-    fh = np.fft.rfft(f.values)
-    return RealField(f.grid, np.fft.irfft(mult * fh, n=f.grid.n_points))
+def lap(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
+    """Second derivative along the last axis."""
+    h = np.fft.rfft(v, axis=-1)
+    h *= -grid.wavenumbers_half**2
+    return np.fft.irfft(h, n=grid.n_points, axis=-1)
 
 
-def apply_multiplier(m: Multiplier, f: RealField) -> RealField:
-    if m.grid != f.grid:
-        raise ValueError("multiplier and field live on different grids")
-    fh = np.fft.rfft(f.values)
-    return RealField(f.grid, np.fft.irfft(m._symbol_half * fh, n=f.grid.n_points))
+def dealias(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
+    """2/3-rule truncation along the last axis."""
+    h = np.fft.rfft(v, axis=-1)
+    h[..., ~grid.dealias_keep] = 0.0
+    return np.fft.irfft(h, n=grid.n_points, axis=-1)
 
 
-def _dealias_values(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    vh = np.fft.rfft(v)
-    vh[~grid.dealias_keep] = 0.0
-    return np.fft.irfft(vh, n=grid.n_points)
-
-
-def dealiased_product(f: RealField, g: RealField) -> RealField:
+def dp(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Pointwise product with 2/3-rule truncation of inputs and output."""
-    _check_same_grid(f, g)
-    grid = f.grid
-    ft = _dealias_values(grid, f.values)
-    gt = _dealias_values(grid, g.values)
-    return RealField(grid, _dealias_values(grid, ft * gt))
+    return dealias(grid, dealias(grid, a) * dealias(grid, b))
 
 
 def integrate(f: RealField) -> float:
@@ -188,17 +132,3 @@ def integrate(f: RealField) -> float:
 
 def l2_norm(f: RealField) -> float:
     return float(np.sqrt(f.grid.spacing * np.square(f.values).sum()))
-
-
-def hs_norm(f: RealField, s: float) -> float:
-    """Sobolev norm with symbol (1+k^2)^(s/2), evaluated by Parseval."""
-    if s < 0.0:
-        raise ValueError(f"Sobolev order must be >= 0, got {s}")
-    n = f.grid.n_points
-    fh = np.fft.rfft(f.values) / n
-    weight = (1.0 + f.grid.wavenumbers_half**2) ** s
-    # rfft folds conjugate modes; double all but the k=0 and Nyquist bins
-    mult = np.full(n // 2 + 1, 2.0)
-    mult[0] = 1.0
-    mult[-1] = 1.0
-    return float(np.sqrt(f.grid.length * np.sum(weight * mult * np.abs(fh) ** 2)))

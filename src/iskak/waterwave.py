@@ -18,27 +18,22 @@ chosen order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
-from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError, SingularSystemError
-from .ik_solver import BLOWUP_GUARD, Diagnostics, SimConfig
-from .operators import H_MIN_DEFAULT, _dealias, _dealias_rows, _dp, _dx, _dx_rows, _lap
-from .spectral import PeriodicGrid, RealField, integrate
+from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
+from .ik_solver import BLOWUP_GUARD, RunResult, SimConfig, rk4_fields, run_loop
+from .operators import H_MIN_DEFAULT, check_state
+from .spectral import PeriodicGrid, RealField, dealias, dp, dx, integrate, lap
 
 __all__ = [
     "WwState",
-    "SigmaSolution",
     "DtnBackend",
-    "WwRunResult",
     "lambda0",
     "lambda1",
     "lambda2",
     "dtn_series",
-    "dtn_exact",
-    "solve_strip",
     "zcs_rhs",
     "ww_run",
     "hamiltonian",
@@ -112,15 +107,10 @@ class WwState:
     delta: float
     h_min: float = H_MIN_DEFAULT
 
+    FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order
+
     def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if self.phi.grid != self.eta.grid:
-            raise ValueError("state fields live on different grids")
-        self.eta.check_finite()
-        self.phi.check_finite()
-        if float(1.0 + self.eta.values.min()) < self.h_min:
-            raise DepthTooSmallError(float(1.0 + self.eta.values.min()), self.h_min)
+        check_state(self)
 
     @property
     def grid(self) -> PeriodicGrid:
@@ -138,25 +128,25 @@ class WwState:
 def lambda0(eta: RealField, psi: RealField) -> RealField:
     grid = psi.grid
     h = 1.0 + eta.values
-    return RealField(grid, -_dx(grid, _dp(grid, h, _dx(grid, psi.values))))
+    return RealField(grid, -dx(grid, dp(grid, h, dx(grid, psi.values))))
 
 
 def lambda1(eta: RealField, psi: RealField) -> RealField:
     grid = psi.grid
     h3 = (1.0 + eta.values) ** 3
-    return RealField(grid, -_lap(grid, _dp(grid, h3, _lap(grid, psi.values))) / 3.0)
+    return RealField(grid, -lap(grid, dp(grid, h3, lap(grid, psi.values))) / 3.0)
 
 
 def lambda2(eta: RealField, psi: RealField) -> RealField:
     grid = psi.grid
     h = 1.0 + eta.values
     h2, h3 = h * h, h * h * h
-    lp = _lap(grid, psi.values)
-    grad_eta_sq = _dx(grid, eta.values) ** 2
+    lp = lap(grid, psi.values)
+    grad_eta_sq = dx(grid, eta.values) ** 2
     term = (
-        -_lap(grid, _dp(grid, h3, _lap(grid, _dp(grid, h2, lp)))) / 15.0
-        - _lap(grid, _dp(grid, h2, _lap(grid, _dp(grid, h3, lp)))) / 15.0
-        + _lap(grid, _dp(grid, grad_eta_sq, _dp(grid, h3, lp))) / 5.0
+        -lap(grid, dp(grid, h3, lap(grid, dp(grid, h2, lp)))) / 15.0
+        - lap(grid, dp(grid, h2, lap(grid, dp(grid, h3, lp)))) / 15.0
+        + lap(grid, dp(grid, grad_eta_sq, dp(grid, h3, lp))) / 5.0
     )
     return RealField(grid, term)
 
@@ -165,12 +155,12 @@ def dtn_series(eta: RealField, phi: RealField, delta: float, order: int) -> Real
     """Sum of the expansion terms through delta^(2*order)."""
     if order not in (0, 1, 2):
         raise ValueError(f"series order must be 0, 1 or 2, got {order}")
-    out = lambda0(eta, phi)
+    out = lambda0(eta, phi).values
     if order >= 1:
-        out = out + delta**2 * lambda1(eta, phi)
+        out = out + delta**2 * lambda1(eta, phi).values
     if order >= 2:
-        out = out + delta**4 * lambda2(eta, phi)
-    return out
+        out = out + delta**4 * lambda2(eta, phi).values
+    return RealField(phi.grid, out)
 
 
 # ---------------------------------------------------------------------------
@@ -183,8 +173,8 @@ def _cheb_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
     c = np.ones(n + 1)
     c[0] = c[-1] = 2.0
     c *= (-1.0) ** j
-    dx = xi[:, None] - xi[None, :] + np.eye(n + 1)
-    d = np.outer(c, 1.0 / c) / dx
+    diff = xi[:, None] - xi[None, :] + np.eye(n + 1)
+    d = np.outer(c, 1.0 / c) / diff
     d -= np.diag(d.sum(axis=1))
     return xi, d
 
@@ -197,33 +187,6 @@ def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     moments = np.where(m % 2 == 0, 2.0 / (1.0 - m**2 + (m % 2)), 0.0)
     moments[m % 2 == 1] = 0.0
     return np.linalg.solve(vand.T.copy(), moments)
-
-
-@dataclass
-class SigmaSolution:
-    """Potential on the flattened strip: values at (z-node, x-node) and the
-    Chebyshev x Fourier coefficient array."""
-
-    values: np.ndarray
-    n_x: int
-    n_z: int
-    grid: PeriodicGrid
-    dz_matrix: np.ndarray = field(repr=False)
-
-    @property
-    def coeffs(self) -> np.ndarray:
-        """(x-mode, z-Chebyshev-mode) coefficient array of the solution."""
-        fh = np.fft.rfft(self.values, axis=1) / self.n_x
-        cheb = scipy.fft.dct(fh, type=1, axis=0) / self.n_z
-        cheb[0, :] *= 0.5
-        cheb[-1, :] *= 0.5
-        return cheb.T
-
-    def surface_values(self) -> np.ndarray:
-        return self.values[0, :].copy()
-
-    def bottom_neumann_residual(self) -> float:
-        return float(np.abs((self.dz_matrix @ self.values)[-1, :]).max())
 
 
 class _StripWorkspace:
@@ -256,10 +219,6 @@ class _StripWorkspace:
         self.mode_inverses = inv
         self.last_solution: np.ndarray | None = None
 
-    # x-derivative of stacked z-rows
-    def _ddx(self, rows: np.ndarray) -> np.ndarray:
-        return _dx_rows(self.grid, rows)
-
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
         rh = np.fft.rfft(rows, axis=1)
         sol = np.einsum("kij,jk->ik", self.mode_inverses, rh)
@@ -268,28 +227,30 @@ class _StripWorkspace:
     def _apply(self, w: np.ndarray, h, eta_x, d2) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
         wz = self.dz @ w
-        wx = self._ddx(w)
+        wx = dx(self.grid, w)
         zp1 = self.zp1[:, None]
         p = h * wx - zp1 * eta_x * wz
         q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
-        out = self.dzz @ w + d2 * h * (self._ddx(p) + self.dz @ q)
+        out = self.dzz @ w + d2 * h * (dx(self.grid, p) + self.dz @ q)
         out[0, :] = w[0, :]
         out[-1, :] = wz[-1, :]
         return out
 
     def solve(self, eta: RealField, phi: RealField, tol: float,
-              h_min: float, warm_start: bool) -> SigmaSolution:
+              h_min: float, warm_start: bool) -> np.ndarray:
+        """Potential on the flattened strip at (z-node, x-node), row 0 the
+        surface: the (n_z + 1, N) collocation values."""
         grid = self.grid
         h = 1.0 + eta.values
         if float(h.min()) < h_min:
             raise DepthTooSmallError(float(h.min()), h_min)
-        eta_x = _dx(grid, eta.values)
+        eta_x = dx(grid, eta.values)
         d2 = self.delta**2
         n_rows = self.n_z + 1
 
         # lifting by the z-independent surface data; residual is z-independent too
-        phi_x = _dx(grid, phi.values)
-        lift_res = d2 * h * (_dx(grid, h * phi_x) - eta_x * phi_x)
+        phi_x = dx(grid, phi.values)
+        lift_res = d2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
         b = np.broadcast_to(-lift_res, (n_rows, grid.n_points)).copy()
         b[0, :] = 0.0
         b[-1, :] = 0.0
@@ -324,21 +285,19 @@ class _StripWorkspace:
             w = sol.reshape(shape)
         if warm_start:
             self.last_solution = w
-        values = w + phi.values[None, :]
-        return SigmaSolution(values, grid.n_points, self.n_z, grid, self.dz)
+        return w + phi.values[None, :]
 
-    def flux_divergence(self, eta: RealField, phi: RealField, sol: SigmaSolution) -> RealField:
+    def flux_divergence(self, eta: RealField, w: np.ndarray) -> RealField:
         """Lambda phi = -div(H Vbar) with Vbar the vertical average of the
         horizontal velocity, integrated by Clenshaw-Curtis quadrature."""
         grid = self.grid
         h = 1.0 + eta.values
-        eta_x = _dx(grid, eta.values)
-        w = sol.values
+        eta_x = dx(grid, eta.values)
         wz = self.dz @ w
-        wx = self._ddx(w)
+        wx = dx(grid, w)
         integrand = wx - self.zp1[:, None] * (eta_x / h) * wz
         vbar = self.wq @ integrand
-        return RealField(grid, -_dx(grid, h * vbar))
+        return RealField(grid, -dx(grid, h * vbar))
 
 
 @dataclass
@@ -386,23 +345,7 @@ class DtnBackend:
         if self.kind == "series":
             return dtn_series(eta, phi, delta, self.order)
         ws = self._workspace(phi.grid, delta)
-        sol = ws.solve(eta, phi, self.tol, h_min, self.warm_start)
-        return ws.flux_divergence(eta, phi, sol)
-
-
-def solve_strip(eta: RealField, phi: RealField, delta: float, n_z: int,
-                tol: float = DTN_TOL_DEFAULT, h_min: float = H_MIN_DEFAULT) -> SigmaSolution:
-    """Flattened-strip potential for given surface data (fresh workspace)."""
-    ws = _StripWorkspace(phi.grid, n_z, delta)
-    return ws.solve(eta, phi, tol, h_min, warm_start=False)
-
-
-def dtn_exact(eta: RealField, phi: RealField, delta: float, n_z: int = 16,
-              tol: float = DTN_TOL_DEFAULT, h_min: float = H_MIN_DEFAULT) -> RealField:
-    """Exact Dirichlet-to-Neumann value through the strip solve (one-shot)."""
-    ws = _StripWorkspace(phi.grid, n_z, delta)
-    sol = ws.solve(eta, phi, tol, h_min, warm_start=False)
-    return ws.flux_divergence(eta, phi, sol)
+        return ws.flux_divergence(eta, ws.solve(eta, phi, self.tol, h_min, self.warm_start))
 
 
 # ---------------------------------------------------------------------------
@@ -413,11 +356,11 @@ def zcs_rhs(s: WwState, backend: DtnBackend) -> tuple[RealField, RealField]:
     grid = s.grid
     d2 = s.delta**2
     lam = backend.apply(s.eta, s.phi, s.delta, s.h_min)
-    eta_x, phi_x = _dx_rows(grid, np.stack((s.eta.values, s.phi.values)))
-    etx, phx, lamt = _dealias_rows(grid, np.stack((eta_x, phi_x, lam.values)))
-    sq_phx, cross = _dealias_rows(grid, np.stack((phx * phx, etx * phx)))
+    eta_x, phi_x = dx(grid, np.stack((s.eta.values, s.phi.values)))
+    etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam.values)))
+    sq_phx, cross = dealias(grid, np.stack((phx * phx, etx * phx)))
     num = lamt + cross
-    num2 = _dealias_rows(grid, np.stack((num * num,)))[0]
+    num2 = dealias(grid, num * num)
     denom = 1.0 + d2 * eta_x * eta_x
     phi_t = -s.eta.values - 0.5 * sq_phx + 0.5 * d2 * num2 / denom
     return lam, RealField(grid, phi_t)
@@ -430,71 +373,22 @@ def hamiltonian(s: WwState, backend: DtnBackend) -> float:
     return 0.5 * float(s.grid.spacing * dens.sum())
 
 
-@dataclass
-class WwRunResult:
-    final: WwState
-    diagnostics: Diagnostics
-    trajectory: list | None = None
+def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
+    """RK4 evolution of the surface system through the model's run loop
+    (ik_solver.run_loop): same scheme, guards and abort handling, with mass
+    and surrogate-energy diagnostics; cfg.reproject_every does not apply."""
 
-
-def _ww_add(s: WwState, de: np.ndarray, dp: np.ndarray, h: float) -> WwState:
-    return WwState(
-        RealField(s.grid, s.eta.values + h * de),
-        RealField(s.grid, s.phi.values + h * dp),
-        s.delta,
-        s.h_min,
-    )
-
-
-def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> WwRunResult:
-    """RK4 evolution of the surface system, mirroring the model stepper:
-    same scheme, same CFL policy, mass and surrogate-energy diagnostics."""
-    cfg.check_cfl(initial.grid.spacing)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ValueError("t_end must be an integer number of steps")
-
-    diag = Diagnostics()
-    traj = [] if cfg.store_trajectory else None
-    s = WwState(initial.eta.copy(), initial.phi.copy(), initial.delta, initial.h_min)
-    s.phi.values -= s.phi.values.mean()
-
-    def record(t, state):
+    def record(diag, t, s):
+        e = hamiltonian(s, backend)
         diag.times.append(t)
-        diag.mass.append(integrate(state.eta))
-        diag.energy.append(hamiltonian(state, backend))
-        diag.min_depth.append(float(1.0 + state.eta.values.min()))
-        if traj is not None:
-            traj.append((t, state))
+        diag.mass.append(integrate(s.eta))
+        diag.energy.append(e)
+        diag.min_depth.append(float(1.0 + s.eta.values.min()))
 
-    t = 0.0
-    record(t, s)
-    try:
-        for step in range(1, n_steps + 1):
-            k1e, k1p = zcs_rhs(s, backend)
-            s2 = _ww_add(s, k1e.values, k1p.values, 0.5 * cfg.dt)
-            k2e, k2p = zcs_rhs(s2, backend)
-            s3 = _ww_add(s, k2e.values, k2p.values, 0.5 * cfg.dt)
-            k3e, k3p = zcs_rhs(s3, backend)
-            s4 = _ww_add(s, k3e.values, k3p.values, cfg.dt)
-            k4e, k4p = zcs_rhs(s4, backend)
-            c = cfg.dt / 6.0
-            s = WwState(
-                RealField(s.grid, s.eta.values + c * (k1e.values + 2 * k2e.values
-                                                      + 2 * k3e.values + k4e.values)),
-                RealField(s.grid, s.phi.values + c * (k1p.values + 2 * k2p.values
-                                                      + 2 * k3p.values + k4p.values)),
-                s.delta,
-                s.h_min,
-            )
-            s.phi.values -= s.phi.values.mean()
-            m = max(float(np.abs(s.eta.values).max()), float(np.abs(s.phi.values).max()))
-            if m > BLOWUP_GUARD:
-                raise BlowUpError(t + cfg.dt, m, BLOWUP_GUARD)
-            t = step * cfg.dt
-            if step % cfg.record_every == 0 or step == n_steps:
-                record(t, s)
-    except (BlowUpError, NonConvergenceError, DepthTooSmallError) as exc:
-        diag.aborted = str(exc)
-
-    return WwRunResult(s, diag, traj)
+    return run_loop(
+        initial, cfg,
+        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, _: zcs_rhs(st, backend),
+                                           t, BLOWUP_GUARD, warm),
+        record=record,
+        gauge="phi",
+    )

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iskak.experiments import _random_band_limited as random_band_limited  # noqa: F401
 from iskak.spectral import PeriodicGrid, RealField
 
 
@@ -12,18 +13,6 @@ def grid64():
 @pytest.fixture
 def grid128():
     return PeriodicGrid(128)
-
-
-def random_band_limited(rng, grid, modes=5, amplitude=1.0):
-    """Random trig polynomial, normalized to the requested max amplitude."""
-    x = grid.nodes * (2.0 * np.pi / grid.length)
-    v = np.zeros(grid.n_points)
-    for k in range(1, modes + 1):
-        v += rng.standard_normal() * np.cos(k * x) + rng.standard_normal() * np.sin(k * x)
-    m = np.abs(v).max()
-    if m > 0:
-        v *= amplitude / m
-    return RealField(grid, v)
 
 
 def zeros(grid):

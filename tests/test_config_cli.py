@@ -204,14 +204,15 @@ class TestCli:
         assert snap[0] == "time,x,eta,phi0,phi1"
         assert len(snap) > 64
 
-    def test_threaded_sweep_matches_serial(self, tmp_path, monkeypatch):
-        serial, threaded = tmp_path / "s", tmp_path / "t"
-        args = ["consistency", "--override", "n_points=64",
-                "--override", "delta_list=0.4,0.3"]
-        assert main(args + ["--output-dir", str(serial)]) == 0
-        monkeypatch.setenv("ISKAK_THREADS", "2")
-        assert main(args + ["--output-dir", str(threaded)]) == 0
-        assert (serial / "consistency.csv").read_bytes() \
-            == (threaded / "consistency.csv").read_bytes()
-        assert (serial / "consistency.summary.txt").read_bytes() \
-            == (threaded / "consistency.summary.txt").read_bytes()
+    def test_sweep_legs_independent(self, tmp_path):
+        # a sweep leg's row does not depend on which other legs ran with it
+        both, alone = tmp_path / "both", tmp_path / "alone"
+        args = ["consistency", "--override", "n_points=64"]
+        assert main(args + ["--override", "delta_list=0.4,0.3", "--output-dir", str(both)]) == 0
+        assert main(args + ["--override", "delta_list=0.3", "--output-dir", str(alone)]) == 0
+        rows_both = (both / "consistency.csv").read_bytes().splitlines()
+        rows_alone = (alone / "consistency.csv").read_bytes().splitlines()
+        assert len(rows_both) == 3 and len(rows_alone) == 2
+        assert rows_both[0] == rows_alone[0]
+        assert rows_both[2] == rows_alone[1]
+        assert rows_alone[1].startswith(b"3.000000000000e-01,")

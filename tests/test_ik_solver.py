@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from iskak import ik_solver
 from iskak.errors import BlowUpError
 from iskak.ik_solver import (
     SimConfig,
@@ -208,6 +209,24 @@ class TestRun:
         res = run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1))
         assert res.diagnostics.aborted is not None
         assert len(res.diagnostics.times) >= 1
+
+    def test_nonfinite_stage_aborts_run(self, grid64, monkeypatch):
+        # a NaN in one stage derivative is rejected by the next stage state;
+        # the run reports it and keeps the record of the completed step
+        clean, calls = ik_solver.time_derivatives, []
+
+        def poisoned(*args, **kwargs):
+            d = clean(*args, **kwargs)
+            calls.append(d)
+            if len(calls) == 7:
+                d.eta_t.values[0] = np.nan
+            return d
+
+        monkeypatch.setattr(ik_solver, "time_derivatives", poisoned)
+        res = run(cosine_state(grid64, 0.05, 0.3),
+                  SimConfig(t_end=0.1, dt=2e-3, record_every=1))
+        assert "NaN" in res.diagnostics.aborted
+        assert res.diagnostics.times == [0.0, 2e-3]
 
 
 def test_energy_drift_order(grid128):

@@ -24,9 +24,13 @@ from iskak.operators import (
     surface_potential,
     surface_velocity,
 )
-from iskak.spectral import PeriodicGrid, RealField, deriv, field_from_function, l2_norm
+from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
 
 from conftest import random_band_limited, zeros
+
+
+def grad_norm(f):
+    return l2_norm(RealField(f.grid, dx(f.grid, f.values)))
 
 
 def random_depth(rng, grid, floor=0.5):
@@ -113,7 +117,7 @@ def test_coercivity_hundred_trials(grid64):
         delta = rng.uniform(0.05, 1.0)
         psi = random_band_limited(rng, grid64, modes=6)
         quad = inner(grid64, op_l1(delta, dc, psi), psi)
-        lower = l2_norm(psi) ** 2 + delta**2 * l2_norm(deriv(psi, 1)) ** 2
+        lower = l2_norm(psi) ** 2 + delta**2 * grad_norm(psi) ** 2
         worst = min(worst, quad / lower)
     assert worst > 0.0
 
@@ -256,7 +260,7 @@ class TestEllipticSolve:
             eq2 = np.abs(
                 dc.H2 * (op_l11(dc, p0).values + d2 * op_l12(dc, p1).values)
                 - op_l12(dc, p0).values - op_l22(delta, dc, p1).values
-                - rhs.f2.values - deriv(rhs.f3, 1).values
+                - rhs.f2.values - dx(grid64, rhs.f3.values)
             ).max()
             assert eq1 <= 1e-12
             assert eq2 <= 1e-8
@@ -272,9 +276,9 @@ class TestEllipticSolve:
                                   random_band_limited(rng, grid64),
                                   random_band_limited(rng, grid64))
                 p0, p1 = solve_elliptic_pair(delta, dc, rhs)
-                lhs = (l2_norm(deriv(p0, 1)) ** 2 + delta**2 * l2_norm(p1) ** 2
-                       + delta**4 * l2_norm(deriv(p1, 1)) ** 2)
-                low = (l2_norm(deriv(rhs.f1, 1)) ** 2 + l2_norm(rhs.f3) ** 2
+                lhs = (grad_norm(p0) ** 2 + delta**2 * l2_norm(p1) ** 2
+                       + delta**4 * grad_norm(p1) ** 2)
+                low = (grad_norm(rhs.f1) ** 2 + l2_norm(rhs.f3) ** 2
                        + delta**2 * l2_norm(rhs.f2) ** 2)
                 worst = max(worst, lhs / low)
             cs.append(worst)
@@ -324,7 +328,7 @@ def test_l1_coercivity_property(seed, delta):
     if np.abs(psi.values).max() == 0.0:
         return
     quad = inner(grid, op_l1(delta, dc, psi), psi)
-    lower = l2_norm(psi) ** 2 + delta**2 * l2_norm(deriv(psi, 1)) ** 2
+    lower = l2_norm(psi) ** 2 + delta**2 * grad_norm(psi) ** 2
     assert quad > 0.0
     assert quad >= 1e-3 * lower
 

@@ -1,20 +1,23 @@
 import numpy as np
 import pytest
+import scipy.fft
 from scipy.optimize import curve_fit
 
+from iskak import waterwave
 from iskak.errors import DepthTooSmallError
 from iskak.ik_solver import SimConfig
+from iskak.operators import H_MIN_DEFAULT
 from iskak.spectral import PeriodicGrid, RealField, field_from_function, l2_norm
 from iskak.waterwave import (
+    DTN_TOL_DEFAULT,
     DtnBackend,
     WwState,
-    dtn_exact,
+    _StripWorkspace,
     dtn_series,
     hamiltonian,
     lambda0,
     lambda1,
     lambda2,
-    solve_strip,
     ww_run,
     zcs_rhs,
 )
@@ -24,6 +27,16 @@ from conftest import random_band_limited, zeros
 
 def flat_symbol(k, delta):
     return k * np.tanh(delta * k) / delta
+
+
+def exact_map(eta, phi, delta, n_z=16):
+    """Exact map through the backend a run uses, on a fresh workspace."""
+    return DtnBackend.exact(n_z).apply(eta, phi, delta)
+
+
+def strip_solution(eta, phi, delta, n_z):
+    ws = _StripWorkspace(phi.grid, n_z, delta)
+    return ws, ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
 
 
 class TestExpansionTerms:
@@ -90,28 +103,28 @@ class TestExactMap:
         # i.e. delta*k <= ~6; beyond that the vertical truncation dominates
         for k in range(1, k_max + 1):
             phi = field_from_function(grid64, lambda x: np.cos(k * x))
-            lam = dtn_exact(zeros(grid64), phi, delta, n_z=16)
+            lam = exact_map(zeros(grid64), phi, delta, n_z=16)
             target = flat_symbol(k, delta) * np.cos(k * grid64.nodes)
             assert np.abs(lam.values - target).max() <= 1e-9
 
     def test_flat_example_value(self, grid64):
         # d = 0.5, k = 1: tanh(0.5)/0.5 = 0.924234
         phi = field_from_function(grid64, np.cos)
-        lam = dtn_exact(zeros(grid64), phi, 0.5, n_z=16)
+        lam = exact_map(zeros(grid64), phi, 0.5, n_z=16)
         assert lam.values.max() == pytest.approx(0.9242343145, abs=1e-9)
 
     def test_constant_potential_no_flux(self, grid64):
         rng = np.random.default_rng(5)
         eta = random_band_limited(rng, grid64, 4, 0.1)
         phi = RealField(grid64, np.full(64, 2.2))
-        assert np.abs(dtn_exact(eta, phi, 0.3, 16).values).max() <= 1e-12
+        assert np.abs(exact_map(eta, phi, 0.3, 16).values).max() <= 1e-12
 
     def test_vertical_resolution_stability(self, grid64):
         rng = np.random.default_rng(6)
         eta = random_band_limited(rng, grid64, 4, 0.1)
         phi = random_band_limited(rng, grid64)
-        l16 = dtn_exact(eta, phi, 0.2, 16)
-        l32 = dtn_exact(eta, phi, 0.2, 32)
+        l16 = exact_map(eta, phi, 0.2, 16)
+        l32 = exact_map(eta, phi, 0.2, 32)
         assert np.abs(l16.values - l32.values).max() <= 1e-9
 
     def test_symmetry_and_positivity(self, grid64):
@@ -120,8 +133,8 @@ class TestExactMap:
             eta = random_band_limited(rng, grid64, 4, 0.1)
             f = random_band_limited(rng, grid64)
             g = random_band_limited(rng, grid64)
-            lf = dtn_exact(eta, f, 0.25, 16)
-            lg = dtn_exact(eta, g, 0.25, 16)
+            lf = exact_map(eta, f, 0.25, 16)
+            lg = exact_map(eta, g, 0.25, 16)
             a = grid64.spacing * np.dot(lf.values, g.values)
             b = grid64.spacing * np.dot(f.values, lg.values)
             assert abs(a - b) <= 1e-8 * max(1.0, abs(a))
@@ -132,7 +145,7 @@ class TestExactMap:
         rng = np.random.default_rng(8)
         eta = random_band_limited(rng, grid64, 4, 0.1)
         phi = random_band_limited(rng, grid64)
-        lam = dtn_exact(eta, phi, 0.3, 16)
+        lam = exact_map(eta, phi, 0.3, 16)
         assert abs(grid64.spacing * lam.values.sum()) <= 1e-13
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -141,7 +154,7 @@ class TestExactMap:
         phi = field_from_function(grid64, np.cos)
         deltas = [0.4, 0.2, 0.1]
         errs = [
-            l2_norm(RealField(grid64, dtn_exact(eta, phi, d, 24).values
+            l2_norm(RealField(grid64, exact_map(eta, phi, d, 24).values
                               - dtn_series(eta, phi, d, order).values))
             for d in deltas
         ]
@@ -154,7 +167,7 @@ class TestExactMap:
         phi = field_from_function(grid64, np.cos)
         tails = []
         for d in (0.4, 0.2, 0.1):
-            diff = dtn_exact(eta, phi, d, 24).values - dtn_series(eta, phi, d, 2).values
+            diff = exact_map(eta, phi, d, 24).values - dtn_series(eta, phi, d, 2).values
             tails.append(np.abs(diff).max() / d**6)
         assert max(tails) / min(tails) <= 3.0
 
@@ -162,12 +175,11 @@ class TestExactMap:
         eta = RealField(grid64, np.full(64, -0.95))
         phi = field_from_function(grid64, np.cos)
         with pytest.raises(DepthTooSmallError):
-            dtn_exact(eta, phi, 0.3, 16)
+            exact_map(eta, phi, 0.3, 16)
 
     def test_rejects_small_nz(self, grid64):
-        phi = field_from_function(grid64, np.cos)
         with pytest.raises(ValueError):
-            dtn_exact(zeros(grid64), phi, 0.3, 4)
+            _StripWorkspace(grid64, 4, 0.3)
 
 
 class TestStripSolution:
@@ -175,14 +187,19 @@ class TestStripSolution:
         rng = np.random.default_rng(9)
         eta = random_band_limited(rng, grid64, 4, 0.1)
         phi = random_band_limited(rng, grid64)
-        sol = solve_strip(eta, phi, 0.3, 16)
-        assert np.abs(sol.surface_values() - phi.values).max() <= 1e-9
-        assert sol.bottom_neumann_residual() <= 1e-9
+        ws, w = strip_solution(eta, phi, 0.3, 16)
+        assert w.shape == (17, 64)
+        assert np.abs(w[0] - phi.values).max() <= 1e-9
+        assert np.abs((ws.dz @ w)[-1]).max() <= 1e-9
 
     def test_coefficient_shape_and_decay(self, grid64):
         phi = field_from_function(grid64, np.cos)
-        sol = solve_strip(zeros(grid64), phi, 0.3, 16)
-        coeffs = sol.coeffs
+        _, w = strip_solution(zeros(grid64), phi, 0.3, 16)
+        # (x-mode, z-Chebyshev-mode) coefficients of the collocation values
+        cheb = scipy.fft.dct(np.fft.rfft(w, axis=1) / 64, type=1, axis=0) / 16
+        cheb[0, :] *= 0.5
+        cheb[-1, :] *= 0.5
+        coeffs = cheb.T
         assert coeffs.shape == (64 // 2 + 1, 17)
         # Chebyshev tail of an analytic profile decays below rounding noise
         assert np.abs(coeffs[:, -4:]).max() <= 1e-12
@@ -238,6 +255,36 @@ class TestSurfaceEvolution:
         assert res.diagnostics.aborted is None
         assert np.abs(res.final.eta.values).max() == 0.0
         assert np.abs(res.final.phi.values).max() == 0.0
+
+    def test_ww_abort_keeps_partial_diagnostics(self, grid64):
+        # legal at t=0 but the strong flow drives the trough below the floor
+        eta = field_from_function(grid64, lambda x: 0.4 * np.cos(x) - 0.45)
+        s = WwState(eta, field_from_function(grid64, lambda x: 5.0 * np.sin(x)), 1.0, h_min=0.1)
+        res = ww_run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1), DtnBackend.series(0))
+        diag = res.diagnostics
+        assert diag.aborted is not None and "below floor" in diag.aborted
+        assert len(diag.times) >= 1
+        assert len(diag.mass) == len(diag.energy) == len(diag.min_depth) == len(diag.times)
+        assert 1.0 + res.final.eta.values.min() >= 0.1
+
+    def test_nonfinite_stage_aborts_run(self, grid64, monkeypatch):
+        # a NaN in one stage derivative is rejected by the next stage state;
+        # the run reports it and keeps the record of the completed step
+        clean, calls = waterwave.zcs_rhs, []
+
+        def poisoned(s, backend):
+            lam, phi_t = clean(s, backend)
+            calls.append(s)
+            if len(calls) == 7:
+                phi_t.values[0] = np.nan
+            return lam, phi_t
+
+        monkeypatch.setattr(waterwave, "zcs_rhs", poisoned)
+        eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+        res = ww_run(WwState(eta0, zeros(grid64), 0.3),
+                     SimConfig(t_end=0.1, dt=2e-3, record_every=1), DtnBackend.series(2))
+        assert "NaN" in res.diagnostics.aborted
+        assert res.diagnostics.times == [0.0, 2e-3]
 
     def test_hamiltonian_positive_for_waves(self, grid64):
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
