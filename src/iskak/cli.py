@@ -7,7 +7,9 @@ Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 only if every check
 passed (2 for configuration errors).  The CSV and summary contents do not
 depend on --output-dir, so reruns into different directories give
-byte-identical files.
+byte-identical files.  The summary's params: block is the full resolved
+configuration, keys the experiment does not read included; passed back
+with --config it reruns the experiment.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ from dataclasses import replace
 
 from .config import EXPERIMENT_NAMES, apply_overrides, default_config, load_config
 from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError, SingularSystemError
-from .experiments import run_experiment, summary_text, write_csv, write_summary
+from .experiments import (ExperimentReport, run_experiment, summary_text, write_csv,
+                          write_summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -71,7 +74,6 @@ def main(argv=None) -> int:
     if report.snapshots is not None:
         cols, rows = report.snapshots
         snap_path = os.path.join(cfg.output_dir, f"{cfg.experiment}_snapshots.csv")
-        from .experiments import ExperimentReport
         write_csv(ExperimentReport(cfg.experiment, cols, rows), snap_path)
 
     sys.stdout.write(summary_text(report))

@@ -7,9 +7,11 @@ overrides reuse the same schema.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
+
+from .waterwave import DtnBackend
 
 EXPERIMENT_NAMES = (
     "dispersion",
@@ -26,6 +28,14 @@ def _parse_delta_list(text: str) -> tuple[float, ...]:
     if not vals:
         raise ValueError("delta_list must not be empty")
     return vals
+
+
+def _parse_str(text: str) -> str:
+    """A string value; one matching pair of quotes, as config_items renders
+    strings, is stripped."""
+    if len(text) >= 2 and text[0] == text[-1] and text[0] in "'\"":
+        return text[1:-1]
+    return text
 
 
 @dataclass
@@ -62,30 +72,14 @@ class ExperimentConfig:
             raise ValueError("amplitude must be >= 0")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
-        parse_dtn(self.dtn)  # validates the backend spec
-
-    def backend_kind(self) -> tuple[str, int]:
-        return parse_dtn(self.dtn)
+        DtnBackend.parse(self.dtn)  # validates the backend spec
 
 
-def parse_dtn(spec: str) -> tuple[str, int]:
-    """'exact:16' -> ('exact', 16); 'series:2' -> ('series', 2)."""
-    parts = spec.split(":")
-    if len(parts) != 2 or parts[0] not in ("exact", "series"):
-        raise ValueError(f"dtn spec must look like 'exact:16' or 'series:2', got {spec!r}")
-    try:
-        n = int(parts[1])
-    except ValueError as exc:
-        raise ValueError(f"bad dtn parameter in {spec!r}") from exc
-    if parts[0] == "exact" and n < 8:
-        raise ValueError("exact dtn needs n_z >= 8")
-    if parts[0] == "series" and n not in (0, 1, 2):
-        raise ValueError("series dtn order must be 0, 1 or 2")
-    return parts[0], n
-
-
-# one parser per field: the type of its default, delta_list a comma list
-_CASTERS = {f.name: _parse_delta_list if f.name == "delta_list" else type(f.default)
+# one parser per field: the type of its default, delta_list a comma list,
+# strings unquoted, so that a summary's params: block reads back as a config
+_CASTERS = {f.name: (_parse_delta_list if f.name == "delta_list"
+                     else _parse_str if isinstance(f.default, str)
+                     else type(f.default))
             for f in fields(ExperimentConfig)}
 
 # keys accepted in files as aliases
@@ -168,6 +162,11 @@ def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     Every field appears in declaration order except ``output_dir``: it records
     where the output went, not what was computed.  Summaries written by the
     same configuration are therefore byte-identical across output directories.
+    The pairs are the full resolved configuration, including keys the chosen
+    experiment or model does not read (simulate model=ww records
+    reproject_every and cg_tol), and ``key = value`` lines of them parse back
+    through parse_config_text into the same configuration, so a summary's
+    params: block reruns the experiment.
     """
     out = []
     for f in fields(cfg):

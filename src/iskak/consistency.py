@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .ik_solver import IkDerivative, time_derivatives
+from .ik_solver import time_derivatives
 from .operators import CG_TOL_DEFAULT, IkState, surface_potential
 from .spectral import RealField, dp, dx, l2_norm, lap
 from .waterwave import DtnBackend, dtn_series
@@ -32,7 +32,6 @@ from .waterwave import DtnBackend, dtn_series
 __all__ = [
     "ConsistencyReport",
     "remainders_R1_to_R5",
-    "remainder_R6",
     "residuals",
     "dispersion_table",
     "phase_speed_squared",
@@ -78,27 +77,6 @@ def remainders_R1_to_R5(s: IkState):
     return tuple(RealField(grid, v) for v in (r1, r2, r3, r4, r5))
 
 
-def remainder_R6(s: IkState, d: IkDerivative) -> RealField:
-    """Sixth-order remainder of the Bernoulli-relation expansion."""
-    grid = s.grid
-    h = 1.0 + s.eta.values
-    h2 = h * h
-    p1 = s.phi1.values
-    r1, r2, r3, r4, _ = (f.values for f in remainders_R1_to_R5(s))
-
-    phi = surface_potential(s).values
-    lap_phi = lap(grid, phi)
-    lap2_phi = lap(grid, lap_phi)
-    b = 0.5 * lap(grid, h2 * lap_phi) - 0.1 * h2 * lap2_phi
-    eta_x = dx(grid, s.eta.values)
-    phi_x = dx(grid, phi)
-    eta_t = d.eta_t.values
-
-    term_h = -lap_phi * r4 - b * r3 + 2.0 * (eta_t + eta_x * phi_x) * r2
-    term_h2 = lap_phi * r2 + b * r1 - 2.0 * p1 * r2 + eta_x**2 * (lap_phi - 2.0 * p1) * r1
-    return RealField(grid, h * term_h + h2 * term_h2)
-
-
 def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -> ConsistencyReport:
     """Evaluate both surface-equation residuals on a constraint-satisfying
     state, normalized by delta^6, plus the r1 identity gap."""
@@ -111,7 +89,7 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     d = time_derivatives(s, cg_tol)
     phi = surface_potential(s)
-    lam = backend.apply(s.eta, phi, s.delta, s.h_min).values
+    lam = backend.apply(s.eta, phi, s.delta).values
 
     r1v = (d.eta_t.values - lam) * inv_d6
 

@@ -16,11 +16,10 @@ from scipy import stats
 
 from .config import ExperimentConfig, config_items
 from .consistency import dispersion_table, residuals
-from .ik_solver import SimConfig, run
+from .ik_solver import Diagnostics, SimConfig, run
 from .operators import (
     DepthCoefs,
     EllipticRhs,
-    IkState,
     ik_state_from_surface,
     op_l1,
     op_l11,
@@ -128,6 +127,8 @@ def write_summary(report: ExperimentReport, path: str) -> None:
 
 
 def summary_text(report: ExperimentReport) -> str:
+    """The summary: the params: block (config_items, the full resolved
+    configuration, which parses back as a config file), slopes and checks."""
     lines = [f"experiment: {report.experiment}", "params:"]
     lines += [f"  {k} = {v}" for k, v in report.params]
     if report.slopes:
@@ -150,11 +151,14 @@ def _sin_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
     return field_from_function(grid, lambda x: amplitude * np.sin(k0 * scale * x))
 
 
-def _backend_from(cfg: ExperimentConfig, warm_start: bool = False) -> DtnBackend:
-    kind, n = cfg.backend_kind()
-    if kind == "exact":
-        return DtnBackend.exact(n, tol=cfg.dtn_tol, warm_start=warm_start)
-    return DtnBackend.series(n)
+def _diag_rows(diag: Diagnostics, *tail) -> list:
+    """One row per record: time, mass, energy, constraint_max, min_depth,
+    min_a, then tail.  A water-wave run records no constraint or min_a
+    series; those cells read 0.0 and 1.0."""
+    cmax = diag.constraint_max or [0.0] * len(diag.times)
+    min_a = diag.min_a or [1.0] * len(diag.times)
+    return [[t, m, e, c, h, a, *tail] for t, m, e, c, h, a
+            in zip(diag.times, diag.mass, diag.energy, cmax, diag.min_depth, min_a)]
 
 
 # ---------------------------------------------------------------------------
@@ -217,7 +221,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
                     store_trajectory=True)
 
     reference = ww_run(WwState(eta0.copy(), phi0.copy(), delta),
-                       sim, _backend_from(cfg, warm_start=True))
+                       sim, DtnBackend.parse(cfg.dtn, cfg.dtn_tol, warm_start=True))
     model = run(ik_state_from_surface(eta0, phi0, delta, cg_tol=cfg.cg_tol), sim)
     control = ww_run(WwState(eta0.copy(), phi0.copy(), delta),
                      sim, DtnBackend.series(0))
@@ -301,7 +305,7 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     grid = PeriodicGrid(cfg.n_points, cfg.length)
     eta_p = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi_p = _sin_profile(grid, cfg.phi_amplitude or cfg.amplitude, cfg.k0)
-    backend = _backend_from(cfg)
+    backend = DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
 
     reports = [residuals(ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol),
                          backend, cg_tol=cfg.cg_tol)
@@ -340,34 +344,28 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # conservation and scheme order
 
-def _ik_run(grid, amplitude, k0, delta, sim_cfg, cg_tol):
+def _ik_run(grid, amplitude, k0, delta, sim_cfg):
     eta0 = _cos_profile(grid, amplitude, k0)
     phi = RealField(grid, np.zeros(grid.n_points))
-    s0 = ik_state_from_surface(eta0, phi, delta, cg_tol=cg_tol)
+    s0 = ik_state_from_surface(eta0, phi, delta, cg_tol=sim_cfg.cg_tol)
     return run(s0, sim_cfg)
 
 
-def _drift(series, relative_to=None) -> float:
+def _drift(series) -> float:
     arr = np.asarray(series, dtype=float)
-    d = float(np.abs(arr - arr[0]).max())
-    if relative_to:
-        return d / relative_to
-    return d
+    return float(np.abs(arr - arr[0]).max())
 
 
 def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     rows, checks = [], []
 
     def add_rows(tag, n, dt, diag):
-        for i, t in enumerate(diag.times):
-            rows.append([tag, t, diag.mass[i], diag.energy[i], diag.constraint_max[i],
-                         diag.min_depth[i], diag.min_a[i], n, dt])
+        rows.extend([tag, *r] for r in _diag_rows(diag, n, dt))
 
     # rest state: everything flat to rounding
     grid0 = PeriodicGrid(128, cfg.length)
     rest = _ik_run(grid0, 0.0, 1, 0.2,
-                   SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol),
-                   cfg.cg_tol)
+                   SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol))
     add_rows("rest", 128, 1e-3, rest.diagnostics)
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
                         _drift(rest.diagnostics.mass) <= 1e-12
@@ -383,8 +381,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     for dt in (cfg.dt, cfg.dt / 2.0):
         res = _ik_run(grid, cfg.amplitude, cfg.k0, cfg.delta,
                       SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9,
-                                cg_tol=cfg.cg_tol),
-                      cfg.cg_tol)
+                                cg_tol=cfg.cg_tol))
         legs[dt] = res
         add_rows("order", cfg.n_points, dt, res.diagnostics)
         e = res.diagnostics.energy
@@ -401,8 +398,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     # reprojection keeps the constraint at solver level
     proj = _ik_run(grid0, 0.1, 1, 0.2,
                    SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every or 10,
-                             record_every=100, cg_tol=cfg.cg_tol),
-                   cfg.cg_tol)
+                             record_every=100, cg_tol=cfg.cg_tol))
     add_rows("reproject", 128, 1e-3, proj.diagnostics)
     cmax = max(proj.diagnostics.constraint_max)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
@@ -419,9 +415,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     ww = ww_run(WwState(eta_w, phi_w, 0.2),
                 SimConfig(t_end=1.0, dt=1e-3, record_every=200),
                 DtnBackend.exact(16, tol=cfg.dtn_tol, warm_start=True))
-    for i, t in enumerate(ww.diagnostics.times):
-        rows.append(["reference", t, ww.diagnostics.mass[i], ww.diagnostics.energy[i],
-                     0.0, ww.diagnostics.min_depth[i], 1.0, 128, 1e-3])
+    add_rows("reference", 128, 1e-3, ww.diagnostics)
     e = ww.diagnostics.energy
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
                         _drift(ww.diagnostics.mass) <= 1e-11
@@ -452,6 +446,16 @@ def _random_band_limited(rng, grid, modes=5, amplitude=1.0) -> RealField:
     if m > 0:
         v *= amplitude / m
     return RealField(grid, v)
+
+
+def _random_pair_solve(rng, grid, delta, cg_tol):
+    """Draw a random depth (1 + eta >= 0.5) and data (f1, f2, f3), in that
+    order, and solve the elliptic pair on them; returns (depth, data, pair)."""
+    target = rng.uniform(0.5, 0.9)
+    eta = _random_band_limited(rng, grid, 4, 1.0 - target)
+    data = tuple(_random_band_limited(rng, grid, 5, 1.0) for _ in range(3))
+    dc = DepthCoefs.from_eta(eta)
+    return dc, data, solve_elliptic_pair(delta, dc, EllipticRhs(*data), cg_tol=cg_tol)
 
 
 def _grad_norm(f: RealField) -> float:
@@ -506,14 +510,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
     ratios_by_delta = {d: [] for d in deltas}
     for trial in range(20):
         delta = float(rng.choice(deltas))
-        target = rng.uniform(0.5, 0.9)
-        eta = _random_band_limited(rng, grid, 4, 1.0 - target)
-        f1 = _random_band_limited(rng, grid, 5, 1.0)
-        f2 = _random_band_limited(rng, grid, 5, 1.0)
-        f3 = _random_band_limited(rng, grid, 5, 1.0)
-        dc = DepthCoefs.from_eta(eta)
-        psi0, psi1 = solve_elliptic_pair(delta, dc, EllipticRhs(f1, f2, f3),
-                                         cg_tol=cfg.cg_tol)
+        dc, (f1, f2, f3), (psi0, psi1) = _random_pair_solve(rng, grid, delta, cfg.cg_tol)
         d2 = delta**2
         eq1 = np.abs(psi0.values + d2 * dc.H2 * psi1.values - f1.values).max()
         eq2 = np.abs(
@@ -529,14 +526,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
     # delta-uniformity of the a-priori estimate constant
     for delta in deltas:
         for trial in range(10):
-            target = rng.uniform(0.5, 0.9)
-            eta = _random_band_limited(rng, grid, 4, 1.0 - target)
-            f1 = _random_band_limited(rng, grid, 5, 1.0)
-            f2 = _random_band_limited(rng, grid, 5, 1.0)
-            f3 = _random_band_limited(rng, grid, 5, 1.0)
-            dc = DepthCoefs.from_eta(eta)
-            psi0, psi1 = solve_elliptic_pair(delta, dc, EllipticRhs(f1, f2, f3),
-                                             cg_tol=cfg.cg_tol)
+            _, (f1, f2, f3), (psi0, psi1) = _random_pair_solve(rng, grid, delta, cfg.cg_tol)
             lhs = (_grad_norm(psi0) ** 2
                    + delta**2 * l2_norm(psi1) ** 2
                    + delta**4 * _grad_norm(psi1) ** 2)
@@ -572,20 +562,14 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
         res = run(ik_state_from_surface(eta0, phi, cfg.delta, cg_tol=cfg.cg_tol), sim)
     else:
         res = ww_run(WwState(eta0, phi, cfg.delta), sim,
-                     _backend_from(cfg, warm_start=True))
+                     DtnBackend.parse(cfg.dtn, cfg.dtn_tol, warm_start=True))
     diag = res.diagnostics
     names = res.final.FIELDS
     snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]
                  for t, s in res.trajectory or [] for j in range(grid.n_points)]
     snap_cols = ["time", "x", *names]
 
-    rows = []
-    for i, t in enumerate(diag.times):
-        rows.append([t, diag.mass[i], diag.energy[i],
-                     diag.constraint_max[i] if diag.constraint_max else 0.0,
-                     diag.min_depth[i],
-                     diag.min_a[i] if diag.min_a else 1.0,
-                     cfg.n_points, cfg.dt])
+    rows = _diag_rows(diag, cfg.n_points, cfg.dt)
     checks = [
         Check("run completed", diag.aborted is None, diag.aborted or "no abort"),
         Check("mass drift <= 1e-11", _drift(diag.mass) <= 1e-11,

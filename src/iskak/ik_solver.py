@@ -24,9 +24,7 @@ import numpy as np
 
 from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError
 from .operators import (
-    CG_MAX_ITER_DEFAULT,
     CG_TOL_DEFAULT,
-    DepthCoefs,
     EllipticRhs,
     IkState,
     coef_a,
@@ -45,7 +43,6 @@ __all__ = [
     "SimConfig",
     "Diagnostics",
     "RunResult",
-    "eta_rhs",
     "time_derivatives",
     "rk4_fields",
     "rk4_step",
@@ -76,7 +73,6 @@ class SimConfig:
     reproject_every: int = 0          # 0 = never
     cg_tol: float = CG_TOL_DEFAULT
     record_every: int = 20
-    cfl_factor: float = CFL_FACTOR
     store_trajectory: bool = False
 
     def __post_init__(self):
@@ -86,11 +82,11 @@ class SimConfig:
             raise ValueError("bad cadence settings")
 
     def check_cfl(self, spacing: float) -> None:
-        limit = self.cfl_factor * spacing
+        limit = CFL_FACTOR * spacing
         if self.dt > limit:
             raise ValueError(
                 f"dt={self.dt:.3g} violates the CFL guard {limit:.3g} "
-                f"(cfl_factor * spacing at unit wave speed)"
+                f"(CFL_FACTOR * spacing at unit wave speed)"
             )
 
 
@@ -114,33 +110,24 @@ class RunResult:
     trajectory: list | None = None    # [(t, state)] at the record cadence
 
 
-def _eta_rhs_v(grid, delta, dc: DepthCoefs, phi0v, phi1v) -> np.ndarray:
-    flux = dp(grid, dc.H, dx(grid, phi0v)) \
-        + (delta * delta / 3.0) * dp(grid, dc.H3, dx(grid, phi1v))
-    return -dx(grid, flux)
-
-
-def eta_rhs(s: IkState) -> RealField:
-    """dt eta = -div(H grad phi0 + (1/3) d^2 H^3 grad phi1), dealiased."""
-    return RealField(s.grid, _eta_rhs_v(s.grid, s.delta, s.depth(), s.phi0.values, s.phi1.values))
-
-
 def time_derivatives(
     s: IkState,
     cg_tol: float = CG_TOL_DEFAULT,
-    max_iter: int = CG_MAX_ITER_DEFAULT,
     warm: IkDerivative | None = None,
 ) -> IkDerivative:
     """Full state derivative: continuity for eta, elliptic solve for the pair."""
     grid = s.grid
     dc = s.depth()
-    eta_t = RealField(grid, _eta_rhs_v(grid, s.delta, dc, s.phi0.values, s.phi1.values))
+    # dt eta = -div(H grad phi0 + (1/3) d^2 H^3 grad phi1), dealiased
+    flux = dp(grid, dc.H, dx(grid, s.phi0.values)) \
+        + (s.delta * s.delta / 3.0) * dp(grid, dc.H3, dx(grid, s.phi1.values))
+    eta_t = RealField(grid, -dx(grid, flux))
     f1 = RealField(grid, -f1_nonlinear(s).values)
     f2 = f2_forcing(s, eta_t)
     f3 = RealField(grid, np.zeros(grid.n_points))
     guess = warm.phi1_t.values if warm is not None else None
     phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, EllipticRhs(f1, f2, f3),
-                                         cg_tol, max_iter, psi1_guess=guess)
+                                         cg_tol, psi1_guess=guess)
     return IkDerivative(eta_t, phi0_t, phi1_t)
 
 
@@ -181,14 +168,11 @@ def _rk4_stages(s, dt, cg_tol, time, guard, warm):
 
 
 def rk4_step(
-    s: IkState,
-    dt: float,
-    cg_tol: float = CG_TOL_DEFAULT,
-    time: float = 0.0,
-    guard: float = BLOWUP_GUARD,
+    s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT, guard: float = BLOWUP_GUARD,
 ) -> IkState:
-    """One classical 4-stage explicit step; caller is responsible for the CFL guard."""
-    out, _ = _rk4_stages(s, dt, cg_tol, time, guard, warm=None)
+    """One classical 4-stage explicit step from t = 0, without the CFL guard
+    or run's checks, so dt may be negative (the reversibility oracle)."""
+    out, _ = _rk4_stages(s, dt, cg_tol, 0.0, guard, warm=None)
     return out
 
 
@@ -196,8 +180,8 @@ def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     """Restore the constraint: re-split phi0 + d^2 H^2 phi1 through the
     initial-data solve, leaving eta and the reconstructed potential unchanged."""
     phi = surface_potential(s)
-    phi0, phi1 = solve_initial_data(s.eta, phi, s.delta, s.h_min, cg_tol)
-    return IkState(s.eta.copy(), phi0, phi1, s.delta, s.h_min)
+    phi0, phi1 = solve_initial_data(s.eta, phi, s.delta, cg_tol)
+    return IkState(s.eta.copy(), phi0, phi1, s.delta)
 
 
 def _record(diag: Diagnostics, t: float, s: IkState, cg_tol: float) -> None:

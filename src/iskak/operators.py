@@ -34,7 +34,7 @@ from .spectral import PeriodicGrid, RealField, dealias, dp, dx, lap
 __all__ = [
     "H_MIN_DEFAULT",
     "CG_TOL_DEFAULT",
-    "CG_MAX_ITER_DEFAULT",
+    "CG_MAX_ITER",
     "DepthCoefs",
     "IkState",
     "check_state",
@@ -44,13 +44,11 @@ __all__ = [
     "op_l22",
     "op_l1",
     "constraint_residual",
-    "surface_velocity",
     "surface_potential",
     "f1_nonlinear",
     "f2_forcing",
     "coef_a",
     "energy",
-    "linearized_energy_E1",
     "solve_elliptic_pair",
     "solve_initial_data",
     "ik_state_from_surface",
@@ -58,7 +56,7 @@ __all__ = [
 
 H_MIN_DEFAULT = 0.1
 CG_TOL_DEFAULT = 1e-12
-CG_MAX_ITER_DEFAULT = 500
+CG_MAX_ITER = 500
 
 
 # ---------------------------------------------------------------------------
@@ -74,20 +72,18 @@ class DepthCoefs:
     H3: np.ndarray = field(repr=False)
     H4: np.ndarray = field(repr=False)
     H5: np.ndarray = field(repr=False)
-    H7: np.ndarray = field(repr=False)
     grad_eta: np.ndarray = field(repr=False)
 
     @classmethod
-    def from_eta(cls, eta: RealField, h_min: float = H_MIN_DEFAULT) -> "DepthCoefs":
+    def from_eta(cls, eta: RealField) -> "DepthCoefs":
         h = 1.0 + eta.values
         hmin = float(h.min())
-        if hmin < h_min:
-            raise DepthTooSmallError(hmin, h_min)
+        if hmin < H_MIN_DEFAULT:
+            raise DepthTooSmallError(hmin, H_MIN_DEFAULT)
         h2 = h * h
         h3 = h2 * h
         h4 = h2 * h2
-        h5 = h4 * h
-        return cls(eta.grid, h, h2, h3, h4, h5, h5 * h2, dx(eta.grid, eta.values))
+        return cls(eta.grid, h, h2, h3, h4, h4 * h, dx(eta.grid, eta.values))
 
 
 def check_state(s) -> None:
@@ -99,8 +95,8 @@ def check_state(s) -> None:
         raise ValueError("state fields live on different grids")
     for f in fields:
         f.check_finite()
-    if float(1.0 + s.eta.values.min()) < s.h_min:
-        raise DepthTooSmallError(float(1.0 + s.eta.values.min()), s.h_min)
+    if float(1.0 + s.eta.values.min()) < H_MIN_DEFAULT:
+        raise DepthTooSmallError(float(1.0 + s.eta.values.min()), H_MIN_DEFAULT)
 
 
 @dataclass
@@ -118,7 +114,6 @@ class IkState:
     phi0: RealField
     phi1: RealField
     delta: float
-    h_min: float = H_MIN_DEFAULT
 
     def __post_init__(self):
         check_state(self)
@@ -128,7 +123,7 @@ class IkState:
         return self.eta.grid
 
     def depth(self) -> DepthCoefs:
-        return DepthCoefs.from_eta(self.eta, self.h_min)
+        return DepthCoefs.from_eta(self.eta)
 
 
 @dataclass
@@ -194,13 +189,6 @@ def constraint_residual(s: IkState) -> RealField:
     return RealField(grid, res)
 
 
-def surface_velocity(s: IkState) -> RealField:
-    """Horizontal fluid velocity at the surface: grad phi0 + d^2 H^2 grad phi1."""
-    grid = s.grid
-    dc = s.depth()
-    return RealField(grid, dx(grid, s.phi0.values) + s.delta**2 * dc.H2 * dx(grid, s.phi1.values))
-
-
 def surface_potential(s: IkState) -> RealField:
     """Trace of the velocity potential at the surface: phi0 + d^2 H^2 phi1."""
     dc = s.depth()
@@ -249,44 +237,25 @@ def coef_a(s: IkState, phi1_t: RealField) -> RealField:
 
 
 # ---------------------------------------------------------------------------
-# energies
-
-def _kinetic_density(grid, delta, H, H3, H5, phi0v, phi1v) -> np.ndarray:
-    """Vertical integral of the squared scaled gradient of the potential ansatz."""
-    d2 = delta * delta
-    u0 = dx(grid, phi0v)
-    u1 = dx(grid, phi1v)
-    return (
-        H * u0 * u0
-        + (2.0 / 3.0) * d2 * H3 * u0 * u1
-        + (1.0 / 5.0) * d2 * d2 * H5 * u1 * u1
-        + (4.0 / 3.0) * d2 * H3 * phi1v * phi1v
-    )
-
+# energy
 
 def energy(s: IkState) -> float:
-    """Physical energy: (1/2)||eta||^2 plus half the kinetic quadratic form."""
+    """Physical energy: (1/2)||eta||^2 plus half the kinetic quadratic form,
+    the vertical integral of the squared scaled gradient of the potential ansatz."""
     grid = s.grid
     dc = s.depth()
-    dens = s.eta.values**2 + _kinetic_density(grid, s.delta, dc.H, dc.H3, dc.H5,
-                                              s.phi0.values, s.phi1.values)
+    d2 = s.delta * s.delta
+    p1 = s.phi1.values
+    u0 = dx(grid, s.phi0.values)
+    u1 = dx(grid, p1)
+    kinetic = (
+        dc.H * u0 * u0
+        + (2.0 / 3.0) * d2 * dc.H3 * u0 * u1
+        + (1.0 / 5.0) * d2 * d2 * dc.H5 * u1 * u1
+        + (4.0 / 3.0) * d2 * dc.H3 * p1 * p1
+    )
+    dens = s.eta.values**2 + kinetic
     return 0.5 * float(grid.spacing * dens.sum())
-
-
-def _flat_quadratic(grid, delta, etav, phi0v, phi1v) -> float:
-    one = np.ones(grid.n_points)
-    dens = etav**2 + _kinetic_density(grid, delta, one, one, one, phi0v, phi1v)
-    return 0.5 * float(grid.spacing * dens.sum())
-
-
-def linearized_energy_E1(s: IkState) -> float:
-    """Flat-state quadratic form plus (2/5) d^2 times the same form on the
-    x-derivative of the state; conserved by the rest-state linearization."""
-    grid = s.grid
-    e0 = _flat_quadratic(grid, s.delta, s.eta.values, s.phi0.values, s.phi1.values)
-    e1 = _flat_quadratic(grid, s.delta, dx(grid, s.eta.values),
-                         dx(grid, s.phi0.values), dx(grid, s.phi1.values))
-    return e0 + 0.4 * s.delta**2 * e1
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +271,7 @@ def _apply_precond(grid: PeriodicGrid, sym: np.ndarray, v: np.ndarray) -> np.nda
     return np.fft.irfft(sym * np.fft.rfft(v), n=grid.n_points)
 
 
-def _pcg(grid, apply_op, precond_sym, b, tol, max_iter, what, x0=None):
+def _pcg(grid, apply_op, precond_sym, b, tol, x0=None):
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
         return np.zeros_like(b)
@@ -316,7 +285,7 @@ def _pcg(grid, apply_op, precond_sym, b, tol, max_iter, what, x0=None):
     p = z.copy()
     rz = float(np.dot(r, z))
     res = bnorm
-    for _ in range(max_iter):
+    for _ in range(CG_MAX_ITER):
         ap = apply_op(p)
         alpha = rz / float(np.dot(p, ap))
         x += alpha * p
@@ -328,7 +297,7 @@ def _pcg(grid, apply_op, precond_sym, b, tol, max_iter, what, x0=None):
         rz_new = float(np.dot(r, z))
         p = z + (rz_new / rz) * p
         rz = rz_new
-    raise NonConvergenceError(what, max_iter, res / bnorm, tol)
+    raise NonConvergenceError("elliptic pair solve", CG_MAX_ITER, res / bnorm, tol)
 
 
 def solve_elliptic_pair(
@@ -336,7 +305,6 @@ def solve_elliptic_pair(
     coefs: DepthCoefs,
     rhs: EllipticRhs,
     cg_tol: float = CG_TOL_DEFAULT,
-    max_iter: int = CG_MAX_ITER_DEFAULT,
     psi1_guess: np.ndarray | None = None,
 ) -> tuple[RealField, RealField]:
     """Solve the coupled (psi0, psi1) system; returns both components.
@@ -354,39 +322,22 @@ def solve_elliptic_pair(
         + 2.0 * coefs.H2 * coefs.grad_eta * df1
         - f2v
     )
-    psi1v = _pcg(
-        grid,
-        lambda v: _l1_v(grid, delta, coefs, v),
-        _flat_precond_symbol(grid, delta),
-        b,
-        cg_tol,
-        max_iter,
-        "elliptic pair solve",
-        x0=psi1_guess,
-    )
+    psi1v = _pcg(grid, lambda v: _l1_v(grid, delta, coefs, v),
+                 _flat_precond_symbol(grid, delta), b, cg_tol, x0=psi1_guess)
     psi0v = f1v - d2 * coefs.H2 * psi1v
     return RealField(grid, psi0v), RealField(grid, psi1v)
 
 
 def solve_initial_data(
-    eta0: RealField,
-    phi: RealField,
-    delta: float,
-    h_min: float = H_MIN_DEFAULT,
-    cg_tol: float = CG_TOL_DEFAULT,
-    max_iter: int = CG_MAX_ITER_DEFAULT,
+    eta0: RealField, phi: RealField, delta: float, cg_tol: float = CG_TOL_DEFAULT,
 ) -> tuple[RealField, RealField]:
     """Split a surface potential into the constrained pair (phi0, phi1)."""
-    coefs = DepthCoefs.from_eta(eta0, h_min)
-    return solve_elliptic_pair(delta, coefs, EllipticRhs.from_f1(phi), cg_tol, max_iter)
+    coefs = DepthCoefs.from_eta(eta0)
+    return solve_elliptic_pair(delta, coefs, EllipticRhs.from_f1(phi), cg_tol)
 
 
 def ik_state_from_surface(
-    eta0: RealField,
-    phi: RealField,
-    delta: float,
-    h_min: float = H_MIN_DEFAULT,
-    cg_tol: float = CG_TOL_DEFAULT,
+    eta0: RealField, phi: RealField, delta: float, cg_tol: float = CG_TOL_DEFAULT,
 ) -> IkState:
-    phi0, phi1 = solve_initial_data(eta0, phi, delta, h_min, cg_tol)
-    return IkState(eta0.copy(), phi0, phi1, delta, h_min)
+    phi0, phi1 = solve_initial_data(eta0, phi, delta, cg_tol)
+    return IkState(eta0.copy(), phi0, phi1, delta)

@@ -56,11 +56,6 @@ class PeriodicGrid:
         return np.arange(self.n_points) * self.spacing
 
     @cached_property
-    def wavenumbers(self) -> np.ndarray:
-        """k_j = 2*pi*j/L in the standard symmetric FFT layout."""
-        return np.fft.fftfreq(self.n_points, d=1.0 / self.n_points) * (TWO_PI / self.length)
-
-    @cached_property
     def wavenumbers_half(self) -> np.ndarray:
         """Nonnegative wavenumbers matching numpy's rfft layout."""
         return np.fft.rfftfreq(self.n_points, d=1.0 / self.n_points) * (TWO_PI / self.length)

@@ -105,7 +105,6 @@ class WwState:
     eta: RealField
     phi: RealField
     delta: float
-    h_min: float = H_MIN_DEFAULT
 
     FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order
 
@@ -185,7 +184,6 @@ def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     vand = np.polynomial.chebyshev.chebvander(xi, n)  # (n+1, n+1): T_m(xi_j)
     m = np.arange(n + 1)
     moments = np.where(m % 2 == 0, 2.0 / (1.0 - m**2 + (m % 2)), 0.0)
-    moments[m % 2 == 1] = 0.0
     return np.linalg.solve(vand.T.copy(), moments)
 
 
@@ -194,8 +192,6 @@ class _StripWorkspace:
     (grid, n_z, delta) combination."""
 
     def __init__(self, grid: PeriodicGrid, n_z: int, delta: float):
-        if n_z < 8:
-            raise ValueError(f"n_z must be >= 8, got {n_z}")
         self.grid = grid
         self.n_z = n_z
         self.delta = delta
@@ -246,16 +242,14 @@ class _StripWorkspace:
             raise DepthTooSmallError(float(h.min()), h_min)
         eta_x = dx(grid, eta.values)
         d2 = self.delta**2
-        n_rows = self.n_z + 1
+        shape = (self.n_z + 1, grid.n_points)
 
         # lifting by the z-independent surface data; residual is z-independent too
         phi_x = dx(grid, phi.values)
         lift_res = d2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
-        b = np.broadcast_to(-lift_res, (n_rows, grid.n_points)).copy()
+        b = np.broadcast_to(-lift_res, shape).copy()
         b[0, :] = 0.0
         b[-1, :] = 0.0
-
-        shape = (n_rows, grid.n_points)
 
         # iterate on the left-preconditioned system: the flat inverse is O(1)
         # conditioned, so the residual tracks the solution error rather than
@@ -303,7 +297,9 @@ class _StripWorkspace:
 @dataclass
 class DtnBackend:
     """Either the exact strip solve (kind='exact', resolution n_z) or the
-    truncated shallow-water expansion (kind='series', order K)."""
+    truncated shallow-water expansion (kind='series', order K).  The n_z and
+    order rules live here only; parse() reads the 'exact:16' / 'series:2'
+    spec of a configuration."""
 
     kind: str
     n_z: int = 16
@@ -329,6 +325,21 @@ class DtnBackend:
     def series(cls, order: int) -> "DtnBackend":
         return cls("series", order=order)
 
+    @classmethod
+    def parse(cls, spec: str, tol: float = DTN_TOL_DEFAULT,
+              warm_start: bool = False) -> "DtnBackend":
+        """'exact:16' -> exact strip solve with n_z = 16; 'series:2' -> order-2 series."""
+        parts = spec.split(":")
+        if len(parts) != 2 or parts[0] not in ("exact", "series"):
+            raise ValueError(f"dtn spec must look like 'exact:16' or 'series:2', got {spec!r}")
+        try:
+            n = int(parts[1])
+        except ValueError as exc:
+            raise ValueError(f"bad dtn parameter in {spec!r}") from exc
+        if parts[0] == "exact":
+            return cls.exact(n, tol=tol, warm_start=warm_start)
+        return cls.series(n)
+
     def label(self) -> str:
         return f"exact:{self.n_z}" if self.kind == "exact" else f"series:{self.order}"
 
@@ -340,12 +351,12 @@ class DtnBackend:
             self._workspaces[key] = ws
         return ws
 
-    def apply(self, eta: RealField, phi: RealField, delta: float,
-              h_min: float = H_MIN_DEFAULT) -> RealField:
+    def apply(self, eta: RealField, phi: RealField, delta: float) -> RealField:
         if self.kind == "series":
             return dtn_series(eta, phi, delta, self.order)
         ws = self._workspace(phi.grid, delta)
-        return ws.flux_divergence(eta, ws.solve(eta, phi, self.tol, h_min, self.warm_start))
+        return ws.flux_divergence(eta, ws.solve(eta, phi, self.tol, H_MIN_DEFAULT,
+                                                self.warm_start))
 
 
 # ---------------------------------------------------------------------------
@@ -355,7 +366,7 @@ def zcs_rhs(s: WwState, backend: DtnBackend) -> tuple[RealField, RealField]:
     """Right side of the surface system: (dt eta, dt phi)."""
     grid = s.grid
     d2 = s.delta**2
-    lam = backend.apply(s.eta, s.phi, s.delta, s.h_min)
+    lam = backend.apply(s.eta, s.phi, s.delta)
     eta_x, phi_x = dx(grid, np.stack((s.eta.values, s.phi.values)))
     etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam.values)))
     sq_phx, cross = dealias(grid, np.stack((phx * phx, etx * phx)))
@@ -368,7 +379,7 @@ def zcs_rhs(s: WwState, backend: DtnBackend) -> tuple[RealField, RealField]:
 
 def hamiltonian(s: WwState, backend: DtnBackend) -> float:
     """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2)."""
-    lam = backend.apply(s.eta, s.phi, s.delta, s.h_min)
+    lam = backend.apply(s.eta, s.phi, s.delta)
     dens = s.phi.values * lam.values + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
 

@@ -1,14 +1,16 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from iskak.cli import main
 from iskak.config import (
+    EXPERIMENT_NAMES,
     ExperimentConfig,
     apply_overrides,
     config_items,
     default_config,
     parse_config_text,
-    parse_dtn,
 )
 from iskak.experiments import (
     Check,
@@ -18,6 +20,7 @@ from iskak.experiments import (
     run_elliptic_suite,
     summary_text,
 )
+from iskak.waterwave import DtnBackend
 
 
 class TestConfigParsing:
@@ -66,11 +69,21 @@ class TestConfigParsing:
             apply_overrides(default_config("dispersion"), ["nope=1"])
 
     def test_dtn_spec(self):
-        assert parse_dtn("exact:16") == ("exact", 16)
-        assert parse_dtn("series:0") == ("series", 0)
+        exact, series = DtnBackend.parse("exact:16"), DtnBackend.parse("series:0")
+        assert (exact.kind, exact.n_z) == ("exact", 16)
+        assert (series.kind, series.order) == ("series", 0)
         for bad in ("exact", "exact:4", "series:7", "magic:1"):
             with pytest.raises(ValueError):
-                parse_dtn(bad)
+                DtnBackend.parse(bad)
+
+    @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
+    def test_params_block_round_trips(self, name):
+        # a summary's params: lines, fed back as a config file, rebuild the
+        # configuration that wrote them (output_dir is not among them)
+        for cfg in (default_config(name), replace(default_config(name), model="ww")):
+            text = summary_text(ExperimentReport(name, [], [], params=config_items(cfg)))
+            params = text.split("params:\n", 1)[1].split("checks:", 1)[0]
+            assert parse_config_text(params, ExperimentConfig()) == cfg
 
     def test_config_items_omits_only_output_dir(self):
         from dataclasses import fields
@@ -137,7 +150,6 @@ class TestReports:
         assert all(len(r) == len(rep.columns) for r in rep.rows)
 
     def test_elliptic_suite_deterministic_with_seed(self):
-        from dataclasses import replace
         cfg = replace(default_config("elliptic-suite"), n_points=64, trials=10)
         r1 = run_elliptic_suite(cfg)
         r2 = run_elliptic_suite(cfg)

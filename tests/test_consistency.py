@@ -5,11 +5,9 @@ from iskak.consistency import (
     ConsistencyReport,
     dispersion_table,
     phase_speed_squared,
-    remainder_R6,
     remainders_R1_to_R5,
     residuals,
 )
-from iskak.ik_solver import time_derivatives
 from iskak.operators import IkState, ik_state_from_surface
 from iskak import spectral
 from iskak.spectral import PeriodicGrid, RealField, field_from_function
@@ -40,29 +38,6 @@ class TestRemainderChain:
         assert np.abs(r2.values - 0.16 * np.cos(x)).max() <= 1e-11
         assert np.abs(r4.values - (4.0 / 15.0) * np.cos(x)).max() <= 1e-10
         assert np.abs(r5.values + (8.0 / 75.0) * np.cos(x)).max() <= 1e-8
-
-
-class TestR6:
-    def test_rest_state_zero(self, grid64):
-        s = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.3)
-        d = time_derivatives(s)
-        assert np.abs(remainder_R6(s, d).values).max() == 0.0
-
-    def test_zero_without_phi1(self, grid128):
-        # every term carries a remainder or phi1 factor
-        eta = field_from_function(grid128, lambda x: 0.1 * np.cos(x))
-        s = IkState(eta, field_from_function(grid128, np.sin), zeros(grid128), 0.3)
-        d = time_derivatives(s)
-        assert np.abs(remainder_R6(s, d).values).max() <= 1e-12
-
-    def test_bounded_as_delta_shrinks(self, grid128):
-        eta_p, phi_p = cosine_pair(grid128, 0.1)
-        vals = []
-        for delta in (0.4, 0.2, 0.1):
-            s = ik_state_from_surface(eta_p, phi_p, delta)
-            d = time_derivatives(s)
-            vals.append(np.abs(remainder_R6(s, d).values).max())
-        assert max(vals) / min(vals) <= 3.0
 
 
 class TestResiduals:

@@ -5,7 +5,6 @@ from iskak import ik_solver
 from iskak.errors import BlowUpError
 from iskak.ik_solver import (
     SimConfig,
-    eta_rhs,
     reproject,
     rk4_step,
     run,
@@ -17,7 +16,7 @@ from iskak.operators import (
     ik_state_from_surface,
     surface_potential,
 )
-from iskak.spectral import RealField, field_from_function, integrate, l2_norm
+from iskak.spectral import PeriodicGrid, RealField, field_from_function, integrate, l2_norm
 
 from conftest import random_band_limited, zeros
 
@@ -31,20 +30,27 @@ def cosine_state(grid, amplitude, delta, cg_tol=1e-12):
     return ik_state_from_surface(eta0, zeros(grid), delta, cg_tol=cg_tol)
 
 
+@pytest.fixture(scope="module")
+def wave_run():
+    """The 1000-step cosine-wave run that two TestRun tests check."""
+    s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+    return run(s, SimConfig(t_end=1.0, dt=1e-3, record_every=100))
+
+
 class TestEtaRhs:
     def test_rest(self, grid64):
-        assert np.abs(eta_rhs(rest_state(grid64)).values).max() == 0.0
+        assert np.abs(time_derivatives(rest_state(grid64)).eta_t.values).max() == 0.0
 
     def test_flat_laplacian(self, grid64):
         s = IkState(zeros(grid64), field_from_function(grid64, np.cos), zeros(grid64), 0.3)
-        assert np.abs(eta_rhs(s).values - np.cos(grid64.nodes)).max() <= 1e-12
+        assert np.abs(time_derivatives(s).eta_t.values - np.cos(grid64.nodes)).max() <= 1e-12
 
     def test_divergence_form_zero_mean(self, grid64):
         rng = np.random.default_rng(1)
         s = IkState(random_band_limited(rng, grid64, 4, 0.2),
                     random_band_limited(rng, grid64),
                     random_band_limited(rng, grid64), 0.4)
-        assert abs(integrate(eta_rhs(s))) <= 1e-13
+        assert abs(integrate(time_derivatives(s).eta_t)) <= 1e-13
 
 
 class TestTimeDerivatives:
@@ -165,18 +171,16 @@ class TestRun:
         assert np.abs(np.diff(res.diagnostics.energy)).max() <= 1e-14
         assert np.abs(np.diff(res.diagnostics.mass)).max() <= 1e-14
 
-    def test_mass_and_energy_conservation(self, grid128):
-        s = cosine_state(grid128, 0.1, 0.2)
-        res = run(s, SimConfig(t_end=1.0, dt=1e-3, record_every=100))
+    def test_mass_and_energy_conservation(self, wave_run):
+        res = wave_run
         assert res.diagnostics.aborted is None
         mass = np.asarray(res.diagnostics.mass)
         assert np.abs(mass - mass[0]).max() <= 1e-11
         e = np.asarray(res.diagnostics.energy)
         assert np.abs(e - e[0]).max() / e[0] <= 1e-7
 
-    def test_sign_conditions_along_run(self, grid128):
-        s = cosine_state(grid128, 0.1, 0.2)
-        res = run(s, SimConfig(t_end=1.0, dt=1e-3, record_every=100))
+    def test_sign_conditions_along_run(self, wave_run):
+        res = wave_run
         assert min(res.diagnostics.min_depth) >= 0.5
         assert min(res.diagnostics.min_a) >= 0.5
 
@@ -205,7 +209,7 @@ class TestRun:
         # legal at t=0 but the strong flow drives the trough below the floor
         eta = field_from_function(grid64, lambda x: 0.4 * np.cos(x) - 0.45)
         s = IkState(eta, field_from_function(grid64, lambda x: 5.0 * np.sin(x)),
-                    zeros(grid64), 1.0, h_min=0.1)
+                    zeros(grid64), 1.0)
         res = run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1))
         assert res.diagnostics.aborted is not None
         assert len(res.diagnostics.times) >= 1

@@ -14,7 +14,6 @@ from iskak.operators import (
     f1_nonlinear,
     f2_forcing,
     ik_state_from_surface,
-    linearized_energy_E1,
     op_l1,
     op_l11,
     op_l12,
@@ -22,7 +21,6 @@ from iskak.operators import (
     solve_elliptic_pair,
     solve_initial_data,
     surface_potential,
-    surface_velocity,
 )
 from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
 
@@ -49,7 +47,7 @@ class TestDepthCoefs:
         eta = random_depth(rng, grid64)
         dc = DepthCoefs.from_eta(eta)
         h = 1.0 + eta.values
-        for pw, arr in [(2, dc.H2), (3, dc.H3), (4, dc.H4), (5, dc.H5), (7, dc.H7)]:
+        for pw, arr in [(2, dc.H2), (3, dc.H3), (4, dc.H4), (5, dc.H5)]:
             assert np.abs(arr - h**pw).max() <= 1e-12 * np.abs(h**pw).max()
 
     def test_depth_floor_enforced(self, grid64):
@@ -132,13 +130,6 @@ class TestPointwiseFields:
         expected = -(2.0 / 3.0) * np.cos(grid64.nodes)
         assert np.abs(constraint_residual(s).values - expected).max() <= 1e-12
 
-    def test_surface_velocity(self, grid64):
-        s = IkState(zeros(grid64), zeros(grid64), field_from_function(grid64, np.cos), 0.5)
-        expected = -0.25 * np.sin(grid64.nodes)
-        assert np.abs(surface_velocity(s).values - expected).max() <= 1e-12
-        s2 = IkState(zeros(grid64), field_from_function(grid64, np.sin), zeros(grid64), 0.5)
-        assert np.abs(surface_velocity(s2).values - np.cos(grid64.nodes)).max() <= 1e-12
-
     def test_f1_trivial_and_quadratic(self, grid64):
         rest = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.2)
         assert np.abs(f1_nonlinear(rest).values).max() == 0.0
@@ -186,7 +177,6 @@ class TestEnergies:
     def test_rest_energy_zero(self, grid64):
         rest = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.3)
         assert energy(rest) == 0.0
-        assert linearized_energy_E1(rest) == 0.0
 
     def test_elevation_only(self, grid64):
         eps = 0.05
@@ -204,21 +194,6 @@ class TestEnergies:
             s = IkState(random_depth(rng, grid64), random_band_limited(rng, grid64),
                         random_band_limited(rng, grid64), rng.uniform(0.05, 1.0))
             assert energy(s) >= 0.5 * l2_norm(s.eta) ** 2 - 1e-12
-
-    def test_e1_single_mode(self, grid64):
-        # quadratic form on a single mode: E1 = eps^2 (pi/2)(1 + (2/5) d^2)
-        delta, eps = 0.4, 0.5
-        s = IkState(field_from_function(grid64, lambda x: eps * np.cos(x)),
-                    zeros(grid64), zeros(grid64), delta)
-        expected = eps**2 * (np.pi / 2.0) * (1.0 + 0.4 * delta**2)
-        assert linearized_energy_E1(s) == pytest.approx(expected, rel=1e-12)
-
-    def test_e1_dominates_flat_form(self, grid64):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            s = IkState(random_depth(rng, grid64), random_band_limited(rng, grid64),
-                        random_band_limited(rng, grid64), rng.uniform(0.05, 1.0))
-            assert linearized_energy_E1(s) >= -1e-12
 
 
 class TestEllipticSolve:

@@ -23,14 +23,7 @@ class TestGrid:
         g = PeriodicGrid(64)
         assert g.spacing * g.n_points == pytest.approx(g.length, rel=1e-15)
         assert g.nodes[0] == 0.0
-        assert g.wavenumbers[1] == pytest.approx(1.0)
-
-    def test_wavenumbers_odd_symmetric_apart_from_nyquist(self):
-        g = PeriodicGrid(32)
-        k = g.wavenumbers
-        for j in range(1, 16):
-            assert k[j] == -k[-j]
-        assert k[16] == -16.0  # Nyquist carries the negative convention
+        assert g.wavenumbers_half[1] == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [6, 9, 0, -8])
     def test_rejects_bad_sizes(self, n):

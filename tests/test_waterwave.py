@@ -177,10 +177,6 @@ class TestExactMap:
         with pytest.raises(DepthTooSmallError):
             exact_map(eta, phi, 0.3, 16)
 
-    def test_rejects_small_nz(self, grid64):
-        with pytest.raises(ValueError):
-            _StripWorkspace(grid64, 4, 0.3)
-
 
 class TestStripSolution:
     def test_boundary_conditions(self, grid64):
@@ -259,7 +255,7 @@ class TestSurfaceEvolution:
     def test_ww_abort_keeps_partial_diagnostics(self, grid64):
         # legal at t=0 but the strong flow drives the trough below the floor
         eta = field_from_function(grid64, lambda x: 0.4 * np.cos(x) - 0.45)
-        s = WwState(eta, field_from_function(grid64, lambda x: 5.0 * np.sin(x)), 1.0, h_min=0.1)
+        s = WwState(eta, field_from_function(grid64, lambda x: 5.0 * np.sin(x)), 1.0)
         res = ww_run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1), DtnBackend.series(0))
         diag = res.diagnostics
         assert diag.aborted is not None and "below floor" in diag.aborted
