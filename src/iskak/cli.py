@@ -5,7 +5,8 @@
 
 Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 only if every check
-passed (2 for configuration errors).  The CSV and summary contents do not
+passed (2 for configuration errors, among them a dt that breaks the CFL
+guard or does not divide t_end, reported before any run starts).  The CSV and summary contents do not
 depend on --output-dir, so reruns into different directories give
 byte-identical files.  The summary's params: block is the full resolved
 configuration, keys the experiment does not read included; passed back
@@ -21,8 +22,8 @@ from dataclasses import replace
 
 from .config import EXPERIMENT_NAMES, apply_overrides, default_config, load_config
 from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError, SingularSystemError
-from .experiments import (ExperimentReport, run_experiment, summary_text, write_csv,
-                          write_summary)
+from .experiments import (ExperimentReport, check_steps, run_experiment, summary_text,
+                          write_csv, write_summary)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -55,6 +56,7 @@ def main(argv=None) -> int:
                 f"config names experiment {cfg.experiment!r} but the command line "
                 f"asked for {args.experiment!r}"
             )
+        check_steps(cfg)
     except (ValueError, OSError) as exc:
         print(f"iskak: config error: {exc}", file=sys.stderr)
         return 2

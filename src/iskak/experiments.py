@@ -40,6 +40,7 @@ __all__ = [
     "write_csv",
     "write_summary",
     "run_experiment",
+    "check_steps",
     "EXPERIMENTS",
 ]
 
@@ -601,3 +602,13 @@ EXPERIMENTS = {
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
     return EXPERIMENTS[cfg.experiment](cfg)
+
+
+def check_steps(cfg: ExperimentConfig) -> None:
+    """Raise ValueError if the experiment steps cfg.t_end in steps of cfg.dt
+    on its grid and that pair breaks SimConfig's CFL or whole-step rule, so
+    the caller can report it before any run starts.  (conservation also
+    steps dt/2, which passes whenever dt does.)"""
+    if cfg.experiment in ("convergence", "conservation", "simulate"):
+        sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt)
+        sim.n_steps(PeriodicGrid(cfg.n_points, cfg.length).spacing)

@@ -30,13 +30,12 @@ from .operators import (
     coef_a,
     constraint_residual,
     energy,
-    f1_nonlinear,
-    f2_forcing,
     solve_elliptic_pair,
     solve_initial_data,
+    stage_sources,
     surface_potential,
 )
-from .spectral import RealField, dp, dx, integrate
+from .spectral import RealField, integrate
 
 __all__ = [
     "IkDerivative",
@@ -81,13 +80,19 @@ class SimConfig:
         if self.reproject_every < 0 or self.record_every < 1:
             raise ValueError("bad cadence settings")
 
-    def check_cfl(self, spacing: float) -> None:
+    def n_steps(self, spacing: float) -> int:
+        """Number of steps to t_end on a grid of this spacing; ValueError if
+        dt breaks the CFL guard or does not divide t_end."""
         limit = CFL_FACTOR * spacing
         if self.dt > limit:
             raise ValueError(
                 f"dt={self.dt:.3g} violates the CFL guard {limit:.3g} "
                 f"(CFL_FACTOR * spacing at unit wave speed)"
             )
+        n = int(round(self.t_end / self.dt))
+        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer number of steps")
+        return n
 
 
 @dataclass
@@ -118,12 +123,8 @@ def time_derivatives(
     """Full state derivative: continuity for eta, elliptic solve for the pair."""
     grid = s.grid
     dc = s.depth()
-    # dt eta = -div(H grad phi0 + (1/3) d^2 H^3 grad phi1), dealiased
-    flux = dp(grid, dc.H, dx(grid, s.phi0.values)) \
-        + (s.delta * s.delta / 3.0) * dp(grid, dc.H3, dx(grid, s.phi1.values))
-    eta_t = RealField(grid, -dx(grid, flux))
-    f1 = RealField(grid, -f1_nonlinear(s).values)
-    f2 = f2_forcing(s, eta_t)
+    eta_t, f1, f2 = stage_sources(s, dc)
+    f1 = RealField(grid, -f1.values)
     f3 = RealField(grid, np.zeros(grid.n_points))
     guess = warm.phi1_t.values if warm is not None else None
     phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, EllipticRhs(f1, f2, f3),
@@ -212,10 +213,7 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     stage value abort the run cleanly: diagnostics.aborted holds the message
     and the record up to the last completed step is kept.
     """
-    cfg.check_cfl(initial.grid.spacing)
-    n_steps = int(round(cfg.t_end / cfg.dt))
-    if abs(n_steps * cfg.dt - cfg.t_end) > 1e-9 * max(1.0, cfg.t_end):
-        raise ValueError("t_end must be an integer number of steps")
+    n_steps = cfg.n_steps(initial.grid.spacing)
 
     diag = Diagnostics()
     traj = [] if cfg.store_trajectory else None

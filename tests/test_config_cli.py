@@ -195,6 +195,16 @@ class TestCli:
         assert main(["dispersion", "--config", str(cfgfile)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("dt,t_end,message", [("0.1", "0.2", "CFL"),
+                                                  ("1e-3", "0.0015", "integer number of steps")])
+    def test_step_rules_are_config_errors(self, tmp_path, capsys, dt, t_end, message):
+        code = main(["simulate", "--output-dir", str(tmp_path),
+                     "--override", f"dt={dt}", "--override", f"t_end={t_end}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and message in err
+        assert not (tmp_path / "simulate.csv").exists()
+
     def test_experiment_name_mismatch(self, tmp_path):
         cfgfile = tmp_path / "mismatch.cfg"
         cfgfile.write_text("name = convergence\n")

@@ -3,7 +3,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iskak.errors import DepthTooSmallError
+from iskak import operators
+from iskak.errors import DepthTooSmallError, NonConvergenceError
 from iskak.operators import (
     DepthCoefs,
     EllipticRhs,
@@ -20,9 +21,10 @@ from iskak.operators import (
     op_l22,
     solve_elliptic_pair,
     solve_initial_data,
+    stage_sources,
     surface_potential,
 )
-from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
+from iskak.spectral import PeriodicGrid, RealField, dp, dx, field_from_function, l2_norm, lap
 
 from conftest import random_band_limited, zeros
 
@@ -102,6 +104,21 @@ class TestLOperators:
             b = inner(grid64, f, op(g))
             assert abs(a - b) <= 1e-10 * max(1.0, abs(a))
 
+    def test_l1_matches_composition(self, grid64):
+        # the fused kernel against the docstring form built from L11, L12, L22:
+        # L1 psi = d^2 (H^2 L11 - L12)(H^2 psi) + (L22 - d^2 H^2 L12) psi
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            dc = DepthCoefs.from_eta(random_depth(rng, grid64))
+            delta = rng.uniform(0.05, 1.0)
+            d2 = delta * delta
+            psi = random_band_limited(rng, grid64)
+            g = RealField(grid64, dc.H2 * psi.values)
+            expected = (d2 * (dc.H2 * op_l11(dc, g).values - op_l12(dc, g).values)
+                        + op_l22(delta, dc, psi).values - d2 * dc.H2 * op_l12(dc, psi).values)
+            got = op_l1(delta, dc, psi).values
+            assert np.abs(got - expected).max() <= 1e-12 * np.abs(expected).max()
+
     def test_l1_zero_input(self, grid64):
         dc = DepthCoefs.from_eta(zeros(grid64))
         assert np.abs(op_l1(0.4, dc, zeros(grid64)).values).max() == 0.0
@@ -149,6 +166,23 @@ class TestPointwiseFields:
         assert np.abs(f2_forcing(s, ones).values - expected).max() <= 1e-12
         no_phi1 = IkState(zeros(grid64), field_from_function(grid64, np.sin), zeros(grid64), 1.0)
         assert np.abs(f2_forcing(no_phi1, ones).values).max() == 0.0
+
+    def test_stage_sources_match_dp_chains(self, grid64):
+        # the shared-transform kernel against the same terms built from spectral.dp
+        g = grid64
+        rng = np.random.default_rng(13)
+        for _ in range(5):
+            s = IkState(random_depth(rng, g), random_band_limited(rng, g),
+                        random_band_limited(rng, g), rng.uniform(0.05, 1.0))
+            dc, d2 = s.depth(), s.delta**2
+            u0, u1, p1 = dx(g, s.phi0.values), dx(g, s.phi1.values), s.phi1.values
+            eta_t = -dx(g, dp(g, dc.H, u0) + (d2 / 3.0) * dp(g, dc.H3, u1))
+            f1 = (s.eta.values + 0.5 * dp(g, u0, u0) + d2 * dp(g, dc.H2, dp(g, u0, u1))
+                  + 0.5 * d2 * d2 * dp(g, dc.H4, dp(g, u1, u1))
+                  + 2.0 * d2 * dp(g, dc.H2, dp(g, p1, p1)))
+            f2 = (4.0 / 15.0) * d2 * dp(g, dc.H4, dp(g, eta_t, lap(g, p1)))
+            for got, want in zip(stage_sources(s, dc), (eta_t, f1, f2)):
+                assert np.abs(got.values - want).max() <= 1e-12 * np.abs(want).max()
 
     def test_coef_a_rest_and_constant(self, grid64):
         rest = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.5)
@@ -258,6 +292,35 @@ class TestEllipticSolve:
                 worst = max(worst, lhs / low)
             cs.append(worst)
         assert np.log10(max(cs)) - np.log10(min(cs)) <= 1.0
+
+    @pytest.mark.parametrize("odd", [-1.0, -2.0])
+    def test_pcg_breakdown_raises(self, odd):
+        # an indefinite operator: the first search direction has p.Ap = 0
+        # (odd = -1) or p.Ap < 0 (odd = -2)
+        sign = np.where(np.arange(64) % 2 == 0, 1.0, odd)
+        b = np.ones(64)
+        with pytest.raises(NonConvergenceError) as err:
+            operators._pcg(lambda v: sign * v, lambda r: r, b, 1e-12)
+        assert err.value.iterations == 0
+        assert err.value.residual == pytest.approx(1.0)
+        assert "breakdown" in str(err.value)
+
+    def test_cold_solve_operator_count(self, monkeypatch):
+        # the depth-scaled preconditioner: a cold initial-data solve of the
+        # N = 128, delta = 0.2 cosine wave takes at most 10 L1 applications
+        grid = PeriodicGrid(128)
+        x = grid.nodes
+        eta = RealField(grid, 0.1 * np.cos(x))
+        phi = RealField(grid, 0.1 * np.sin(x) + 0.05 * np.cos(2 * x) + 0.02 * np.sin(3 * x))
+        clean, calls = operators._l1_v, []
+
+        def counted(*args):
+            calls.append(1)
+            return clean(*args)
+
+        monkeypatch.setattr(operators, "_l1_v", counted)
+        solve_initial_data(eta, phi, 0.2)
+        assert 0 < len(calls) <= 10
 
 
 class TestInitialData:
