@@ -4,13 +4,19 @@
                        [--override key=value ...]
 
 Writes <experiment>.csv and <experiment>.summary.txt into the output
-directory, prints one line per check, and exits 0 only if every check
-passed (2 for configuration errors, among them a dt that breaks the CFL
-guard or does not divide t_end, reported before any run starts).  The CSV and summary contents do not
-depend on --output-dir, so reruns into different directories give
-byte-identical files.  The summary's params: block is the full resolved
-configuration, keys the experiment does not read included; passed back
-with --config it reruns the experiment.
+directory, prints one line per check, and exits 0 if every check passed,
+1 if one failed or a solver failed, 2 for a configuration error.  Those
+are found before any run starts, by ExperimentConfig: an unknown key,
+name or dtn spec; n_points odd or < 8; delta or delta_list outside
+(0, 1]; amplitude < 0; trials < 1; consistency with phi_amplitude <= 0;
+conservation with amplitude <= 0 or reproject_every < 1; and, for the
+stepped experiments, record_every < 1, reproject_every < 0 or a dt that
+breaks the CFL guard or does not divide t_end.  A --config file must be
+valid on its own, before any --override applies.  The CSV and summary
+contents do not depend on --output-dir, so reruns into different
+directories give byte-identical files.  The summary's params: block is
+the full resolved configuration, keys the experiment does not read
+included; passed back with --config it reruns the experiment.
 """
 
 from __future__ import annotations
@@ -21,9 +27,8 @@ import sys
 from dataclasses import replace
 
 from .config import EXPERIMENT_NAMES, apply_overrides, default_config, load_config
-from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError, SingularSystemError
-from .experiments import (ExperimentReport, check_steps, run_experiment, summary_text,
-                          write_csv, write_summary)
+from .errors import SOLVER_ERRORS
+from .experiments import ExperimentReport, run_experiment, summary_text, write_csv
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -56,29 +61,29 @@ def main(argv=None) -> int:
                 f"config names experiment {cfg.experiment!r} but the command line "
                 f"asked for {args.experiment!r}"
             )
-        check_steps(cfg)
     except (ValueError, OSError) as exc:
         print(f"iskak: config error: {exc}", file=sys.stderr)
         return 2
 
     try:
         report = run_experiment(cfg)
-    except (BlowUpError, DepthTooSmallError, NonConvergenceError,
-            SingularSystemError, FloatingPointError) as exc:
+    except SOLVER_ERRORS as exc:
         print(f"iskak: experiment failed: {exc}", file=sys.stderr)
         return 1
 
     os.makedirs(cfg.output_dir, exist_ok=True)
     csv_path = os.path.join(cfg.output_dir, f"{cfg.experiment}.csv")
     summary_path = os.path.join(cfg.output_dir, f"{cfg.experiment}.summary.txt")
+    text = summary_text(report)
     write_csv(report, csv_path)
-    write_summary(report, summary_path)
+    with open(summary_path, "w", encoding="utf-8") as fh:
+        fh.write(text)
     if report.snapshots is not None:
         cols, rows = report.snapshots
         snap_path = os.path.join(cfg.output_dir, f"{cfg.experiment}_snapshots.csv")
         write_csv(ExperimentReport(cfg.experiment, cols, rows), snap_path)
 
-    sys.stdout.write(summary_text(report))
+    sys.stdout.write(text)
     return 0 if report.passed else 1
 
 

@@ -11,6 +11,8 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .ik_solver import SimConfig
+from .spectral import PeriodicGrid
 from .waterwave import DtnBackend
 
 EXPERIMENT_NAMES = (
@@ -24,10 +26,7 @@ EXPERIMENT_NAMES = (
 
 
 def _parse_delta_list(text: str) -> tuple[float, ...]:
-    vals = tuple(float(p) for p in text.replace(",", " ").split())
-    if not vals:
-        raise ValueError("delta_list must not be empty")
-    return vals
+    return tuple(float(p) for p in text.replace(",", " ").split())
 
 
 def _parse_str(text: str) -> str:
@@ -62,17 +61,31 @@ class ExperimentConfig:
     model: str = "ik"                # simulate: which solver to drive
 
     def __post_init__(self):
+        # the one owner of whether this configuration can run
         if self.experiment not in EXPERIMENT_NAMES:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; pick one of {', '.join(EXPERIMENT_NAMES)}"
             )
-        if not self.delta_list or any(not 0.0 < d <= 1.0 for d in self.delta_list):
-            raise ValueError("delta_list entries must lie in (0, 1]")
+        grid = PeriodicGrid(self.n_points, self.length)
+        if not self.delta_list or any(not 0.0 < d <= 1.0 for d in (self.delta, *self.delta_list)):
+            raise ValueError("delta_list must be non-empty, and delta and its entries in (0, 1]")
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be >= 0")
+        if self.trials < 1:
+            raise ValueError("trials must be >= 1")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
         DtnBackend.parse(self.dtn)  # validates the backend spec
+        if self.experiment == "consistency" and not self.phi_amplitude > 0.0:
+            raise ValueError("consistency needs phi_amplitude > 0")
+        if self.experiment == "conservation" and (self.amplitude <= 0.0
+                                                  or self.reproject_every < 1):
+            raise ValueError("conservation needs amplitude > 0 and reproject_every >= 1")
+        if self.experiment in ("convergence", "conservation", "simulate"):
+            # the run's cadence, CFL and whole-step rules (conservation also
+            # steps dt/2, which passes whenever dt does)
+            SimConfig(self.t_end, self.dt, self.reproject_every,
+                      record_every=self.record_every).n_steps(grid.spacing)
 
 
 # one parser per field: the type of its default, delta_list a comma list,
@@ -86,23 +99,19 @@ _CASTERS = {f.name: (_parse_delta_list if f.name == "delta_list"
 _ALIASES = {"name": "experiment"}
 
 
+_DEFAULTS = {    # where an experiment departs from the field defaults
+    "consistency": dict(amplitude=0.1, phi_amplitude=0.1),
+    # drift-order run: higher mode on a finer grid lifts the dt^4 signal
+    # above the spectral floor at the compared step sizes
+    "conservation": dict(n_points=256, k0=4, amplitude=0.1, delta=0.5, dt=1e-3, cg_tol=1e-13),
+    "simulate": dict(amplitude=0.1, delta=0.2, dt=1e-3, record_every=20),
+    "elliptic-suite": dict(delta_list=(0.05, 0.1, 0.2, 0.4)),
+}
+
+
 def default_config(experiment: str) -> ExperimentConfig:
     """Per-experiment defaults; the sweep experiments pick their own run scale."""
-    base = ExperimentConfig(experiment=experiment)
-    if experiment == "convergence":
-        return base
-    if experiment == "consistency":
-        return replace(base, amplitude=0.1, phi_amplitude=0.1)
-    if experiment == "conservation":
-        # drift-order run: higher mode on a finer grid lifts the dt^4 signal
-        # above the spectral floor at the compared step sizes
-        return replace(base, n_points=256, k0=4, amplitude=0.1, delta=0.5,
-                       dt=1e-3, cg_tol=1e-13)
-    if experiment == "simulate":
-        return replace(base, amplitude=0.1, delta=0.2, dt=1e-3, record_every=20)
-    if experiment == "elliptic-suite":
-        return replace(base, delta_list=(0.05, 0.1, 0.2, 0.4))
-    return base
+    return ExperimentConfig(experiment=experiment, **_DEFAULTS.get(experiment, {}))
 
 
 def parse_config_text(text: str, base: ExperimentConfig) -> ExperimentConfig:

@@ -34,4 +34,9 @@ class BlowUpError(RuntimeError):
 
 
 class SingularSystemError(RuntimeError):
-    """Collocation matrix numerically singular."""
+    """A linear system is numerically singular (a flat strip mode, a GMRES breakdown)."""
+
+
+# what a run reports as aborted and the CLI as a failed experiment
+SOLVER_ERRORS = (BlowUpError, DepthTooSmallError, NonConvergenceError, SingularSystemError,
+                 FloatingPointError)

@@ -38,9 +38,7 @@ __all__ = [
     "ExperimentReport",
     "fit_loglog",
     "write_csv",
-    "write_summary",
     "run_experiment",
-    "check_steps",
     "EXPERIMENTS",
 ]
 
@@ -122,11 +120,6 @@ def write_csv(report: ExperimentReport, path: str) -> None:
             fh.write(",".join(_fmt(v) for v in row) + "\n")
 
 
-def write_summary(report: ExperimentReport, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(summary_text(report))
-
-
 def summary_text(report: ExperimentReport) -> str:
     """The summary: the params: block (config_items, the full resolved
     configuration, which parses back as a config file), slopes and checks."""
@@ -152,10 +145,12 @@ def _sin_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
     return field_from_function(grid, lambda x: amplitude * np.sin(k0 * scale * x))
 
 
+DIAG_COLUMNS = ["time", "mass", "energy", "constraint_max", "min_depth", "min_a"]
+
+
 def _diag_rows(diag: Diagnostics, *tail) -> list:
-    """One row per record: time, mass, energy, constraint_max, min_depth,
-    min_a, then tail.  A water-wave run records no constraint or min_a
-    series; those cells read 0.0 and 1.0."""
+    """One row per record: the DIAG_COLUMNS, then tail.  A water-wave run
+    records no constraint or min_a series; those cells read 0.0 and 1.0."""
     cmax = diag.constraint_max or [0.0] * len(diag.times)
     min_a = diag.min_a or [1.0] * len(diag.times)
     return [[t, m, e, c, h, a, *tail] for t, m, e, c, h, a
@@ -194,7 +189,6 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
         rows,
         slopes=[sf],
         checks=checks,
-        params=config_items(cfg),
     )
 
 
@@ -295,7 +289,6 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         rows,
         slopes=[sf_eta, sf_du, sf_ctrl],
         checks=checks,
-        params=config_items(cfg),
     )
 
 
@@ -305,7 +298,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     grid = PeriodicGrid(cfg.n_points, cfg.length)
     eta_p = _cos_profile(grid, cfg.amplitude, cfg.k0)
-    phi_p = _sin_profile(grid, cfg.phi_amplitude or cfg.amplitude, cfg.k0)
+    phi_p = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
     backend = DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
 
     reports = [residuals(ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol),
@@ -338,7 +331,6 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
         ["delta", "r1_norm", "r2_norm", "identity_gap", "r5_max", "n_points", "dtn"],
         rows,
         checks=checks,
-        params=config_items(cfg),
     )
 
 
@@ -398,7 +390,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     # reprojection keeps the constraint at solver level
     proj = _ik_run(grid0, 0.1, 1, 0.2,
-                   SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every or 10,
+                   SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every,
                              record_every=100, cg_tol=cfg.cg_tol))
     add_rows("reproject", 128, 1e-3, proj.diagnostics)
     cmax = max(proj.diagnostics.constraint_max)
@@ -426,11 +418,9 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     return ExperimentReport(
         "conservation",
-        ["leg", "time", "mass", "energy", "constraint_max", "min_depth", "min_a",
-         "n_points", "dt"],
+        ["leg", *DIAG_COLUMNS, "n_points", "dt"],
         rows,
         checks=checks,
-        params=config_items(cfg),
     )
 
 
@@ -545,7 +535,6 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
         ["kind", "trial", "delta", "value", "note"],
         rows,
         checks=checks,
-        params=config_items(cfg),
     )
 
 
@@ -581,11 +570,9 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     ]
     return ExperimentReport(
         "simulate",
-        ["time", "mass", "energy", "constraint_max", "min_depth", "min_a",
-         "n_points", "dt"],
+        [*DIAG_COLUMNS, "n_points", "dt"],
         rows,
         checks=checks,
-        params=config_items(cfg),
         snapshots=(snap_cols, snapshots),
     )
 
@@ -601,14 +588,7 @@ EXPERIMENTS = {
 
 
 def run_experiment(cfg: ExperimentConfig) -> ExperimentReport:
-    return EXPERIMENTS[cfg.experiment](cfg)
-
-
-def check_steps(cfg: ExperimentConfig) -> None:
-    """Raise ValueError if the experiment steps cfg.t_end in steps of cfg.dt
-    on its grid and that pair breaks SimConfig's CFL or whole-step rule, so
-    the caller can report it before any run starts.  (conservation also
-    steps dt/2, which passes whenever dt does.)"""
-    if cfg.experiment in ("convergence", "conservation", "simulate"):
-        sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt)
-        sim.n_steps(PeriodicGrid(cfg.n_points, cfg.length).spacing)
+    """Run the named experiment; its report's params are config_items(cfg)."""
+    report = EXPERIMENTS[cfg.experiment](cfg)
+    report.params = config_items(cfg)
+    return report

@@ -22,7 +22,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import BlowUpError, DepthTooSmallError, NonConvergenceError
+from .errors import SOLVER_ERRORS, BlowUpError
 from .operators import (
     CG_TOL_DEFAULT,
     EllipticRhs,
@@ -30,8 +30,8 @@ from .operators import (
     coef_a,
     constraint_residual,
     energy,
+    ik_state_from_surface,
     solve_elliptic_pair,
-    solve_initial_data,
     stage_sources,
     surface_potential,
 )
@@ -78,7 +78,7 @@ class SimConfig:
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
         if self.reproject_every < 0 or self.record_every < 1:
-            raise ValueError("bad cadence settings")
+            raise ValueError("record_every must be >= 1 and reproject_every >= 0")
 
     def n_steps(self, spacing: float) -> int:
         """Number of steps to t_end on a grid of this spacing; ValueError if
@@ -132,15 +132,15 @@ def time_derivatives(
     return IkDerivative(eta_t, phi0_t, phi1_t)
 
 
-def rk4_fields(s, dt, rhs, time, guard, warm):
+def rk4_fields(s, dt, rhs, time, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
     rhs(state, warm) returns the time derivatives of those fields, in that
     order, as RealFields; each stage is warm-started from the one before.
     Returns the new state and the last stage's derivative.  The max-norm
-    blow-up guard is checked here, on the combined state, before run_loop
-    re-centers the potential; the state constructors reject NaN/Inf and
-    depth collapse first.
+    blow-up guard BLOWUP_GUARD is checked here, on the combined state, before
+    run_loop re-centers the potential; the state constructors reject NaN/Inf
+    and depth collapse first.
     """
     names = s.FIELDS
 
@@ -159,30 +159,26 @@ def rk4_fields(s, dt, rhs, time, guard, warm):
         for n, a, b, e, d in zip(names, k1, k2, k3, k4)
     })
     m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
-    if m > guard:
-        raise BlowUpError(time + dt, m, guard)
+    if m > BLOWUP_GUARD:
+        raise BlowUpError(time + dt, m, BLOWUP_GUARD)
     return out, k4
 
 
-def _rk4_stages(s, dt, cg_tol, time, guard, warm):
-    return rk4_fields(s, dt, lambda st, w: time_derivatives(st, cg_tol, warm=w), time, guard, warm)
+def _rk4_stages(s, dt, cg_tol, time, warm):
+    return rk4_fields(s, dt, lambda st, w: time_derivatives(st, cg_tol, warm=w), time, warm)
 
 
-def rk4_step(
-    s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT, guard: float = BLOWUP_GUARD,
-) -> IkState:
+def rk4_step(s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     """One classical 4-stage explicit step from t = 0, without the CFL guard
     or run's checks, so dt may be negative (the reversibility oracle)."""
-    out, _ = _rk4_stages(s, dt, cg_tol, 0.0, guard, warm=None)
+    out, _ = _rk4_stages(s, dt, cg_tol, 0.0, warm=None)
     return out
 
 
 def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     """Restore the constraint: re-split phi0 + d^2 H^2 phi1 through the
     initial-data solve, leaving eta and the reconstructed potential unchanged."""
-    phi = surface_potential(s)
-    phi0, phi1 = solve_initial_data(s.eta, phi, s.delta, cg_tol)
-    return IkState(s.eta.copy(), phi0, phi1, s.delta)
+    return ik_state_from_surface(s.eta, surface_potential(s), s.delta, cg_tol)
 
 
 def _record(diag: Diagnostics, t: float, s: IkState, cg_tol: float) -> None:
@@ -209,9 +205,9 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     appends one record at t = 0, every cfg.record_every steps and at the
     end; project(state), if given, runs every cfg.reproject_every steps.
     The gauge field is re-centered to zero mean at the start and after every
-    step, after the step's blow-up guard (rk4_fields) has run.  Blow-up, depth collapse, solver non-convergence and a NaN/Inf
-    stage value abort the run cleanly: diagnostics.aborted holds the message
-    and the record up to the last completed step is kept.
+    step, after the step's blow-up guard (rk4_fields) has run.  A solver
+    failure (errors.SOLVER_ERRORS) aborts the run cleanly: diagnostics.aborted
+    holds the message and the record up to the last completed step is kept.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
 
@@ -237,7 +233,7 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
                 s = project(s)
             if i % cfg.record_every == 0 or i == n_steps:
                 keep(t, s)
-    except (BlowUpError, NonConvergenceError, DepthTooSmallError, FloatingPointError) as exc:
+    except SOLVER_ERRORS as exc:
         diag.aborted = str(exc)
     return RunResult(s, diag, traj)
 
@@ -247,7 +243,7 @@ def run(initial: IkState, cfg: SimConfig) -> RunResult:
     constraint residual and both sign conditions."""
     return run_loop(
         initial, cfg,
-        step=lambda s, t, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, t, BLOWUP_GUARD, warm),
+        step=lambda s, t, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, t, warm),
         record=lambda diag, t, s: _record(diag, t, s, cfg.cg_tol),
         gauge="phi0",
         project=lambda s: reproject(s, cfg.cg_tol),

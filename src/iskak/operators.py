@@ -33,7 +33,7 @@ from 16/19/21 to 5/9/12 operator applications at d = 0.05/0.2/0.5 (from
 a step that is not finite) raises NonConvergenceError.
 
 stage_sources evaluates the continuity flux and the sources F1, F2 of a time
-step from shared transforms; f1_nonlinear and f2_forcing evaluate through it.
+step from shared transforms.
 """
 
 from __future__ import annotations
@@ -62,8 +62,6 @@ __all__ = [
     "stage_sources",
     "constraint_residual",
     "surface_potential",
-    "f1_nonlinear",
-    "f2_forcing",
     "coef_a",
     "energy",
     "solve_elliptic_pair",
@@ -216,13 +214,11 @@ def surface_potential(s: IkState) -> RealField:
     return RealField(s.grid, s.phi0.values + s.delta**2 * dc.H2 * s.phi1.values)
 
 
-def stage_sources(
-    s: IkState, dc: DepthCoefs, eta_t: RealField | None = None,
-) -> tuple[RealField, RealField, RealField]:
+def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[RealField, RealField, RealField]:
     """(dt eta, F1, F2) of state s over its depth dc, from shared transforms.
 
     dt eta = -div(H grad phi0 + (1/3) d^2 H^3 grad phi1) is the continuity
-    equation; eta_t, if given, takes its place in F2 (and is returned).
+    equation,
     F1 = eta + (1/2) u0^2 + d^2 H^2 u0 u1 + (1/2) d^4 H^4 u1^2 + 2 d^2 H^2 phi1^2
     and F2 = (4/15) d^2 H^4 (dt eta) lap phi1, with u = grad phi.  Every
     product is a pairwise 2/3-rule product (truncate the factors, multiply,
@@ -234,33 +230,19 @@ def stage_sources(
     n, k, keep = grid.n_points, grid.wavenumbers_half, grid.dealias_keep
     ik = np.where(keep, 1j * k, 0.0)
     rows = (s.phi0.values, s.phi1.values, dc.H, dc.H2, dc.H3, dc.H4)
-    if eta_t is not None:
-        rows += (eta_t.values,)
     f = np.fft.rfft(np.stack(rows), axis=-1)
     f *= keep
-    u0, u1, p1, h, h2, h3, h4, *et, lap1 = np.fft.irfft(
+    u0, u1, p1, h, h2, h3, h4, lap1 = np.fft.irfft(
         np.concatenate((ik * f[:2], f[1:], -(k * k) * f[1:2])), n=n, axis=-1)
     g = np.fft.rfft(np.stack((h * u0 + (d2 / 3.0) * (h3 * u1),
                               u0 * u0, u0 * u1, u1 * u1, p1 * p1)), axis=-1)
     g *= keep
     g[0] *= -ik
-    div, q00, q01, q11, qpp = np.fft.irfft(g, n=n, axis=-1)
-    et = et[0] if et else div     # truncated dt eta
-    c01, c11, cpp, m = dealias(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp, et * lap1)))
+    div, q00, q01, q11, qpp = np.fft.irfft(g, n=n, axis=-1)    # div: truncated dt eta
+    c01, c11, cpp, m = dealias(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
     f1 = s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
     f2 = (4.0 / 15.0) * d2 * dealias(grid, h4 * m)
-    return (RealField(grid, div) if eta_t is None else eta_t,
-            RealField(grid, f1), RealField(grid, f2))
-
-
-def f1_nonlinear(s: IkState) -> RealField:
-    """Bernoulli-type source of the potential equation, products dealiased."""
-    return stage_sources(s, s.depth())[1]
-
-
-def f2_forcing(s: IkState, eta_t: RealField) -> RealField:
-    """(4/15) d^2 H^4 (dt eta) lap phi1 for the time-derivative elliptic solve."""
-    return stage_sources(s, s.depth(), eta_t)[2]
+    return RealField(grid, div), RealField(grid, f1), RealField(grid, f2)
 
 
 def coef_a(s: IkState, phi1_t: RealField) -> RealField:

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
-from .ik_solver import BLOWUP_GUARD, RunResult, SimConfig, rk4_fields, run_loop
+from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
 from .operators import H_MIN_DEFAULT, check_state
 from .spectral import PeriodicGrid, RealField, dealias, dp, dx, integrate, lap
 
@@ -41,13 +41,15 @@ __all__ = [
 
 DTN_TOL_DEFAULT = 1e-12
 DTN_MAX_ITER = 120
+GIVENS_FLOOR = 1e-14     # a Givens denominator below this share of its column is zero
 
 
 def _gmres(apply_op, b, tol, max_iter, x0=None):
     """Full GMRES with Givens rotations; returns (x, relative residual).
 
     Used on the left-preconditioned strip system, which is O(1) conditioned,
-    so a few dozen iterations reach rounding without restarts.
+    so a few dozen iterations reach rounding without restarts.  A singular
+    operator (a Givens denominator negligible next to its column) raises SingularSystemError.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -74,6 +76,7 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
             hess[i, k] = float(np.dot(basis[i], v))
             v -= hess[i, k] * basis[i]
         hess[k + 1, k] = float(np.linalg.norm(v))
+        col = float(np.linalg.norm(hess[:k + 2, k]))   # rotations keep this norm
         if hess[k + 1, k] > 0.0:
             basis.append(v / hess[k + 1, k])
         else:
@@ -83,6 +86,9 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
             hess[i + 1, k] = -sn[i] * hess[i, k] + cs[i] * hess[i + 1, k]
             hess[i, k] = t
         denom = float(np.hypot(hess[k, k], hess[k + 1, k]))
+        if denom <= GIVENS_FLOOR * col:
+            raise SingularSystemError(f"GMRES breakdown at iteration {k}: Givens denominator "
+                                      f"{denom:.3e} against column norm {col:.3e}")
         cs[k] = hess[k, k] / denom
         sn[k] = hess[k + 1, k] / denom
         hess[k, k] = denom
@@ -398,8 +404,7 @@ def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
 
     return run_loop(
         initial, cfg,
-        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, _: zcs_rhs(st, backend),
-                                           t, BLOWUP_GUARD, warm),
+        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, _: zcs_rhs(st, backend), t, warm),
         record=record,
         gauge="phi",
     )

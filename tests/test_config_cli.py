@@ -205,6 +205,25 @@ class TestCli:
         assert "config error" in err and message in err
         assert not (tmp_path / "simulate.csv").exists()
 
+    @pytest.mark.parametrize("experiment,override", [
+        ("consistency", "n_points=63"),
+        ("simulate", "delta=0"),
+        ("simulate", "delta=1.5"),
+        ("simulate", "record_every=0"),
+        ("simulate", "reproject_every=-1"),
+        ("elliptic-suite", "trials=0"),
+        ("consistency", "phi_amplitude=0"),
+        ("conservation", "amplitude=0"),
+        ("conservation", "reproject_every=0"),
+    ])
+    def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
+        # rejected before any run starts: no traceback, no substituted value,
+        # no check that passes over nothing
+        code = main([experiment, "--output-dir", str(tmp_path), "--override", override])
+        assert code == 2
+        assert "iskak: config error" in capsys.readouterr().err
+        assert not (tmp_path / f"{experiment}.csv").exists()
+
     def test_experiment_name_mismatch(self, tmp_path):
         cfgfile = tmp_path / "mismatch.cfg"
         cfgfile.write_text("name = convergence\n")

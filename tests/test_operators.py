@@ -12,8 +12,6 @@ from iskak.operators import (
     coef_a,
     constraint_residual,
     energy,
-    f1_nonlinear,
-    f2_forcing,
     ik_state_from_surface,
     op_l1,
     op_l11,
@@ -148,24 +146,34 @@ class TestPointwiseFields:
         assert np.abs(constraint_residual(s).values - expected).max() <= 1e-12
 
     def test_f1_trivial_and_quadratic(self, grid64):
+        def f1(s):
+            return stage_sources(s, s.depth())[1].values
+
         rest = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.2)
-        assert np.abs(f1_nonlinear(rest).values).max() == 0.0
+        assert np.abs(f1(rest)).max() == 0.0
 
         bump = IkState(RealField(grid64, np.full(64, 0.1)), zeros(grid64), zeros(grid64), 0.2)
-        assert np.abs(f1_nonlinear(bump).values - 0.1).max() <= 1e-13
+        assert np.abs(f1(bump) - 0.1).max() <= 1e-13
 
         s = IkState(zeros(grid64), field_from_function(grid64, np.cos), zeros(grid64), 0.2)
         expected = 0.5 * np.sin(grid64.nodes) ** 2
-        assert np.abs(f1_nonlinear(s).values - expected).max() <= 1e-12
+        assert np.abs(f1(s) - expected).max() <= 1e-12
 
     def test_f2_trivial_and_direct(self, grid64):
-        s = IkState(zeros(grid64), zeros(grid64), field_from_function(grid64, np.cos), 1.0)
-        assert np.abs(f2_forcing(s, zeros(grid64)).values).max() == 0.0
-        ones = RealField(grid64, np.ones(64))
-        expected = -(4.0 / 15.0) * np.cos(grid64.nodes)
-        assert np.abs(f2_forcing(s, ones).values - expected).max() <= 1e-12
-        no_phi1 = IkState(zeros(grid64), field_from_function(grid64, np.sin), zeros(grid64), 1.0)
-        assert np.abs(f2_forcing(no_phi1, ones).values).max() == 0.0
+        # F2 = (4/15) d^2 H^4 (dt eta) lap phi1 with the kernel's own dt eta, at d = 1
+        def f2(phi0, phi1):
+            s = IkState(zeros(grid64), phi0, phi1, 1.0)
+            return stage_sources(s, s.depth())[2].values
+
+        cos = field_from_function(grid64, np.cos)
+        # dt eta = -(1/3) dx(-sin x) = cos x / 3 and lap phi1 = -cos x
+        expected = -(4.0 / 45.0) * np.cos(grid64.nodes) ** 2
+        assert np.abs(f2(zeros(grid64), cos) - expected).max() <= 1e-12
+        # phi0 = -cos x / 3 cancels the phi1 flux, so dt eta = 0
+        third = field_from_function(grid64, lambda x: -np.cos(x) / 3.0)
+        assert np.abs(f2(third, cos)).max() <= 1e-14
+        # no phi1, no forcing, whatever dt eta is
+        assert np.abs(f2(field_from_function(grid64, np.sin), zeros(grid64))).max() == 0.0
 
     def test_stage_sources_match_dp_chains(self, grid64):
         # the shared-transform kernel against the same terms built from spectral.dp

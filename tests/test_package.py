@@ -1,4 +1,6 @@
+import ast
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -14,3 +16,16 @@ def test_all_exports_resolve(name):
     module = importlib.import_module(name)
     missing = [n for n in getattr(module, "__all__", ()) if not hasattr(module, n)]
     assert not missing
+
+
+def test_no_module_imports_another_modules_private_names():
+    # modules share only public names, so a private helper can be reshaped
+    # by its owner alone
+    found = []
+    for path in sorted(pathlib.Path(iskak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and (
+                    node.level > 0 or (node.module or "").split(".")[0] == "iskak"):
+                found += [f"{path.name}: {node.module}.{a.name}"
+                          for a in node.names if a.name.startswith("_")]
+    assert not found

@@ -4,7 +4,7 @@ import scipy.fft
 from scipy.optimize import curve_fit
 
 from iskak import waterwave
-from iskak.errors import DepthTooSmallError
+from iskak.errors import DepthTooSmallError, SingularSystemError
 from iskak.ik_solver import SimConfig
 from iskak.operators import H_MIN_DEFAULT
 from iskak.spectral import PeriodicGrid, RealField, field_from_function, l2_norm
@@ -12,6 +12,7 @@ from iskak.waterwave import (
     DTN_TOL_DEFAULT,
     DtnBackend,
     WwState,
+    _gmres,
     _StripWorkspace,
     dtn_series,
     hamiltonian,
@@ -282,6 +283,25 @@ class TestSurfaceEvolution:
         assert "NaN" in res.diagnostics.aborted
         assert res.diagnostics.times == [0.0, 2e-3]
 
+    def test_singular_strip_solve_aborts_run(self, grid64, monkeypatch):
+        # a typed solver failure inside a step ends the run like any other:
+        # the run reports it and keeps the record of the completed step
+        clean, calls = _StripWorkspace.solve, []
+
+        def failing(ws, *args, **kwargs):
+            calls.append(args)
+            if len(calls) == 7:
+                raise SingularSystemError("injected strip failure")
+            return clean(ws, *args, **kwargs)
+
+        monkeypatch.setattr(_StripWorkspace, "solve", failing)
+        eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+        res = ww_run(WwState(eta0, zeros(grid64), 0.3),
+                     SimConfig(t_end=0.1, dt=2e-3, record_every=1),
+                     DtnBackend.exact(16, warm_start=True))
+        assert res.diagnostics.aborted == "injected strip failure"
+        assert res.diagnostics.times == [0.0, 2e-3]
+
     def test_hamiltonian_positive_for_waves(self, grid64):
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
         s = WwState(eta0, zeros(grid64), 0.3)
@@ -309,3 +329,17 @@ class TestBackend:
         assert len(be._workspaces) == 1
         be.apply(zeros(grid64), phi, 0.4)
         assert len(be._workspaces) == 2
+
+
+class TestGmresBreakdown:
+    def test_zero_operator_is_singular(self):
+        with pytest.raises(SingularSystemError, match="iteration 0"):
+            _gmres(lambda v: 0.0 * v, np.ones(8), 1e-12, 20)
+
+    def test_rank_deficient_operator_is_singular(self):
+        # b = ones has a component outside the range of diag(1, ..., 1, 0):
+        # unguarded, GMRES returns |x| ~ 2e16 with a residual estimate ~ 1e-16
+        d = np.ones(8)
+        d[-1] = 0.0
+        with pytest.raises(SingularSystemError, match="iteration 1"):
+            _gmres(lambda v: d * v, np.ones(8), 1e-12, 20)
