@@ -73,6 +73,8 @@ class ExperimentConfig:
             raise ValueError("amplitude must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
+        if self.k0 < 1:
+            raise ValueError("k0 must be >= 1")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
         DtnBackend.parse(self.dtn)  # validates the backend spec

@@ -89,7 +89,7 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     d = time_derivatives(s, cg_tol)
     phi = surface_potential(s)
-    lam = backend.apply(s.eta, phi, s.delta).values
+    lam = backend.apply(s.eta, phi, s.delta)[0].values
 
     r1v = (d.eta_t.values - lam) * inv_d6
 

@@ -118,29 +118,55 @@ class RunResult:
 def time_derivatives(
     s: IkState,
     cg_tol: float = CG_TOL_DEFAULT,
-    warm: IkDerivative | None = None,
+    guess: np.ndarray | None = None,
 ) -> IkDerivative:
-    """Full state derivative: continuity for eta, elliptic solve for the pair."""
+    """Full state derivative: continuity for eta, elliptic solve for the pair;
+    guess, an estimate of phi1_t, starts the solve."""
     grid = s.grid
     dc = s.depth()
     eta_t, f1, f2 = stage_sources(s, dc)
     f1 = RealField(grid, -f1.values)
     f3 = RealField(grid, np.zeros(grid.n_points))
-    guess = warm.phi1_t.values if warm is not None else None
     phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, EllipticRhs(f1, f2, f3),
                                          cg_tol, psi1_guess=guess)
     return IkDerivative(eta_t, phi0_t, phi1_t)
 
 
+def _extrapolate(*terms):
+    """sum of w * k[-1] over the (w, k) terms: the solver guess of a stage,
+    from the last entry of earlier stage results; None if any entry is."""
+    entries = [k[-1] for _, k in terms]
+    if any(e is None for e in entries):
+        return None
+    return sum(w * getattr(e, "values", e) for (w, _), e in zip(terms, entries))
+
+
 def rk4_fields(s, dt, rhs, time, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
-    rhs(state, warm) returns the time derivatives of those fields, in that
-    order, as RealFields; each stage is warm-started from the one before.
-    Returns the new state and the last stage's derivative.  The max-norm
-    blow-up guard BLOWUP_GUARD is checked here, on the combined state, before
-    run_loop re-centers the potential; the state constructors reject NaN/Inf
-    and depth collapse first.
+    rhs(state, guess) returns a stage result: the time derivatives of those
+    fields, in that order, as RealFields, possibly followed by more entries.
+    Its last entry is what the stage's solver computes (phi1_t on the IK
+    side, the strip potential on the water-wave side), and guess, an array
+    or None, estimates it.  warm is None or (k1, k4) of the previous step,
+    k1' and k4', and the guesses are fixed by the RK4 tableau:
+
+        k1 <- k4',   k2 <- k1 + (k4' - k1') / 2,   k3 <- k2,   k4 <- 2 k3 - k1.
+
+    k4' is evaluated at y' + dt k3', a midpoint-rule step that lands within
+    O(dt^3) of y, where k1 is.  (k4' - k1') / dt is the slope of the stage
+    results over the previous step, O(dt) from their slope at t, so k2's
+    guess, at t + dt/2, is off by O(dt^2).  The k3 and k2 states differ by
+    (dt/2)(k2 - k1) = O(dt^2).  2 k3 - k1 continues the slope from t over
+    t + dt/2 to t + dt, O(dt^2) like a linear extrapolation.  So every guess
+    is O(dt^2) from its stage, where the previous stage was O(dt) away for
+    k2 and k4.  The first step of a run has no k1', k4': k1 gets no guess
+    and k2 starts from k1.  The guesses change iteration counts only.
+
+    Returns the new state and (k1, k4).  The max-norm blow-up guard
+    BLOWUP_GUARD is checked here, on the combined state, before run_loop
+    re-centers the potential; the state constructors reject NaN/Inf and
+    depth collapse first.
     """
     names = s.FIELDS
 
@@ -148,10 +174,16 @@ def rk4_fields(s, dt, rhs, time, warm):
         return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d.values)
                              for n, d in zip(names, k)})
 
-    k1 = rhs(s, warm)
-    k2 = rhs(shifted(k1, 0.5 * dt), k1)
-    k3 = rhs(shifted(k2, 0.5 * dt), k2)
-    k4 = rhs(shifted(k3, dt), k3)
+    if warm is None:
+        k1 = rhs(s, None)
+        guess2 = _extrapolate((1.0, k1))
+    else:
+        k1_prev, k4_prev = warm
+        k1 = rhs(s, _extrapolate((1.0, k4_prev)))
+        guess2 = _extrapolate((1.0, k1), (0.5, k4_prev), (-0.5, k1_prev))
+    k2 = rhs(shifted(k1, 0.5 * dt), guess2)
+    k3 = rhs(shifted(k2, 0.5 * dt), _extrapolate((1.0, k2)))
+    k4 = rhs(shifted(k3, dt), _extrapolate((2.0, k3), (-1.0, k1)))
     c = dt / 6.0
     out = replace(s, **{
         n: RealField(s.grid, getattr(s, n).values
@@ -161,11 +193,11 @@ def rk4_fields(s, dt, rhs, time, warm):
     m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
     if m > BLOWUP_GUARD:
         raise BlowUpError(time + dt, m, BLOWUP_GUARD)
-    return out, k4
+    return out, (k1, k4)
 
 
 def _rk4_stages(s, dt, cg_tol, time, warm):
-    return rk4_fields(s, dt, lambda st, w: time_derivatives(st, cg_tol, warm=w), time, warm)
+    return rk4_fields(s, dt, lambda st, g: time_derivatives(st, cg_tol, g), time, warm)
 
 
 def rk4_step(s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT) -> IkState:

@@ -6,7 +6,10 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 
 by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with the
 flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
-preconditioner of a GMRES iteration.  The flux is then the vertical average
+preconditioner of a GMRES iteration.  GMRES reports the residual
+|r0 - sum_i y_i A v_i| / |b|, from the operator outputs A v_i it keeps, so a
+claimed convergence is confirmed by the operator itself, not by the Givens
+estimate, at no extra application.  The flux is then the vertical average
 of the horizontal velocity and
 
     Lambda phi = -div(H Vbar),
@@ -50,6 +53,12 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     Used on the left-preconditioned strip system, which is O(1) conditioned,
     so a few dozen iterations reach rounding without restarts.  A singular
     operator (a Givens denominator negligible next to its column) raises SingularSystemError.
+    The Givens estimate only decides when to stop.  The returned residual is
+    |r0 - sum_i y_i A v_i| / |b|, built from the raw operator outputs A v_i
+    kept along the way (r0 = b - A x0).  Without a further application it
+    equals |b - A x| / |b| up to the rounding of x, of order
+    eps |A| |x| / |b|, which is negligible on the strip system; so a Givens
+    estimate that has drifted from the truth cannot pass for convergence.
     """
     bnorm = float(np.linalg.norm(b))
     if bnorm == 0.0:
@@ -69,9 +78,11 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     sn = np.zeros(max_iter)
     g = np.zeros(max_iter + 1)
     g[0] = beta
+    outputs = []
     k_done = 0
     for k in range(max_iter):
-        v = apply_op(basis[k])
+        outputs.append(apply_op(basis[k]))
+        v = outputs[k].copy()
         for i in range(k + 1):
             hess[i, k] = float(np.dot(basis[i], v))
             v -= hess[i, k] * basis[i]
@@ -101,7 +112,8 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     y = np.linalg.solve(hess[:k_done, :k_done], g[:k_done])
     for i in range(k_done):
         x += y[i] * basis[i]
-    return x, abs(g[k_done]) / bnorm
+        r -= y[i] * outputs[i]
+    return x, float(np.linalg.norm(r)) / bnorm
 
 
 @dataclass
@@ -222,9 +234,10 @@ class _StripWorkspace:
         self.last_solution: np.ndarray | None = None
 
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
-        rh = np.fft.rfft(rows, axis=1)
-        sol = np.einsum("kij,jk->ik", self.mode_inverses, rh)
-        return np.fft.irfft(sol, n=self.grid.n_points, axis=1)
+        # one real matmul per Fourier mode, over its (real, imag) column pair
+        rh = np.ascontiguousarray(np.fft.rfft(rows, axis=1).T)
+        sol = np.matmul(self.mode_inverses, rh.view(np.float64).reshape(*rh.shape, 2))
+        return np.fft.irfft(sol.view(np.complex128)[..., 0].T, n=self.grid.n_points, axis=1)
 
     def _apply(self, w: np.ndarray, h, eta_x, d2) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
@@ -239,9 +252,16 @@ class _StripWorkspace:
         return out
 
     def solve(self, eta: RealField, phi: RealField, tol: float,
-              h_min: float, warm_start: bool) -> np.ndarray:
+              h_min: float, warm_start: bool, guess: np.ndarray | None = None) -> np.ndarray:
         """Potential on the flattened strip at (z-node, x-node), row 0 the
-        surface: the (n_z + 1, N) collocation values."""
+        surface: the (n_z + 1, N) collocation values.
+
+        GMRES solves for the potential less its surface lift phi, which is
+        zero on the surface row.  It starts from guess, an estimate of that
+        lift-free part, when one is given; otherwise from last_solution when
+        warm_start is set.  A warm solve stores its lift-free part as
+        last_solution.
+        """
         grid = self.grid
         h = 1.0 + eta.values
         if float(h.min()) < h_min:
@@ -264,25 +284,20 @@ class _StripWorkspace:
             return self._precondition(self._apply(v.reshape(shape), h, eta_x, d2)).ravel()
 
         b_p = self._precondition(b).ravel()
-        x0 = None
-        if warm_start and self.last_solution is not None:
-            x0 = self.last_solution.ravel()
-        bnorm_p = float(np.linalg.norm(b_p))
-        if bnorm_p == 0.0:
-            w = np.zeros(shape)
+        sol = None
+        if guess is not None:
+            sol = guess.ravel()
+        elif warm_start and self.last_solution is not None:
+            sol = self.last_solution.ravel()
+        # _gmres returns the true residual; a restart rebuilds Arnoldi
+        # orthogonality if a long solve stagnates
+        for _ in range(3):
+            sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol)
+            if res <= tol:   # False for NaN
+                break
         else:
-            # a restart rebuilds Arnoldi orthogonality if a long solve stagnates
-            sol = x0
-            res_p = np.inf
-            for _ in range(3):
-                sol, _ = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, x0=sol)
-                res_p = float(np.linalg.norm(apply_pa(sol) - b_p))
-                if np.isfinite(res_p) and res_p <= tol * bnorm_p:
-                    break
-            if not np.isfinite(res_p) or res_p > tol * bnorm_p:
-                raise NonConvergenceError("strip potential solve", DTN_MAX_ITER,
-                                          res_p / bnorm_p, tol)
-            w = sol.reshape(shape)
+            raise NonConvergenceError("strip potential solve", DTN_MAX_ITER, res, tol)
+        w = sol.reshape(shape)
         if warm_start:
             self.last_solution = w
         return w + phi.values[None, :]
@@ -357,22 +372,29 @@ class DtnBackend:
             self._workspaces[key] = ws
         return ws
 
-    def apply(self, eta: RealField, phi: RealField, delta: float) -> RealField:
+    def apply(self, eta: RealField, phi: RealField, delta: float,
+              guess: np.ndarray | None = None) -> tuple[RealField, np.ndarray | None]:
+        """Lambda phi and the lift-free strip potential it was computed from
+        (None for the series backend); guess, an estimate of the latter,
+        starts the strip solve (_StripWorkspace.solve)."""
         if self.kind == "series":
-            return dtn_series(eta, phi, delta, self.order)
+            return dtn_series(eta, phi, delta, self.order), None
         ws = self._workspace(phi.grid, delta)
-        return ws.flux_divergence(eta, ws.solve(eta, phi, self.tol, H_MIN_DEFAULT,
-                                                self.warm_start))
+        w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, self.warm_start, guess=guess)
+        return ws.flux_divergence(eta, w), w - phi.values
 
 
 # ---------------------------------------------------------------------------
 # surface evolution
 
-def zcs_rhs(s: WwState, backend: DtnBackend) -> tuple[RealField, RealField]:
-    """Right side of the surface system: (dt eta, dt phi)."""
+def zcs_rhs(s: WwState, backend: DtnBackend,
+            guess: np.ndarray | None = None) -> tuple[RealField, RealField, np.ndarray | None]:
+    """Right side of the surface system, (dt eta, dt phi), followed by the
+    lift-free strip potential of its DtN evaluation (DtnBackend.apply, which
+    guess starts), from which rk4_fields extrapolates later stages' guesses."""
     grid = s.grid
     d2 = s.delta**2
-    lam = backend.apply(s.eta, s.phi, s.delta)
+    lam, strip = backend.apply(s.eta, s.phi, s.delta, guess)
     eta_x, phi_x = dx(grid, np.stack((s.eta.values, s.phi.values)))
     etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam.values)))
     sq_phx, cross = dealias(grid, np.stack((phx * phx, etx * phx)))
@@ -380,12 +402,12 @@ def zcs_rhs(s: WwState, backend: DtnBackend) -> tuple[RealField, RealField]:
     num2 = dealias(grid, num * num)
     denom = 1.0 + d2 * eta_x * eta_x
     phi_t = -s.eta.values - 0.5 * sq_phx + 0.5 * d2 * num2 / denom
-    return lam, RealField(grid, phi_t)
+    return lam, RealField(grid, phi_t), strip
 
 
 def hamiltonian(s: WwState, backend: DtnBackend) -> float:
     """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2)."""
-    lam = backend.apply(s.eta, s.phi, s.delta)
+    lam, _ = backend.apply(s.eta, s.phi, s.delta)
     dens = s.phi.values * lam.values + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
 
@@ -404,7 +426,8 @@ def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
 
     return run_loop(
         initial, cfg,
-        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, _: zcs_rhs(st, backend), t, warm),
+        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g),
+                                           t, warm),
         record=record,
         gauge="phi",
     )

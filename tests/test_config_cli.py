@@ -212,6 +212,7 @@ class TestCli:
         ("simulate", "record_every=0"),
         ("simulate", "reproject_every=-1"),
         ("elliptic-suite", "trials=0"),
+        ("consistency", "k0=0"),
         ("consistency", "phi_amplitude=0"),
         ("conservation", "amplitude=0"),
         ("conservation", "reproject_every=0"),

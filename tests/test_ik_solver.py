@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from iskak import ik_solver
+from iskak import ik_solver, operators
 from iskak.errors import BlowUpError
 from iskak.ik_solver import (
     SimConfig,
@@ -131,6 +131,16 @@ class TestRk4Step:
         with pytest.raises(BlowUpError):
             rk4_step(huge, 1e-3)
 
+    def test_backward_step_is_guess_independent(self, monkeypatch):
+        # the reversibility path (dt < 0) takes the same stage guesses
+        s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+        with_guess = rk4_step(s, -1e-3)
+        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
+        without = rk4_step(s, -1e-3)
+        for n in IkState.FIELDS:
+            a, b = getattr(with_guess, n).values, getattr(without, n).values
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+
 
 class TestReproject:
     def test_rest_unchanged(self, grid64):
@@ -246,3 +256,44 @@ def test_energy_drift_order(grid128):
         e = res.diagnostics.energy
         drifts[dt] = abs(e[-1] - e[0]) / e[0]
     assert drifts[1e-3] / drifts[5e-4] == pytest.approx(16.0, abs=4.0)
+
+
+def ik_count_case(s):
+    """The 20-step run the stage-guess tests share: simulate's settings
+    (N = 128, delta = 0.2, dt = 1e-3, reprojection every 10 steps)."""
+    return run(s, SimConfig(t_end=0.02, dt=1e-3, reproject_every=10, record_every=20))
+
+
+class TestStageGuesses:
+    def test_l1_applications_per_solve(self, monkeypatch):
+        # the RK4-tableau guesses: 3.79 L1 applications per elliptic solve
+        # (stages, records and reprojections) on this run, 4.24 with each
+        # stage started from the last
+        s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+        counts = {"l1": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(operators, "_l1_v", counted("l1", operators._l1_v))
+        for module in (operators, ik_solver):   # reprojection; stages and records
+            monkeypatch.setattr(module, "solve_elliptic_pair",
+                                counted("solve", module.solve_elliptic_pair))
+        assert ik_count_case(s).diagnostics.aborted is None
+        assert counts["solve"] == 84
+        assert counts["l1"] / counts["solve"] <= 4.0
+
+    def test_guesses_change_iteration_counts_only(self, monkeypatch):
+        s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+        with_guess = ik_count_case(s)
+        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
+        without = ik_count_case(s)
+        for n in IkState.FIELDS:
+            a, b = getattr(with_guess.final, n).values, getattr(without.final, n).values
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        ea, eb = with_guess.diagnostics.energy, without.diagnostics.energy
+        assert len(ea) == len(eb)
+        assert all(abs(x - y) <= 1e-10 * abs(y) for x, y in zip(ea, eb))

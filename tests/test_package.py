@@ -29,3 +29,18 @@ def test_no_module_imports_another_modules_private_names():
                 found += [f"{path.name}: {node.module}.{a.name}"
                           for a in node.names if a.name.startswith("_")]
     assert not found
+
+
+def test_no_module_reads_the_environment():
+    # a run is set by its config and arguments alone: no tuning switch
+    # hides in an environment variable
+    found = []
+    for path in sorted(pathlib.Path(iskak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+                    and isinstance(node.value, ast.Name) and node.value.id == "os"):
+                found.append(f"{path.name}:{node.lineno} os.{node.attr}")
+            elif isinstance(node, ast.ImportFrom) and node.module == "os":
+                found += [f"{path.name}:{node.lineno} from os import {a.name}"
+                          for a in node.names if a.name in ("environ", "getenv")]
+    assert not found

@@ -3,8 +3,8 @@ import pytest
 import scipy.fft
 from scipy.optimize import curve_fit
 
-from iskak import waterwave
-from iskak.errors import DepthTooSmallError, SingularSystemError
+from iskak import ik_solver, waterwave
+from iskak.errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from iskak.ik_solver import SimConfig
 from iskak.operators import H_MIN_DEFAULT
 from iskak.spectral import PeriodicGrid, RealField, field_from_function, l2_norm
@@ -32,7 +32,7 @@ def flat_symbol(k, delta):
 
 def exact_map(eta, phi, delta, n_z=16):
     """Exact map through the backend a run uses, on a fresh workspace."""
-    return DtnBackend.exact(n_z).apply(eta, phi, delta)
+    return DtnBackend.exact(n_z).apply(eta, phi, delta)[0]
 
 
 def strip_solution(eta, phi, delta, n_z):
@@ -205,7 +205,7 @@ class TestStripSolution:
 class TestSurfaceEvolution:
     def test_rest_rhs(self, grid64):
         s = WwState(zeros(grid64), zeros(grid64), 0.3)
-        de, dp = zcs_rhs(s, DtnBackend.exact(16))
+        de, dp, _ = zcs_rhs(s, DtnBackend.exact(16))
         assert np.abs(de.values).max() <= 1e-14
         assert np.abs(dp.values).max() <= 1e-14
 
@@ -213,7 +213,7 @@ class TestSurfaceEvolution:
         eps, delta, k = 1e-6, 0.4, 2
         phi = field_from_function(grid64, lambda x: eps * np.cos(k * x))
         s = WwState(zeros(grid64), phi, delta)
-        de, dp = zcs_rhs(s, DtnBackend.exact(16))
+        de, dp, _ = zcs_rhs(s, DtnBackend.exact(16))
         target = eps * flat_symbol(k, delta) * np.cos(k * grid64.nodes)
         assert np.abs(de.values - target).max() <= 1e-9 * eps + 1e-14
         assert np.abs(dp.values).max() <= 10.0 * eps**2
@@ -269,12 +269,12 @@ class TestSurfaceEvolution:
         # the run reports it and keeps the record of the completed step
         clean, calls = waterwave.zcs_rhs, []
 
-        def poisoned(s, backend):
-            lam, phi_t = clean(s, backend)
+        def poisoned(s, backend, guess):
+            lam, phi_t, strip = clean(s, backend, guess)
             calls.append(s)
             if len(calls) == 7:
                 phi_t.values[0] = np.nan
-            return lam, phi_t
+            return lam, phi_t, strip
 
         monkeypatch.setattr(waterwave, "zcs_rhs", poisoned)
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
@@ -343,3 +343,105 @@ class TestGmresBreakdown:
         d[-1] = 0.0
         with pytest.raises(SingularSystemError, match="iteration 1"):
             _gmres(lambda v: d * v, np.ones(8), 1e-12, 20)
+
+
+class TestGmresResidual:
+    def test_returned_residual_is_the_true_one_on_the_strip_system(self, monkeypatch):
+        # micro-case strip system, cold then warm: the returned residual and
+        # |b - A x| / |b| recomputed with the operator agree to ~1e-16
+        grid = PeriodicGrid(128)
+        x = grid.nodes
+        eta = RealField(grid, 0.1 * np.cos(x))
+        phi = RealField(grid, 0.1 * np.sin(x) + 0.05 * np.cos(2 * x) + 0.02 * np.sin(3 * x))
+        clean, seen = waterwave._gmres, []
+
+        def spy(apply_op, b, tol, max_iter, x0=None):
+            sol, res = clean(apply_op, b, tol, max_iter, x0)
+            seen.append((x0 is not None, res,
+                         np.linalg.norm(b - apply_op(sol)) / np.linalg.norm(b), tol))
+            return sol, res
+
+        monkeypatch.setattr(waterwave, "_gmres", spy)
+        ws = _StripWorkspace(grid, 16, 0.2)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        ws.solve(eta, RealField(grid, 1.01 * phi.values), DTN_TOL_DEFAULT, H_MIN_DEFAULT,
+                 warm_start=True)
+        assert [warm for warm, *_ in seen] == [False, True]
+        for _, res, true, tol in seen:
+            assert res <= tol
+            assert abs(res - true) <= 10.0 * tol
+
+    def test_claimed_convergence_reports_the_true_residual(self):
+        # the Krylov space of e2 under [[1, M], [0, 1]] closes exactly after
+        # two steps, so the Givens estimate is exactly 0 and GMRES stops
+        # there; x = (-M, 1) comes out one rounding of M off, and the true
+        # relative residual is ulp(1e8) = 1.5e-8
+        a = np.array([[1.0, 1e8], [0.0, 1.0]])
+        b = np.array([0.0, 1.0])
+        calls = []
+
+        def apply_op(v):
+            calls.append(1)
+            return a @ v
+
+        x, res = _gmres(apply_op, b, 1e-12, 20)
+        true = np.linalg.norm(b - a @ x) / np.linalg.norm(b)
+        assert len(calls) == 2
+        assert true > 1e-12
+        assert res == pytest.approx(true, rel=1e-6)
+
+    @pytest.mark.parametrize("reported", [1e-3, np.nan])
+    def test_unconverged_strip_solve_raises(self, grid64, monkeypatch, reported):
+        # three GMRES calls that end above tol, or at NaN, end the solve
+        # with a typed error rather than a returned potential
+        calls = []
+
+        def stuck(apply_op, b, tol, max_iter, x0=None):
+            calls.append(1)
+            return np.zeros_like(b), reported
+
+        monkeypatch.setattr(waterwave, "_gmres", stuck)
+        phi = field_from_function(grid64, np.cos)
+        with pytest.raises(NonConvergenceError):
+            strip_solution(zeros(grid64), phi, 0.3, 16)
+        assert len(calls) == 3
+
+
+def ww_count_case():
+    """The 20-step run the stage-guess tests share: simulate's wave at
+    N = 128, delta = 0.2, dt = 1e-3 on the warm exact:16 backend."""
+    grid = PeriodicGrid(128)
+    eta0 = field_from_function(grid, lambda x: 0.1 * np.cos(x))
+    return ww_run(WwState(eta0, zeros(grid), 0.2),
+                  SimConfig(t_end=0.02, dt=1e-3, record_every=20),
+                  DtnBackend.exact(16, warm_start=True))
+
+
+class TestStageGuesses:
+    def test_strip_applications_per_solve(self, monkeypatch):
+        # the RK4-tableau guesses: 3.74 operator applications per strip
+        # solve on this run (6.24 with each stage started from the last)
+        counts = {"apply": 0, "solve": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_StripWorkspace, "_apply", counted("apply", _StripWorkspace._apply))
+        monkeypatch.setattr(_StripWorkspace, "solve", counted("solve", _StripWorkspace.solve))
+        assert ww_count_case().diagnostics.aborted is None
+        assert counts["solve"] == 82
+        assert counts["apply"] / counts["solve"] <= 4.0
+
+    def test_guesses_change_iteration_counts_only(self, monkeypatch):
+        with_guess = ww_count_case()
+        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
+        without = ww_count_case()
+        for n in WwState.FIELDS:
+            a, b = getattr(with_guess.final, n).values, getattr(without.final, n).values
+            assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
+        ea, eb = with_guess.diagnostics.energy, without.diagnostics.energy
+        assert len(ea) == len(eb)
+        assert all(abs(x - y) <= 1e-10 * abs(y) for x, y in zip(ea, eb))
