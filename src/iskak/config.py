@@ -69,6 +69,9 @@ class ExperimentConfig:
         grid = PeriodicGrid(self.n_points, self.length)
         if not self.delta_list or any(not 0.0 < d <= 1.0 for d in (self.delta, *self.delta_list)):
             raise ValueError("delta_list must be non-empty, and delta and its entries in (0, 1]")
+        if len(set(self.delta_list)) < len(self.delta_list):
+            # a slope fitted over repeated x values is not a measurement
+            raise ValueError(f"delta_list entries must be distinct, got {self.delta_list}")
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be >= 0")
         if self.trials < 1:

@@ -17,7 +17,7 @@ is symmetric positive definite.  By linearity its four fluxes fold into two,
     L1 v = d^2 [H^2 dx(-H g' + (1/3) H^3 v') + dx((1/3) H^3 g' - (1/5) H^5 v')]
            + (4/3) H^3 v,    g = H^2 v,  ' = dx,
 
-which _l1_v applies as two 2-row transform pairs over a coefficient stack
+which _l1_v applies as two 2-row dx applications over a coefficient stack
 that DepthCoefs builds once per depth.  The coupled system
 
     psi0 + d^2 H^2 psi1 = f1
@@ -26,11 +26,14 @@ that DepthCoefs builds once per depth.  The coupled system
 is solved by eliminating psi0 and running conjugate gradients on L1,
 preconditioned by z = S P (S r): the flat-state symbol
 P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
-turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays symmetric
-positive definite, costs one transform pair, and cuts a cold N = 128 solve
-from 16/19/21 to 5/9/12 operator applications at d = 0.05/0.2/0.5 (from
-186-398 to 9-67 on a depth with min H = 0.32).  A breakdown (p.Ap <= 0, or
-a step that is not finite) raises NonConvergenceError.
+turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
+symmetric positive definite and costs one multiplier application
+(spectral.Multiplier, with P(0) = 3/4): a product with a cached symmetric
+matrix up to spectral.MATRIX_MAX_N points, a transform pair above.  It cuts a
+cold N = 128 solve from 16/19/21 to 5/9/12 operator applications at
+d = 0.05/0.2/0.5 (from 186-398 to 9-67 on a depth with min H = 0.32).
+A breakdown (p.Ap <= 0, or a step that is not finite) raises
+NonConvergenceError.
 
 stage_sources evaluates the continuity flux and the sources F1, F2 of a time
 step from shared transforms.
@@ -45,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DepthTooSmallError, NonConvergenceError
-from .spectral import PeriodicGrid, RealField, dealias, dp, dx, lap
+from .spectral import Multiplier, PeriodicGrid, RealField, dealias, dp, dx, lap
 
 __all__ = [
     "H_MIN_DEFAULT",
@@ -166,7 +169,7 @@ class EllipticRhs:
 # the L operators
 
 def _l1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np.ndarray:
-    # the fused form of the module docstring: two fluxes, two 2-row pairs
+    # the fused form of the module docstring: two fluxes, two 2-row dx calls
     dg, dv = dx(grid, np.stack((dc.H2 * v, v)))
     c = dc.l1_flux
     f = dx(grid, c[:, 0] * dg + c[:, 1] * dv)
@@ -289,9 +292,11 @@ def energy(s: IkState) -> float:
 # elliptic solver
 
 @lru_cache(maxsize=32)
-def _flat_precond_symbol(grid: PeriodicGrid, delta: float) -> np.ndarray:
+def _flat_precond(grid: PeriodicGrid, delta: float) -> Multiplier:
     k = grid.wavenumbers_half
-    return 1.0 / ((8.0 / 15.0) * delta * delta * k * k + 4.0 / 3.0)
+    sym = 1.0 / ((8.0 / 15.0) * delta * delta * k * k + 4.0 / 3.0)
+    return Multiplier(grid, lambda g, v: np.fft.irfft(sym * np.fft.rfft(v), n=g.n_points),
+                      float(sym[0]))
 
 
 def _pcg(apply_op, precond, b, tol, x0=None):
@@ -350,9 +355,8 @@ def solve_elliptic_pair(
         + 2.0 * coefs.H2 * coefs.grad_eta * df1
         - f2v
     )
-    sym, sc = _flat_precond_symbol(grid, delta), coefs.pc_scale
-    psi1v = _pcg(lambda v: _l1_v(grid, delta, coefs, v),
-                 lambda r: sc * np.fft.irfft(sym * np.fft.rfft(sc * r), n=grid.n_points),
+    flat, sc = _flat_precond(grid, delta), coefs.pc_scale
+    psi1v = _pcg(lambda v: _l1_v(grid, delta, coefs, v), lambda r: sc * flat(sc * r),
                  b, cg_tol, x0=psi1_guess)
     psi0v = f1v - d2 * coefs.H2 * psi1v
     return RealField(grid, psi0v), RealField(grid, psi1v)

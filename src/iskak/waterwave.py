@@ -6,7 +6,14 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 
 by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with the
 flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
-preconditioner of a GMRES iteration.  GMRES reports the residual
+preconditioner of a GMRES iteration.  The x-derivative of a whole
+(n_z + 1, N) strip array is one product with the cached dx matrix
+(spectral.kernel) up to spectral.MATRIX_MAX_N points, and a transform pair
+above.  At N = 128, n_z = 16 a water-wave step took 3.6 ms this way,
+4.3 ms with the row-by-row product of spectral.Multiplier and 4.2 ms with
+transform pairs (2-core host, single-threaded BLAS).  The preconditioner
+stays in Fourier space, because its mode solve couples z within each
+wavenumber.  GMRES reports the residual
 |r0 - sum_i y_i A v_i| / |b|, from the operator outputs A v_i it keeps, so a
 claimed convergence is confirmed by the operator itself, not by the Givens
 estimate, at no extra application.  The flux is then the vertical average
@@ -28,7 +35,7 @@ import numpy as np
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
 from .operators import H_MIN_DEFAULT, check_state
-from .spectral import PeriodicGrid, RealField, dealias, dp, dx, integrate, lap
+from .spectral import PeriodicGrid, RealField, dealias, dp, dx, dx_fft, integrate, kernel, lap
 
 __all__ = [
     "WwState",
@@ -231,7 +238,12 @@ class _StripWorkspace:
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"flat strip mode k={kk}: {exc}") from exc
         self.mode_inverses = inv
+        self.dx_matrix = kernel(grid, dx_fft, 0.0).matrix
         self.last_solution: np.ndarray | None = None
+
+    def _dx(self, w: np.ndarray) -> np.ndarray:
+        # x-derivative of a whole (n_z + 1, N) array (module docstring)
+        return dx(self.grid, w) if self.dx_matrix is None else w @ self.dx_matrix
 
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
         # one real matmul per Fourier mode, over its (real, imag) column pair
@@ -242,11 +254,11 @@ class _StripWorkspace:
     def _apply(self, w: np.ndarray, h, eta_x, d2) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
         wz = self.dz @ w
-        wx = dx(self.grid, w)
+        wx = self._dx(w)
         zp1 = self.zp1[:, None]
         p = h * wx - zp1 * eta_x * wz
         q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
-        out = self.dzz @ w + d2 * h * (dx(self.grid, p) + self.dz @ q)
+        out = self.dzz @ w + d2 * h * (self._dx(p) + self.dz @ q)
         out[0, :] = w[0, :]
         out[-1, :] = wz[-1, :]
         return out
@@ -309,7 +321,7 @@ class _StripWorkspace:
         h = 1.0 + eta.values
         eta_x = dx(grid, eta.values)
         wz = self.dz @ w
-        wx = dx(grid, w)
+        wx = self._dx(w)
         integrand = wx - self.zp1[:, None] * (eta_x / h) * wz
         vbar = self.wq @ integrand
         return RealField(grid, -dx(grid, h * vbar))

@@ -216,6 +216,7 @@ class TestCli:
         ("consistency", "phi_amplitude=0"),
         ("conservation", "amplitude=0"),
         ("conservation", "reproject_every=0"),
+        ("convergence", "delta_list=0.2,0.2,0.2"),
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
         # rejected before any run starts: no traceback, no substituted value,

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from iskak import operators
+from iskak import operators, spectral
 from iskak.errors import DepthTooSmallError, NonConvergenceError
 from iskak.operators import (
     DepthCoefs,
@@ -22,7 +22,8 @@ from iskak.operators import (
     stage_sources,
     surface_potential,
 )
-from iskak.spectral import PeriodicGrid, RealField, dp, dx, field_from_function, l2_norm, lap
+from iskak.spectral import (MATRIX_MAX_N, PeriodicGrid, RealField, dp, dx, field_from_function,
+                            l2_norm, lap)
 
 from conftest import random_band_limited, zeros
 
@@ -377,6 +378,48 @@ def test_l1_coercivity_property(seed, delta):
     lower = l2_norm(psi) ** 2 + delta**2 * grad_norm(psi) ** 2
     assert quad > 0.0
     assert quad >= 1e-3 * lower
+
+
+@given(seed=st.integers(0, 2**32 - 1), n=st.sampled_from([64, 128, 256]),
+       delta=st.floats(0.05, 1.0))
+@settings(max_examples=25, deadline=None)
+def test_operators_symmetric_under_random_depth(seed, n, delta):
+    # |<A f, g> - <f, A g>| within 1e-12 of the Cauchy-Schwarz bound of the
+    # two products, on the matrix kernels (N <= MATRIX_MAX_N) and past them
+    grid = PeriodicGrid(n)
+    rng = np.random.default_rng(seed)
+    dc = DepthCoefs.from_eta(random_depth(rng, grid))
+    f, g = (random_band_limited(rng, grid, modes=int(rng.integers(1, n // 3)))
+            for _ in range(2))
+    for op in (lambda v: op_l11(dc, v), lambda v: op_l12(dc, v),
+               lambda v: op_l22(delta, dc, v), lambda v: op_l1(delta, dc, v)):
+        af, ag = op(f), op(g)
+        bound = max(l2_norm(af) * l2_norm(g), l2_norm(f) * l2_norm(ag))
+        assert abs(inner(grid, af, g) - inner(grid, f, ag)) <= 1e-12 * bound
+
+
+class TestFlatPreconditioner:
+    # the flat symbol P of the PCG preconditioner as a matrix, built on any grid
+    @given(n=st.sampled_from([64, 128, 256]), rows=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1), delta=st.floats(0.05, 1.0))
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_matches_symbol(self, n, rows, seed, delta):
+        grid = PeriodicGrid(n)
+        flat = operators._flat_precond(grid, delta)
+        m = spectral._circulant(flat.fft_form(grid, np.eye(1, n)[0]))
+        assert flat.matrix is None if n > MATRIX_MAX_N else np.array_equal(flat.matrix, m)
+
+        def apply(v):
+            return spectral._multiply(m, flat.at_zero, v)
+
+        v = np.random.default_rng(seed).standard_normal((rows, n))
+        want = flat.fft_form(grid, v)
+        assert np.abs(apply(v) - want).max() <= 1e-13 * np.abs(want).max()
+        for i in range(rows):
+            assert np.array_equal(apply(v)[i], apply(v[i]))
+        assert np.array_equal(apply(np.full(n, 1.7)), np.full(n, 0.75 * 1.7))
+        # PCG needs a symmetric preconditioner
+        assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
 
 
 class TestStateValidation:

@@ -44,3 +44,23 @@ def test_no_module_reads_the_environment():
                 found += [f"{path.name}:{node.lineno} from os import {a.name}"
                           for a in node.names if a.name in ("environ", "getenv")]
     assert not found
+
+
+def test_benchmark_span_points_resolve():
+    # the benchmark spans the layers by replacing names in src (SPAN_POINTS
+    # of benchmarks/tracing.py); a rename in src must fail here, not only in
+    # a traced benchmark run.  The file is parsed, not imported.
+    tracing = pathlib.Path(__file__).resolve().parents[1] / "benchmarks" / "tracing.py"
+    tree = ast.parse(tracing.read_text(encoding="utf-8"))
+    node = next(n for n in tree.body if isinstance(n, ast.Assign)
+                and getattr(n.targets[0], "id", None) == "SPAN_POINTS")
+    points = [(e.elts[0].value, e.elts[1].value) for e in node.value.elts]
+    assert points
+    missing = []
+    for owner, attr in points:
+        module, _, cls = owner.partition(":")
+        obj = importlib.import_module(module)
+        obj = getattr(obj, cls, None) if cls else obj
+        if obj is None or attr not in vars(obj):
+            missing.append(f"{owner}.{attr}")
+    assert not missing

@@ -3,16 +3,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from iskak import spectral
 from iskak.spectral import (
+    MATRIX_MAX_N,
     PeriodicGrid,
     RealField,
     dealias,
+    dealias_fft,
     dp,
     dx,
+    dx_fft,
     field_from_function,
     integrate,
     l2_norm,
     lap,
+    lap_fft,
 )
 
 from conftest import random_band_limited
@@ -63,6 +68,51 @@ class TestDeriv:
             stacked = kernel(grid, rows)
             for i in range(3):
                 assert np.array_equal(stacked[i], kernel(grid, rows[i]))
+
+
+# each kernel: public form, transform form, multiplier at wavenumber 0
+KERNELS = ((dx, dx_fft, 0.0), (lap, lap_fft, 0.0), (dealias, dealias_fft, 1.0))
+
+
+def matrix_form(grid, fft_form, at_zero):
+    # the matrix a Multiplier holds up to MATRIX_MAX_N, built on any grid
+    m = spectral._circulant(fft_form(grid, np.eye(1, grid.n_points)[0]))
+    return lambda v: spectral._multiply(m, at_zero, v)
+
+
+def close(got, want):
+    return np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
+class TestMultiplierMatrices:
+    # the matrix path against its transform form, for random stacks of 1-5 rows
+    @given(n=st.sampled_from([64, 128, 256]), rows=st.integers(1, 5),
+           seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=30, deadline=None)
+    def test_matrix_path_matches_transform_form(self, n, rows, seed):
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(seed)
+        v, w = rng.standard_normal((2, rows, n))
+        for _, fft_form, at_zero in KERNELS:
+            apply = matrix_form(grid, fft_form, at_zero)
+            assert close(apply(v), fft_form(grid, v))
+            for i in range(rows):
+                assert np.array_equal(apply(v)[i], apply(v[i]))
+            assert np.array_equal(apply(np.full(n, -2.3)), np.full(n, at_zero * -2.3))
+        t = matrix_form(grid, dealias_fft, 1.0)
+        assert close(t(t(v) * t(w)),
+                     dealias_fft(grid, dealias_fft(grid, v) * dealias_fft(grid, w)))
+
+    @pytest.mark.parametrize("n", [64, MATRIX_MAX_N, 2 * MATRIX_MAX_N, 512])
+    def test_matrix_only_up_to_the_limit(self, n):
+        # kernels apply their matrix up to MATRIX_MAX_N and build none above
+        grid = PeriodicGrid(n)
+        v = np.random.default_rng(n).standard_normal((2, n))
+        for public, fft_form, at_zero in KERNELS:
+            want = (matrix_form(grid, fft_form, at_zero)(v) if n <= MATRIX_MAX_N
+                    else fft_form(grid, v))
+            assert np.array_equal(public(grid, v), want)
+            assert (spectral.kernel(grid, fft_form, at_zero).matrix is None) == (n > MATRIX_MAX_N)
 
 
 class TestDealiasedProduct:
