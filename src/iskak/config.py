@@ -11,6 +11,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from .consistency import DELTA_FLOOR
 from .ik_solver import SimConfig
 from .spectral import PeriodicGrid
 from .waterwave import DtnBackend
@@ -83,6 +84,9 @@ class ExperimentConfig:
         DtnBackend.parse(self.dtn)  # validates the backend spec
         if self.experiment == "consistency" and not self.phi_amplitude > 0.0:
             raise ValueError("consistency needs phi_amplitude > 0")
+        if self.experiment == "consistency" and min(self.delta_list) < DELTA_FLOOR:
+            raise ValueError(f"consistency needs delta_list entries >= {DELTA_FLOOR} "
+                             f"(the delta^-6 normalization), got {self.delta_list}")
         if self.experiment == "conservation" and (self.amplitude <= 0.0
                                                   or self.reproject_every < 1):
             raise ValueError("conservation needs amplitude > 0 and reproject_every >= 1")

@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import stats
+from scipy.special import stdtrit
 
 from .config import ExperimentConfig, config_items
 from .consistency import dispersion_table, residuals
@@ -103,7 +103,9 @@ def fit_loglog(xs, errs, noise_floor: float, metric: str) -> SlopeFit:
     ci = None
     if dof > 0:
         se = float(np.sqrt(resid @ resid / dof / np.sum((lx - lx.mean()) ** 2)))
-        ci = float(stats.t.ppf(0.975, dof) * se)
+        # the Student-t quantile that scipy.stats.t.ppf computes, without
+        # importing scipy.stats, which took most of the package's import time
+        ci = float(stdtrit(dof, 0.975) * se)
     return SlopeFit(metric, float(slope), ci, n_used, n_disc, noise_floor)
 
 
@@ -216,7 +218,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
                     store_trajectory=True)
 
     reference = ww_run(WwState(eta0.copy(), phi0.copy(), delta),
-                       sim, DtnBackend.parse(cfg.dtn, cfg.dtn_tol, warm_start=True))
+                       sim, DtnBackend.parse(cfg.dtn, cfg.dtn_tol))
     model = run(ik_state_from_surface(eta0, phi0, delta, cg_tol=cfg.cg_tol), sim)
     control = ww_run(WwState(eta0.copy(), phi0.copy(), delta),
                      sim, DtnBackend.series(0))
@@ -407,7 +409,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     phi_w = RealField(grid0, np.zeros(128))
     ww = ww_run(WwState(eta_w, phi_w, 0.2),
                 SimConfig(t_end=1.0, dt=1e-3, record_every=200),
-                DtnBackend.exact(16, tol=cfg.dtn_tol, warm_start=True))
+                DtnBackend.exact(16, tol=cfg.dtn_tol))
     add_rows("reference", 128, 1e-3, ww.diagnostics)
     e = ww.diagnostics.energy
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
@@ -552,7 +554,7 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
         res = run(ik_state_from_surface(eta0, phi, cfg.delta, cg_tol=cfg.cg_tol), sim)
     else:
         res = ww_run(WwState(eta0, phi, cfg.delta), sim,
-                     DtnBackend.parse(cfg.dtn, cfg.dtn_tol, warm_start=True))
+                     DtnBackend.parse(cfg.dtn, cfg.dtn_tol))
     diag = res.diagnostics
     names = res.final.FIELDS
     snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]

@@ -28,7 +28,7 @@ preconditioned by z = S P (S r): the flat-state symbol
 P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
 turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
 symmetric positive definite and costs one multiplier application
-(spectral.Multiplier, with P(0) = 3/4): a product with a cached symmetric
+(spectral.Multiplier of the symbol P): a product with a cached symmetric
 matrix up to spectral.MATRIX_MAX_N points, a transform pair above.  It cuts a
 cold N = 128 solve from 16/19/21 to 5/9/12 operator applications at
 d = 0.05/0.2/0.5 (from 186-398 to 9-67 on a depth with min H = 0.32).
@@ -36,7 +36,7 @@ A breakdown (p.Ap <= 0, or a step that is not finite) raises
 NonConvergenceError.
 
 stage_sources evaluates the continuity flux and the sources F1, F2 of a time
-step from shared transforms.
+step from shared transforms, with the symbols of spectral.kernels.
 """
 
 from __future__ import annotations
@@ -48,7 +48,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DepthTooSmallError, NonConvergenceError
-from .spectral import Multiplier, PeriodicGrid, RealField, dealias, dp, dx, lap
+from .spectral import Multiplier, PeriodicGrid, RealField, dealias, dp, dx, kernels, lap
 
 __all__ = [
     "H_MIN_DEFAULT",
@@ -230,13 +230,13 @@ def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[RealField, RealField, Rea
     the same inverse transform as the quadratic terms of F1.
     """
     grid, d2 = s.grid, s.delta * s.delta
-    n, k, keep = grid.n_points, grid.wavenumbers_half, grid.dealias_keep
-    ik = np.where(keep, 1j * k, 0.0)
+    n = grid.n_points
+    ik, minus_k2, keep = (m.symbol for m in kernels(grid))    # dx, lap, dealias
     rows = (s.phi0.values, s.phi1.values, dc.H, dc.H2, dc.H3, dc.H4)
     f = np.fft.rfft(np.stack(rows), axis=-1)
     f *= keep
     u0, u1, p1, h, h2, h3, h4, lap1 = np.fft.irfft(
-        np.concatenate((ik * f[:2], f[1:], -(k * k) * f[1:2])), n=n, axis=-1)
+        np.concatenate((ik * f[:2], f[1:], minus_k2 * f[1:2])), n=n, axis=-1)
     g = np.fft.rfft(np.stack((h * u0 + (d2 / 3.0) * (h3 * u1),
                               u0 * u0, u0 * u1, u1 * u1, p1 * p1)), axis=-1)
     g *= keep
@@ -294,9 +294,7 @@ def energy(s: IkState) -> float:
 @lru_cache(maxsize=32)
 def _flat_precond(grid: PeriodicGrid, delta: float) -> Multiplier:
     k = grid.wavenumbers_half
-    sym = 1.0 / ((8.0 / 15.0) * delta * delta * k * k + 4.0 / 3.0)
-    return Multiplier(grid, lambda g, v: np.fft.irfft(sym * np.fft.rfft(v), n=g.n_points),
-                      float(sym[0]))
+    return Multiplier(grid, 1.0 / ((8.0 / 15.0) * delta * delta * k * k + 4.0 / 3.0))
 
 
 def _pcg(apply_op, precond, b, tol, x0=None):

@@ -6,28 +6,30 @@ field of shape (N,) or a stack of fields of shape (..., N).  Derivatives act
 through the trigonometric interpolant; quadratic nonlinearities use the
 2/3-rule dealiased product, and higher powers are chained pairwise.
 
-Every kernel is a Fourier multiplier: a fixed real N x N linear map, the
-periodic spectral differentiation matrix for dx and lap (Trefethen,
-Spectral Methods in MATLAB, ch. 3).  Its transform form (dx_fft, lap_fft,
-dealias_fft: one rfft/irfft pair) is the reference.  Up to MATRIX_MAX_N
-points a kernel applies its matrix instead, which its Multiplier builds
-once per grid: the circulant of the transform form of e_0, so both forms
-are the same map up to rounding.  (Running the transform form on every unit
+Every kernel is a Fourier multiplier, and a Multiplier is its symbol: an
+array in rfft layout, 1j k (Nyquist mode zeroed) for dx, -k^2 for lap and
+the mask of |mode index| <= floor(N/3) for dealias, which kernels(grid)
+writes once per grid.  Its transform irfft(symbol * rfft(v)) is the
+reference, a fixed real N x N linear map: the periodic spectral
+differentiation matrix for dx and lap (Trefethen, Spectral Methods in
+MATLAB, ch. 3).  Up to MATRIX_MAX_N points a Multiplier applies that matrix
+instead, built once: the circulant of the transform of e_0, so both forms
+are the same map up to rounding.  (Running the transform on every unit
 vector gives each row its own rounding, which mixes Fourier modes: the
 delta^-6-scaled identity gap of the consistency experiment grew 2-14x over
-the transform forms, against 0.8-4.3x for the circulant.)  On a 2-core host
+the transform, against 0.8-4.3x for the circulant.)  On a 2-core host
 with single-threaded BLAS, a one-row product at N = 128 costs 3-7 us
 against 5-25 us for a transform pair, which is call overhead.  At N = 256
 whole RK4 steps ran slower on matrices (model 4.2 vs 3.7 ms, water waves
 9.6 vs 6.8 ms), and a matrix at N = 4096 would take 134 MB, so above
-MATRIX_MAX_N the transform form is the only path.  A Multiplier applies its
+MATRIX_MAX_N the transform is the only path.  A Multiplier applies its
 matrix under two rules:
 
 * row-exact: every row of a stack goes through the same one-row product,
   so it gets exactly the values it would get alone;
 * constant-exact: each row's first entry v0 is subtracted first and
-  m(0) v0 added back, m(0) the multiplier at wavenumber 0 (0 for the
-  derivatives, 1 for dealias), so a constant maps exactly.
+  m(0) v0 added back, m(0) = symbol[0] the multiplier at wavenumber 0 (0
+  for the derivatives, 1 for dealias), so a constant maps exactly.
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction and whose values can be checked finite.
@@ -37,6 +39,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -48,11 +51,8 @@ __all__ = [
     "lap",
     "dealias",
     "dp",
-    "dx_fft",
-    "lap_fft",
-    "dealias_fft",
     "Multiplier",
-    "kernel",
+    "kernels",
     "integrate",
     "l2_norm",
     "field_from_function",
@@ -88,12 +88,6 @@ class PeriodicGrid:
         """Nonnegative wavenumbers matching numpy's rfft layout."""
         return np.fft.rfftfreq(self.n_points, d=1.0 / self.n_points) * (TWO_PI / self.length)
 
-    @cached_property
-    def dealias_keep(self) -> np.ndarray:
-        """Boolean rfft-layout mask keeping |mode index| <= floor(N/3)."""
-        cutoff = self.n_points // 3
-        return np.arange(self.n_points // 2 + 1) <= cutoff
-
 
 @dataclass
 class RealField:
@@ -121,80 +115,71 @@ def field_from_function(grid: PeriodicGrid, fn) -> RealField:
     return RealField(grid, np.asarray(fn(grid.nodes), dtype=float))
 
 
-def dx_fft(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    """First derivative along the last axis, by one transform pair."""
-    h = np.fft.rfft(v, axis=-1)
-    h *= 1j * grid.wavenumbers_half
-    h[..., -1] = 0.0  # Nyquist mode carries no sign information for odd derivatives
-    return np.fft.irfft(h, n=grid.n_points, axis=-1)
-
-
-def lap_fft(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    """Second derivative along the last axis, by one transform pair."""
-    h = np.fft.rfft(v, axis=-1)
-    h *= -grid.wavenumbers_half**2
-    return np.fft.irfft(h, n=grid.n_points, axis=-1)
-
-
-def dealias_fft(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
-    """2/3-rule truncation along the last axis, by one transform pair."""
-    h = np.fft.rfft(v, axis=-1)
-    h[..., ~grid.dealias_keep] = 0.0
-    return np.fft.irfft(h, n=grid.n_points, axis=-1)
-
-
 def _circulant(row: np.ndarray) -> np.ndarray:
     """The matrix whose row i is row shifted by i places: M[i, j] = row[j - i mod N]."""
     n = len(row)
     return row[(np.arange(n) - np.arange(n)[:, None]) % n]
 
 
-def _multiply(m: np.ndarray, at_zero: float, v: np.ndarray) -> np.ndarray:
-    """v @ m along the last axis, row-exact and constant-exact (module
-    docstring); at_zero is the multiplier at wavenumber 0."""
-    v0 = v[..., :1]
-    out = np.matmul((v - v0)[..., None, :], m)[..., 0, :]
-    if at_zero:
-        out += at_zero * v0
-    return out
-
-
 class Multiplier:
-    """A Fourier multiplier on one grid, from its transform form
-    fft_form(grid, v) and its value at wavenumber 0 (module docstring);
-    matrix is None above MATRIX_MAX_N points, where a call is fft_form."""
+    """The Fourier multiplier of symbol (rfft layout) on one grid (module
+    docstring); matrix is None above MATRIX_MAX_N points, where a call is
+    the transform."""
 
-    def __init__(self, grid: PeriodicGrid, fft_form, at_zero: float):
-        self.grid, self.fft_form, self.at_zero = grid, fft_form, at_zero
+    def __init__(self, grid: PeriodicGrid, symbol: np.ndarray):
+        self.grid, self.symbol = grid, symbol
+        self.at_zero = float(symbol[0].real)
         self.matrix = None
         if grid.n_points <= MATRIX_MAX_N:
-            self.matrix = _circulant(fft_form(grid, np.eye(1, grid.n_points)[0]))
+            self.matrix = _circulant(self.transform(np.eye(1, grid.n_points)[0]))
+
+    def transform(self, v: np.ndarray) -> np.ndarray:
+        """irfft(symbol * rfft(v)) along the last axis: the reference form."""
+        h = self.symbol * np.fft.rfft(v, axis=-1)
+        return np.fft.irfft(h, n=self.grid.n_points, axis=-1)
 
     def __call__(self, v: np.ndarray) -> np.ndarray:
         if self.matrix is None:
-            return self.fft_form(self.grid, v)
-        return _multiply(self.matrix, self.at_zero, v)
+            return self.transform(v)
+        # v @ matrix, row-exact and constant-exact (module docstring)
+        v0 = v[..., :1]
+        out = np.matmul((v - v0)[..., None, :], self.matrix)[..., 0, :]
+        if self.at_zero:
+            out += self.at_zero * v0
+        return out
+
+
+class Kernels(NamedTuple):
+    dx: Multiplier
+    lap: Multiplier
+    dealias: Multiplier
 
 
 @lru_cache(maxsize=32)
-def kernel(grid: PeriodicGrid, fft_form, at_zero: float) -> Multiplier:
-    """The Multiplier of a transform form on grid, cached per (grid, form)."""
-    return Multiplier(grid, fft_form, at_zero)
+def kernels(grid: PeriodicGrid) -> Kernels:
+    """The dx, lap and dealias Multipliers of grid: the one place their
+    symbols are written."""
+    k = grid.wavenumbers_half
+    ik = 1j * k
+    ik[-1] = 0.0  # the Nyquist mode carries no sign information for odd derivatives
+    keep = np.arange(len(k)) <= grid.n_points // 3
+    return Kernels(Multiplier(grid, ik), Multiplier(grid, -(k * k)),
+                   Multiplier(grid, keep.astype(float)))
 
 
 def dx(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
     """First derivative along the last axis."""
-    return kernel(grid, dx_fft, 0.0)(v)
+    return kernels(grid).dx(v)
 
 
 def lap(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
     """Second derivative along the last axis."""
-    return kernel(grid, lap_fft, 0.0)(v)
+    return kernels(grid).lap(v)
 
 
 def dealias(grid: PeriodicGrid, v: np.ndarray) -> np.ndarray:
     """2/3-rule truncation along the last axis."""
-    return kernel(grid, dealias_fft, 1.0)(v)
+    return kernels(grid).dealias(v)
 
 
 def dp(grid: PeriodicGrid, a: np.ndarray, b: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with the
 flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
 preconditioner of a GMRES iteration.  The x-derivative of a whole
 (n_z + 1, N) strip array is one product with the cached dx matrix
-(spectral.kernel) up to spectral.MATRIX_MAX_N points, and a transform pair
+(spectral.kernels) up to spectral.MATRIX_MAX_N points, and a transform pair
 above.  At N = 128, n_z = 16 a water-wave step took 3.6 ms this way,
 4.3 ms with the row-by-row product of spectral.Multiplier and 4.2 ms with
 transform pairs (2-core host, single-threaded BLAS).  The preconditioner
@@ -35,7 +35,7 @@ import numpy as np
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
 from .operators import H_MIN_DEFAULT, check_state
-from .spectral import PeriodicGrid, RealField, dealias, dp, dx, dx_fft, integrate, kernel, lap
+from .spectral import PeriodicGrid, RealField, dealias, dp, dx, integrate, kernels, lap
 
 __all__ = [
     "WwState",
@@ -238,7 +238,7 @@ class _StripWorkspace:
             except np.linalg.LinAlgError as exc:
                 raise SingularSystemError(f"flat strip mode k={kk}: {exc}") from exc
         self.mode_inverses = inv
-        self.dx_matrix = kernel(grid, dx_fft, 0.0).matrix
+        self.dx_matrix = kernels(grid).dx.matrix
         self.last_solution: np.ndarray | None = None
 
     def _dx(self, w: np.ndarray) -> np.ndarray:
@@ -338,7 +338,6 @@ class DtnBackend:
     n_z: int = 16
     order: int = 2
     tol: float = DTN_TOL_DEFAULT
-    warm_start: bool = False
 
     def __post_init__(self):
         if self.kind not in ("exact", "series"):
@@ -350,17 +349,15 @@ class DtnBackend:
         self._workspaces: dict = {}
 
     @classmethod
-    def exact(cls, n_z: int = 16, tol: float = DTN_TOL_DEFAULT,
-              warm_start: bool = False) -> "DtnBackend":
-        return cls("exact", n_z=n_z, tol=tol, warm_start=warm_start)
+    def exact(cls, n_z: int = 16, tol: float = DTN_TOL_DEFAULT) -> "DtnBackend":
+        return cls("exact", n_z=n_z, tol=tol)
 
     @classmethod
     def series(cls, order: int) -> "DtnBackend":
         return cls("series", order=order)
 
     @classmethod
-    def parse(cls, spec: str, tol: float = DTN_TOL_DEFAULT,
-              warm_start: bool = False) -> "DtnBackend":
+    def parse(cls, spec: str, tol: float = DTN_TOL_DEFAULT) -> "DtnBackend":
         """'exact:16' -> exact strip solve with n_z = 16; 'series:2' -> order-2 series."""
         parts = spec.split(":")
         if len(parts) != 2 or parts[0] not in ("exact", "series"):
@@ -370,7 +367,7 @@ class DtnBackend:
         except ValueError as exc:
             raise ValueError(f"bad dtn parameter in {spec!r}") from exc
         if parts[0] == "exact":
-            return cls.exact(n, tol=tol, warm_start=warm_start)
+            return cls.exact(n, tol=tol)
         return cls.series(n)
 
     def label(self) -> str:
@@ -387,12 +384,13 @@ class DtnBackend:
     def apply(self, eta: RealField, phi: RealField, delta: float,
               guess: np.ndarray | None = None) -> tuple[RealField, np.ndarray | None]:
         """Lambda phi and the lift-free strip potential it was computed from
-        (None for the series backend); guess, an estimate of the latter,
-        starts the strip solve (_StripWorkspace.solve)."""
+        (None for the series backend).  The strip solve starts from guess, an
+        estimate of the latter, when one is given, and otherwise from the
+        workspace's last solution (_StripWorkspace.solve)."""
         if self.kind == "series":
             return dtn_series(eta, phi, delta, self.order), None
         ws = self._workspace(phi.grid, delta)
-        w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, self.warm_start, guess=guess)
+        w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(eta, w), w - phi.values
 
 

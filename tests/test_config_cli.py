@@ -122,6 +122,21 @@ class TestSlopeFit:
         assert sf.slope is None
         assert "undefined-by-rule" in sf.describe()
 
+    @pytest.mark.parametrize("errs,quantile", [
+        ([1e-2, 2e-3, 1e-4], np.tan(0.475 * np.pi)),            # 1 degree of freedom
+        ([1e-2, 2e-3, 1e-4, 3e-6], 0.95 / np.sqrt(0.04875)),   # 2 degrees of freedom
+    ])
+    def test_ci95_is_the_student_t_interval(self, errs, quantile):
+        # the closed-form 97.5 % Student-t quantiles times the slope's
+        # standard error, computed here by the textbook formula
+        deltas = [0.4, 0.3, 0.2, 0.1][:len(errs)]
+        lx, le = np.log(deltas), np.log(errs)
+        cx, ce = lx - lx.mean(), le - le.mean()
+        resid = ce - (cx @ ce / (cx @ cx)) * cx
+        se = np.sqrt(resid @ resid / (len(errs) - 2) / (cx @ cx))
+        sf = fit_loglog(deltas, errs, 1e-12, "m")
+        assert sf.ci95 == pytest.approx(quantile * se, rel=1e-12, abs=0.0)
+
     def test_nan_rows_ignored(self):
         deltas = np.array([0.4, 0.3, 0.2, 0.1])
         errs = np.array([1e-2, np.nan, 1e-4, 1e-5])
@@ -214,6 +229,7 @@ class TestCli:
         ("elliptic-suite", "trials=0"),
         ("consistency", "k0=0"),
         ("consistency", "phi_amplitude=0"),
+        ("consistency", "delta_list=0.01,0.3"),
         ("conservation", "amplitude=0"),
         ("conservation", "reproject_every=0"),
         ("convergence", "delta_list=0.2,0.2,0.2"),

@@ -1,7 +1,10 @@
 import ast
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -64,3 +67,10 @@ def test_benchmark_span_points_resolve():
         if obj is None or attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert not missing
+
+
+def test_cli_import_leaves_out_scipy_stats():
+    # every CLI run pays the import time, most of which scipy.stats took
+    env = dict(os.environ, PYTHONPATH=str(pathlib.Path(iskak.__file__).parents[1]))
+    code = "import sys, iskak.cli; sys.exit('scipy.stats' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

@@ -1,3 +1,5 @@
+import copy
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,15 +11,12 @@ from iskak.spectral import (
     PeriodicGrid,
     RealField,
     dealias,
-    dealias_fft,
     dp,
     dx,
-    dx_fft,
     field_from_function,
     integrate,
     l2_norm,
     lap,
-    lap_fft,
 )
 
 from conftest import random_band_limited
@@ -70,14 +69,16 @@ class TestDeriv:
                 assert np.array_equal(stacked[i], kernel(grid, rows[i]))
 
 
-# each kernel: public form, transform form, multiplier at wavenumber 0
-KERNELS = ((dx, dx_fft, 0.0), (lap, lap_fft, 0.0), (dealias, dealias_fft, 1.0))
+def kernel_table(grid):
+    # each kernel: public form, Multiplier, multiplier at wavenumber 0
+    return tuple(zip((dx, lap, dealias), spectral.kernels(grid), (0.0, 0.0, 1.0)))
 
 
-def matrix_form(grid, fft_form, at_zero):
-    # the matrix a Multiplier holds up to MATRIX_MAX_N, built on any grid
-    m = spectral._circulant(fft_form(grid, np.eye(1, grid.n_points)[0]))
-    return lambda v: spectral._multiply(m, at_zero, v)
+def matrix_form(mult):
+    # mult applying the matrix it holds up to MATRIX_MAX_N, built on any grid
+    m = copy.copy(mult)
+    m.matrix = spectral._circulant(mult.transform(np.eye(1, mult.grid.n_points)[0]))
+    return m
 
 
 def close(got, want):
@@ -85,7 +86,19 @@ def close(got, want):
 
 
 class TestMultiplierMatrices:
-    # the matrix path against its transform form, for random stacks of 1-5 rows
+    def test_symbols(self):
+        # kernels writes each symbol in rfft layout: 1j k with the Nyquist
+        # mode zeroed, -k^2, and the mask of modes <= N // 3
+        grid = PeriodicGrid(12, 4.0 * np.pi)
+        k = np.arange(7) / 2.0
+        sym_dx, sym_lap, sym_dealias = (m.symbol for m in spectral.kernels(grid))
+        assert np.array_equal(sym_dx, np.append(1j * k[:-1], 0.0))
+        assert np.array_equal(sym_lap, -k * k)
+        assert np.array_equal(sym_dealias, np.arange(7) <= 4)
+        for _, mult, at_zero in kernel_table(grid):
+            assert mult.at_zero == at_zero
+
+    # the matrix path against the transform, for random stacks of 1-5 rows
     @given(n=st.sampled_from([64, 128, 256]), rows=st.integers(1, 5),
            seed=st.integers(0, 2**32 - 1))
     @settings(max_examples=30, deadline=None)
@@ -93,26 +106,26 @@ class TestMultiplierMatrices:
         grid = PeriodicGrid(n)
         rng = np.random.default_rng(seed)
         v, w = rng.standard_normal((2, rows, n))
-        for _, fft_form, at_zero in KERNELS:
-            apply = matrix_form(grid, fft_form, at_zero)
-            assert close(apply(v), fft_form(grid, v))
+        for _, mult, at_zero in kernel_table(grid):
+            apply = matrix_form(mult)
+            assert close(apply(v), mult.transform(v))
             for i in range(rows):
                 assert np.array_equal(apply(v)[i], apply(v[i]))
             assert np.array_equal(apply(np.full(n, -2.3)), np.full(n, at_zero * -2.3))
-        t = matrix_form(grid, dealias_fft, 1.0)
+        truncate = spectral.kernels(grid).dealias
+        t = matrix_form(truncate)
         assert close(t(t(v) * t(w)),
-                     dealias_fft(grid, dealias_fft(grid, v) * dealias_fft(grid, w)))
+                     truncate.transform(truncate.transform(v) * truncate.transform(w)))
 
     @pytest.mark.parametrize("n", [64, MATRIX_MAX_N, 2 * MATRIX_MAX_N, 512])
     def test_matrix_only_up_to_the_limit(self, n):
         # kernels apply their matrix up to MATRIX_MAX_N and build none above
         grid = PeriodicGrid(n)
         v = np.random.default_rng(n).standard_normal((2, n))
-        for public, fft_form, at_zero in KERNELS:
-            want = (matrix_form(grid, fft_form, at_zero)(v) if n <= MATRIX_MAX_N
-                    else fft_form(grid, v))
+        for public, mult, _ in kernel_table(grid):
+            want = matrix_form(mult)(v) if n <= MATRIX_MAX_N else mult.transform(v)
             assert np.array_equal(public(grid, v), want)
-            assert (spectral.kernel(grid, fft_form, at_zero).matrix is None) == (n > MATRIX_MAX_N)
+            assert (mult.matrix is None) == (n > MATRIX_MAX_N)
 
 
 class TestDealiasedProduct:

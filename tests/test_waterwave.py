@@ -225,7 +225,7 @@ class TestSurfaceEvolution:
         eta0 = field_from_function(grid64, lambda x: eps * np.cos(k * x))
         cfg = SimConfig(t_end=3.6, dt=5e-3, record_every=5, store_trajectory=True)
         res = ww_run(WwState(eta0, zeros(grid64), delta), cfg,
-                     DtnBackend.exact(16, warm_start=True))
+                     DtnBackend.exact(16))
         assert res.diagnostics.aborted is None
         times = np.array([t for t, _ in res.trajectory])
         amps = np.array([2.0 * np.real(np.fft.rfft(s.eta.values)[k]) / 64
@@ -238,7 +238,7 @@ class TestSurfaceEvolution:
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
         cfg = SimConfig(t_end=1.0, dt=2e-3, record_every=100)
         res = ww_run(WwState(eta0, zeros(grid64), 0.2), cfg,
-                     DtnBackend.exact(16, warm_start=True))
+                     DtnBackend.exact(16))
         assert res.diagnostics.aborted is None
         mass = np.asarray(res.diagnostics.mass)
         assert np.abs(mass - mass[0]).max() <= 1e-10
@@ -298,7 +298,7 @@ class TestSurfaceEvolution:
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
         res = ww_run(WwState(eta0, zeros(grid64), 0.3),
                      SimConfig(t_end=0.1, dt=2e-3, record_every=1),
-                     DtnBackend.exact(16, warm_start=True))
+                     DtnBackend.exact(16))
         assert res.diagnostics.aborted == "injected strip failure"
         assert res.diagnostics.times == [0.0, 2e-3]
 
@@ -414,7 +414,7 @@ def ww_count_case():
     eta0 = field_from_function(grid, lambda x: 0.1 * np.cos(x))
     return ww_run(WwState(eta0, zeros(grid), 0.2),
                   SimConfig(t_end=0.02, dt=1e-3, record_every=20),
-                  DtnBackend.exact(16, warm_start=True))
+                  DtnBackend.exact(16))
 
 
 class TestStageGuesses:
