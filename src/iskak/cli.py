@@ -7,12 +7,14 @@ Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 if every check passed,
 1 if one failed or a solver failed, 2 for a configuration error.  Those
 are found before any run starts, by ExperimentConfig: an unknown key,
-name or dtn spec; n_points odd or < 8; delta or delta_list outside
-(0, 1]; amplitude < 0; trials < 1; consistency with phi_amplitude <= 0
-or a delta_list entry below consistency.DELTA_FLOOR; conservation with
-amplitude <= 0 or reproject_every < 1; and, for the stepped experiments,
-record_every < 1, reproject_every < 0 or a dt that breaks the CFL guard or
-does not divide t_end.  A --config file must be
+name or dtn spec; a float key (length, delta, amplitude, phi_amplitude,
+t_end, dt, cg_tol, dtn_tol, noise_floor) that is NaN or infinite;
+n_points odd or < 8; delta or delta_list outside (0, 1]; amplitude < 0;
+trials < 1; k0 < 1; cg_tol or dtn_tol <= 0; seed < 0; consistency with
+phi_amplitude <= 0 or a delta_list entry below consistency.DELTA_FLOOR;
+conservation with amplitude <= 0 or reproject_every < 1; and, for the
+stepped experiments, record_every < 1, reproject_every < 0 or a dt that
+breaks the CFL guard or does not divide t_end.  A --config file must be
 valid on its own, before any --override applies.  The CSV and summary
 contents do not depend on --output-dir, so reruns into different
 directories give byte-identical files.  The summary's params: block is

@@ -67,6 +67,10 @@ class ExperimentConfig:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; pick one of {', '.join(EXPERIMENT_NAMES)}"
             )
+        nonfinite = [f.name for f in fields(self)
+                     if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name))]
+        if nonfinite:
+            raise ValueError(f"{', '.join(nonfinite)} must be finite")
         grid = PeriodicGrid(self.n_points, self.length)
         if not self.delta_list or any(not 0.0 < d <= 1.0 for d in (self.delta, *self.delta_list)):
             raise ValueError("delta_list must be non-empty, and delta and its entries in (0, 1]")
@@ -79,6 +83,10 @@ class ExperimentConfig:
             raise ValueError("trials must be >= 1")
         if self.k0 < 1:
             raise ValueError("k0 must be >= 1")
+        if not (self.cg_tol > 0.0 and self.dtn_tol > 0.0):
+            raise ValueError("cg_tol and dtn_tol must be > 0")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
         DtnBackend.parse(self.dtn)  # validates the backend spec

@@ -89,13 +89,12 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     d = time_derivatives(s, cg_tol)
     phi = surface_potential(s)
-    lam = backend.apply(s.eta, phi, s.delta)[0].values
+    lam = backend.apply(s.eta, phi, s.delta)[0]
 
-    r1v = (d.eta_t.values - lam) * inv_d6
+    r1v = (d.eta_t - lam) * inv_d6
 
     # exact reconstruction of dt phi; gauge-free (no additive constant)
-    phi_t = d.phi0_t.values + d2 * (2.0 * h * d.eta_t.values * s.phi1.values
-                                    + h * h * d.phi1_t.values)
+    phi_t = d.phi0_t + d2 * (2.0 * h * d.eta_t * s.phi1.values + h * h * d.phi1_t)
     eta_x = dx(grid, s.eta.values)
     phi_x = dx(grid, phi.values)
     flux = lam + eta_x * phi_x

@@ -566,8 +566,9 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
         Check("run completed", diag.aborted is None, diag.aborted or "no abort"),
         Check("mass drift <= 1e-11", _drift(diag.mass) <= 1e-11,
               f"drift {_drift(diag.mass):.2e}"),
-        Check("sign conditions: min depth and min a >= 0.5",
-              min(diag.min_depth) >= 0.5 and min(diag.min_a or [1.0]) >= 0.5,
+        Check("sign conditions: min depth and min a >= 0.5" if cfg.model == "ik" else
+              "sign condition: min depth >= 0.5 (min a is not computed for model=ww)",
+              min(diag.min_depth) >= 0.5 and (cfg.model == "ww" or min(diag.min_a) >= 0.5),
               f"min depth {min(diag.min_depth):.4f}"),
     ]
     return ExperimentReport(

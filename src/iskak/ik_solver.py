@@ -58,9 +58,9 @@ class IkDerivative(NamedTuple):
     """Time derivatives of the state, in the order of IkState.FIELDS;
     phi0_t + d^2 H^2 phi1_t = -F1 holds by construction of the elliptic solve."""
 
-    eta_t: RealField
-    phi0_t: RealField
-    phi1_t: RealField
+    eta_t: np.ndarray
+    phi0_t: np.ndarray
+    phi1_t: np.ndarray
 
 
 @dataclass
@@ -125,11 +125,9 @@ def time_derivatives(
     grid = s.grid
     dc = s.depth()
     eta_t, f1, f2 = stage_sources(s, dc)
-    f1 = RealField(grid, -f1.values)
-    f3 = RealField(grid, np.zeros(grid.n_points))
-    phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, EllipticRhs(f1, f2, f3),
-                                         cg_tol, psi1_guess=guess)
-    return IkDerivative(eta_t, phi0_t, phi1_t)
+    rhs = EllipticRhs(*(RealField(grid, v) for v in (-f1, f2, np.zeros(grid.n_points))))
+    phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, rhs, cg_tol, psi1_guess=guess)
+    return IkDerivative(eta_t, phi0_t.values, phi1_t.values)
 
 
 def _extrapolate(*terms):
@@ -138,14 +136,14 @@ def _extrapolate(*terms):
     entries = [k[-1] for _, k in terms]
     if any(e is None for e in entries):
         return None
-    return sum(w * getattr(e, "values", e) for (w, _), e in zip(terms, entries))
+    return sum(w * e for (w, _), e in zip(terms, entries))
 
 
 def rk4_fields(s, dt, rhs, time, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
     rhs(state, guess) returns a stage result: the time derivatives of those
-    fields, in that order, as RealFields, possibly followed by more entries.
+    fields, in that order, as arrays, possibly followed by more entries.
     Its last entry is what the stage's solver computes (phi1_t on the IK
     side, the strip potential on the water-wave side), and guess, an array
     or None, estimates it.  warm is None or (k1, k4) of the previous step,
@@ -171,7 +169,7 @@ def rk4_fields(s, dt, rhs, time, warm):
     names = s.FIELDS
 
     def shifted(k, h):
-        return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d.values)
+        return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d)
                              for n, d in zip(names, k)})
 
     if warm is None:
@@ -186,8 +184,7 @@ def rk4_fields(s, dt, rhs, time, warm):
     k4 = rhs(shifted(k3, dt), _extrapolate((2.0, k3), (-1.0, k1)))
     c = dt / 6.0
     out = replace(s, **{
-        n: RealField(s.grid, getattr(s, n).values
-                     + c * (a.values + 2 * b.values + 2 * e.values + d.values))
+        n: RealField(s.grid, getattr(s, n).values + c * (a + 2 * b + 2 * e + d))
         for n, a, b, e, d in zip(names, k1, k2, k3, k4)
     })
     m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
@@ -221,7 +218,7 @@ def _record(diag: Diagnostics, t: float, s: IkState, cg_tol: float) -> None:
     diag.energy.append(energy(s))
     diag.constraint_max.append(float(np.abs(constraint_residual(s).values).max()))
     diag.min_depth.append(float(1.0 + s.eta.values.min()))
-    diag.min_a.append(float(a.values.min()))
+    diag.min_a.append(float(a.min()))
 
 
 def _recenter(s, gauge: str) -> None:

@@ -217,7 +217,7 @@ def surface_potential(s: IkState) -> RealField:
     return RealField(s.grid, s.phi0.values + s.delta**2 * dc.H2 * s.phi1.values)
 
 
-def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[RealField, RealField, RealField]:
+def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(dt eta, F1, F2) of state s over its depth dc, from shared transforms.
 
     dt eta = -div(H grad phi0 + (1/3) d^2 H^3 grad phi1) is the continuity
@@ -245,10 +245,10 @@ def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[RealField, RealField, Rea
     c01, c11, cpp, m = dealias(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
     f1 = s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
     f2 = (4.0 / 15.0) * d2 * dealias(grid, h4 * m)
-    return RealField(grid, div), RealField(grid, f1), RealField(grid, f2)
+    return div, f1, f2
 
 
-def coef_a(s: IkState, phi1_t: RealField) -> RealField:
+def coef_a(s: IkState, phi1_t: np.ndarray) -> np.ndarray:
     """Sign-condition coefficient; the model analogue of the Rayleigh-Taylor check."""
     grid = s.grid
     dc = s.depth()
@@ -256,14 +256,13 @@ def coef_a(s: IkState, phi1_t: RealField) -> RealField:
     u0 = dx(grid, s.phi0.values)
     u1 = dx(grid, s.phi1.values)
     p1 = s.phi1.values
-    v = (
+    return (
         1.0
-        + 2.0 * d2 * dp(grid, dc.H, phi1_t.values)
+        + 2.0 * d2 * dp(grid, dc.H, phi1_t)
         + 2.0 * d2 * dp(grid, dc.H, dp(grid, u0, u1))
         + 2.0 * d2 * d2 * dp(grid, dc.H3, dp(grid, u1, u1))
         + 4.0 * d2 * dp(grid, dc.H, dp(grid, p1, p1))
     )
-    return RealField(grid, v)
 
 
 # ---------------------------------------------------------------------------

@@ -33,6 +33,8 @@ matrix under two rules:
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction and whose values can be checked finite.
+State fields and the public operators use it; the kernels, and the stage
+results that rk4_fields combines, are plain arrays.
 """
 
 from __future__ import annotations

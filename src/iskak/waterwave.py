@@ -226,18 +226,14 @@ class _StripWorkspace:
         self.dzz = self.dz @ self.dz
         self.zp1 = self.z + 1.0
         self.wq = _clenshaw_curtis_weights(xi) / 2.0
-        k = grid.wavenumbers_half
         eye = np.eye(n_z + 1)
-        inv = np.empty((len(k), n_z + 1, n_z + 1))
-        for i, kk in enumerate(k):
-            m = self.dzz - (delta * kk) ** 2 * eye
-            m[0, :] = eye[0]                 # surface Dirichlet row
-            m[-1, :] = self.dz[-1, :]        # bottom Neumann row
-            try:
-                inv[i] = np.linalg.inv(m)
-            except np.linalg.LinAlgError as exc:
-                raise SingularSystemError(f"flat strip mode k={kk}: {exc}") from exc
-        self.mode_inverses = inv
+        m = self.dzz - ((delta * grid.wavenumbers_half) ** 2)[:, None, None] * eye
+        m[:, 0, :] = eye[0]                 # surface Dirichlet row
+        m[:, -1, :] = self.dz[-1, :]        # bottom Neumann row
+        try:
+            self.mode_inverses = np.linalg.inv(m)
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"flat strip modes: {exc}") from exc
         self.dx_matrix = kernels(grid).dx.matrix
         self.last_solution: np.ndarray | None = None
 
@@ -314,7 +310,7 @@ class _StripWorkspace:
             self.last_solution = w
         return w + phi.values[None, :]
 
-    def flux_divergence(self, eta: RealField, w: np.ndarray) -> RealField:
+    def flux_divergence(self, eta: RealField, w: np.ndarray) -> np.ndarray:
         """Lambda phi = -div(H Vbar) with Vbar the vertical average of the
         horizontal velocity, integrated by Clenshaw-Curtis quadrature."""
         grid = self.grid
@@ -324,7 +320,7 @@ class _StripWorkspace:
         wx = self._dx(w)
         integrand = wx - self.zp1[:, None] * (eta_x / h) * wz
         vbar = self.wq @ integrand
-        return RealField(grid, -dx(grid, h * vbar))
+        return -dx(grid, h * vbar)
 
 
 @dataclass
@@ -382,13 +378,13 @@ class DtnBackend:
         return ws
 
     def apply(self, eta: RealField, phi: RealField, delta: float,
-              guess: np.ndarray | None = None) -> tuple[RealField, np.ndarray | None]:
+              guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
         """Lambda phi and the lift-free strip potential it was computed from
         (None for the series backend).  The strip solve starts from guess, an
         estimate of the latter, when one is given, and otherwise from the
         workspace's last solution (_StripWorkspace.solve)."""
         if self.kind == "series":
-            return dtn_series(eta, phi, delta, self.order), None
+            return dtn_series(eta, phi, delta, self.order).values, None
         ws = self._workspace(phi.grid, delta)
         w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(eta, w), w - phi.values
@@ -398,7 +394,7 @@ class DtnBackend:
 # surface evolution
 
 def zcs_rhs(s: WwState, backend: DtnBackend,
-            guess: np.ndarray | None = None) -> tuple[RealField, RealField, np.ndarray | None]:
+            guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Right side of the surface system, (dt eta, dt phi), followed by the
     lift-free strip potential of its DtN evaluation (DtnBackend.apply, which
     guess starts), from which rk4_fields extrapolates later stages' guesses."""
@@ -406,19 +402,19 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
     d2 = s.delta**2
     lam, strip = backend.apply(s.eta, s.phi, s.delta, guess)
     eta_x, phi_x = dx(grid, np.stack((s.eta.values, s.phi.values)))
-    etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam.values)))
+    etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam)))
     sq_phx, cross = dealias(grid, np.stack((phx * phx, etx * phx)))
     num = lamt + cross
     num2 = dealias(grid, num * num)
     denom = 1.0 + d2 * eta_x * eta_x
     phi_t = -s.eta.values - 0.5 * sq_phx + 0.5 * d2 * num2 / denom
-    return lam, RealField(grid, phi_t), strip
+    return lam, phi_t, strip
 
 
 def hamiltonian(s: WwState, backend: DtnBackend) -> float:
     """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2)."""
     lam, _ = backend.apply(s.eta, s.phi, s.delta)
-    dens = s.phi.values * lam.values + s.eta.values**2
+    dens = s.phi.values * lam + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
 
 

@@ -233,6 +233,11 @@ class TestCli:
         ("conservation", "amplitude=0"),
         ("conservation", "reproject_every=0"),
         ("convergence", "delta_list=0.2,0.2,0.2"),
+        ("simulate", "t_end=inf"),
+        ("simulate", "amplitude=nan"),
+        ("simulate", "cg_tol=0"),
+        ("consistency", "dtn_tol=0"),
+        ("elliptic-suite", "seed=-1"),
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
         # rejected before any run starts: no traceback, no substituted value,
@@ -262,6 +267,17 @@ class TestCli:
         snap = (tmp_path / "simulate_snapshots.csv").read_text().splitlines()
         assert snap[0] == "time,x,eta,phi0,phi1"
         assert len(snap) > 64
+
+    def test_ww_simulate_claims_nothing_about_min_a(self, tmp_path):
+        # a water-wave run never computes a, so its sign check tests depth only
+        code = main(["simulate", "--output-dir", str(tmp_path), "--override", "model=ww",
+                     "--override", "n_points=64", "--override", "t_end=0.05",
+                     "--override", "dt=0.005", "--override", "record_every=5"])
+        assert code == 0
+        summary = (tmp_path / "simulate.summary.txt").read_text()
+        assert "min depth and min a" not in summary
+        assert ("PASS sign condition: min depth >= 0.5 (min a is not computed for model=ww)"
+                in summary)
 
     def test_sweep_legs_independent(self, tmp_path):
         # a sweep leg's row does not depend on which other legs ran with it
