@@ -385,7 +385,8 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(Check("energy-drift halving ratio 16 +/- 4",
                         12.0 <= ratio <= 20.0,
                         f"drift({cfg.dt:g}) = {drifts[cfg.dt]:.3e}, "
-                        f"drift({cfg.dt/2:g}) = {drifts[cfg.dt/2]:.3e}, ratio {ratio:.2f}"))
+                        f"drift({cfg.dt/2:g}) = {drifts[cfg.dt/2]:.3e} "
+                        f"({drifts[cfg.dt/2] / np.finfo(float).eps:.0f} eps), ratio {ratio:.2f}"))
     mass_worst = max(_drift(r.diagnostics.mass) for r in legs.values())
     checks.append(Check("mass drift <= 1e-11 on every leg", mass_worst <= 1e-11,
                         f"worst {mass_worst:.2e}"))

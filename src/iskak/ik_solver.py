@@ -139,6 +139,23 @@ def _extrapolate(*terms):
     return sum(w * e for (w, _), e in zip(terms, entries))
 
 
+def _stage_guess(i, ks, p, q):
+    """The guess of stage i (0-based) from this step's earlier stage results
+    ks and the stage results p and q of the last two steps (rk4_fields)."""
+    if q is not None:
+        if i == 0:
+            return _extrapolate((1.0, p[3]), (1.0, p[0]), (-1.0, q[3]))
+        return _extrapolate((1.0, ks[i - 1]), (2.0, p[i]), (-2.0, p[i - 1]),
+                            (-1.0, q[i]), (1.0, q[i - 1]))
+    if i == 0:
+        return None if p is None else _extrapolate((1.0, p[3]))
+    if i == 1 and p is not None:
+        return _extrapolate((1.0, ks[0]), (0.5, p[3]), (-0.5, p[0]))
+    if i == 3:
+        return _extrapolate((2.0, ks[2]), (-1.0, ks[0]))
+    return _extrapolate((1.0, ks[i - 1]))
+
+
 def rk4_fields(s, dt, rhs, time, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
@@ -146,42 +163,44 @@ def rk4_fields(s, dt, rhs, time, warm):
     fields, in that order, as arrays, possibly followed by more entries.
     Its last entry is what the stage's solver computes (phi1_t on the IK
     side, the strip potential on the water-wave side), and guess, an array
-    or None, estimates it.  warm is None or (k1, k4) of the previous step,
-    k1' and k4', and the guesses are fixed by the RK4 tableau:
+    or None, estimates it.  warm is None on a run's first step and otherwise
+    (P, Q): the stage results (P1, .., P4) of the previous step and those of
+    the step before, or None on the second step.  With both, the guesses are
 
-        k1 <- k4',   k2 <- k1 + (k4' - k1') / 2,   k3 <- k2,   k4 <- 2 k3 - k1.
+        k1 <- P4 + (P1 - Q4),
+        ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1))    for i = 2, 3, 4.
 
-    k4' is evaluated at y' + dt k3', a midpoint-rule step that lands within
-    O(dt^3) of y, where k1 is.  (k4' - k1') / dt is the slope of the stage
-    results over the previous step, O(dt) from their slope at t, so k2's
-    guess, at t + dt/2, is off by O(dt^2).  The k3 and k2 states differ by
-    (dt/2)(k2 - k1) = O(dt^2).  2 k3 - k1 continues the slope from t over
-    t + dt/2 to t + dt, O(dt^2) like a linear extrapolation.  So every guess
-    is O(dt^2) from its stage, where the previous stage was O(dt) away for
-    k2 and k4.  The first step of a run has no k1', k4': k1 gets no guess
-    and k2 starts from k1.  The guesses change iteration counts only.
+    P4 is evaluated at y' + dt P3, a midpoint-rule step that lands within
+    O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth in t, so the
+    previous step's offset P1 - Q4 carries it over to O(dt^4).  Extrapolating
+    the offset linearly as well measured more operator applications per
+    solve on both models, not fewer: the carried offset already sits at the
+    solver tolerance, and larger weights only amplify the tolerance-level
+    noise of the entries.  A stage difference ki - k(i-1) is at most O(dt)
+    and smooth in t, so its linear extrapolation is O(dt^3) from the stage.
 
-    Returns the new state and (k1, k4).  The max-norm blow-up guard
-    BLOWUP_GUARD is checked here, on the combined state, before run_loop
-    re-centers the potential; the state constructors reject NaN/Inf and
-    depth collapse first.
+    The second step has only P, and takes the guesses the RK4 tableau fixes:
+    k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each
+    O(dt^2) from its stage.  The first step has none: k1 gets no guess and
+    the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  The guesses
+    change iteration counts only.
+
+    Returns the new state and the warm start of the next step,
+    ((k1, .., k4), P).  The max-norm blow-up guard BLOWUP_GUARD is checked
+    here, on the combined state, before run_loop re-centers the potential;
+    the state constructors reject NaN/Inf and depth collapse first.
     """
     names = s.FIELDS
+    p, q = (None, None) if warm is None else warm
 
     def shifted(k, h):
         return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d)
                              for n, d in zip(names, k)})
 
-    if warm is None:
-        k1 = rhs(s, None)
-        guess2 = _extrapolate((1.0, k1))
-    else:
-        k1_prev, k4_prev = warm
-        k1 = rhs(s, _extrapolate((1.0, k4_prev)))
-        guess2 = _extrapolate((1.0, k1), (0.5, k4_prev), (-0.5, k1_prev))
-    k2 = rhs(shifted(k1, 0.5 * dt), guess2)
-    k3 = rhs(shifted(k2, 0.5 * dt), _extrapolate((1.0, k2)))
-    k4 = rhs(shifted(k3, dt), _extrapolate((2.0, k3), (-1.0, k1)))
+    ks = [rhs(s, _stage_guess(0, [], p, q))]
+    for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
+        ks.append(rhs(shifted(ks[-1], h), _stage_guess(i, ks, p, q)))
+    k1, k2, k3, k4 = ks
     c = dt / 6.0
     out = replace(s, **{
         n: RealField(s.grid, getattr(s, n).values + c * (a + 2 * b + 2 * e + d))
@@ -190,7 +209,7 @@ def rk4_fields(s, dt, rhs, time, warm):
     m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
     if m > BLOWUP_GUARD:
         raise BlowUpError(time + dt, m, BLOWUP_GUARD)
-    return out, (k1, k4)
+    return out, (tuple(ks), p)
 
 
 def _rk4_stages(s, dt, cg_tol, time, warm):
@@ -230,9 +249,13 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     """Step a copy of initial to cfg.t_end; the one run loop of both models.
 
     step(state, t, warm) advances one cfg.dt from time t and returns the new
-    state and the warm start of the next step; record(diagnostics, t, state)
-    appends one record at t = 0, every cfg.record_every steps and at the
-    end; project(state), if given, runs every cfg.reproject_every steps.
+    state and the warm start of the next step.  warm is None on the first
+    step and otherwise what the step before returned, passed on unchanged
+    across re-centering, records and projections: it only starts the
+    solvers, so a state moved between steps costs iterations, not accuracy.
+    record(diagnostics, t, state) appends one record at t = 0, every
+    cfg.record_every steps and at the end; project(state), if given, runs
+    every cfg.reproject_every steps.
     The gauge field is re-centered to zero mean at the start and after every
     step, after the step's blow-up guard (rk4_fields) has run.  A solver
     failure (errors.SOLVER_ERRORS) aborts the run cleanly: diagnostics.aborted

@@ -29,9 +29,9 @@ P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
 turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
 symmetric positive definite and costs one multiplier application
 (spectral.Multiplier of the symbol P): a product with a cached symmetric
-matrix up to spectral.MATRIX_MAX_N points, a transform pair above.  It cuts a
-cold N = 128 solve from 16/19/21 to 5/9/12 operator applications at
-d = 0.05/0.2/0.5 (from 186-398 to 9-67 on a depth with min H = 0.32).
+matrix up to spectral.MATRIX_MAX_N points, a transform pair above.  The
+depth scaling takes the variation of H out of the leading term, which the
+flat symbol alone cannot see, so its gain grows as the depth varies more.
 A breakdown (p.Ap <= 0, or a step that is not finite) raises
 NonConvergenceError.
 

@@ -17,13 +17,12 @@ instead, built once: the circulant of the transform of e_0, so both forms
 are the same map up to rounding.  (Running the transform on every unit
 vector gives each row its own rounding, which mixes Fourier modes: the
 delta^-6-scaled identity gap of the consistency experiment grew 2-14x over
-the transform, against 0.8-4.3x for the circulant.)  On a 2-core host
-with single-threaded BLAS, a one-row product at N = 128 costs 3-7 us
-against 5-25 us for a transform pair, which is call overhead.  At N = 256
-whole RK4 steps ran slower on matrices (model 4.2 vs 3.7 ms, water waves
-9.6 vs 6.8 ms), and a matrix at N = 4096 would take 134 MB, so above
-MATRIX_MAX_N the transform is the only path.  A Multiplier applies its
-matrix under two rules:
+the transform, against 0.8-4.3x for the circulant.)  On small grids a
+transform pair costs mostly call overhead, and a one-row product is
+cheaper.  Above MATRIX_MAX_N whole RK4 steps of both models run slower on
+matrices, and a matrix grows as N^2 (134 MB at N = 4096), so there the
+transform is the only path.  A Multiplier applies its matrix under two
+rules:
 
 * row-exact: every row of a stack goes through the same one-row product,
   so it gets exactly the values it would get alone;

@@ -9,9 +9,8 @@ flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
 preconditioner of a GMRES iteration.  The x-derivative of a whole
 (n_z + 1, N) strip array is one product with the cached dx matrix
 (spectral.kernels) up to spectral.MATRIX_MAX_N points, and a transform pair
-above.  At N = 128, n_z = 16 a water-wave step took 3.6 ms this way,
-4.3 ms with the row-by-row product of spectral.Multiplier and 4.2 ms with
-transform pairs (2-core host, single-threaded BLAS).  The preconditioner
+above: one product over the whole array is cheaper than the row-by-row
+product of spectral.Multiplier or a transform pair.  The preconditioner
 stays in Fourier space, because its mode solve couples z within each
 wavenumber.  GMRES reports the residual
 |r0 - sum_i y_i A v_i| / |b|, from the operator outputs A v_i it keeps, so a
@@ -297,13 +296,8 @@ class _StripWorkspace:
             sol = guess.ravel()
         elif warm_start and self.last_solution is not None:
             sol = self.last_solution.ravel()
-        # _gmres returns the true residual; a restart rebuilds Arnoldi
-        # orthogonality if a long solve stagnates
-        for _ in range(3):
-            sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol)
-            if res <= tol:   # False for NaN
-                break
-        else:
+        sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol)
+        if not res <= tol:   # _gmres returns the true residual; NaN fails too
             raise NonConvergenceError("strip potential solve", DTN_MAX_ITER, res, tol)
         w = sol.reshape(shape)
         if warm_start:

@@ -402,8 +402,8 @@ class TestGmresResidual:
 
     @pytest.mark.parametrize("reported", [1e-3, np.nan])
     def test_unconverged_strip_solve_raises(self, grid64, monkeypatch, reported):
-        # three GMRES calls that end above tol, or at NaN, end the solve
-        # with a typed error rather than a returned potential
+        # a GMRES call that ends above tol, or at NaN, ends the solve with a
+        # typed error rather than a returned potential
         calls = []
 
         def stuck(apply_op, b, tol, max_iter, x0=None):
@@ -414,7 +414,7 @@ class TestGmresResidual:
         phi = field_from_function(grid64, np.cos)
         with pytest.raises(NonConvergenceError):
             strip_solution(zeros(grid64), phi, 0.3, 16)
-        assert len(calls) == 3
+        assert len(calls) == 1
 
 
 def ww_count_case():
@@ -429,8 +429,9 @@ def ww_count_case():
 
 class TestStageGuesses:
     def test_strip_applications_per_solve(self, monkeypatch):
-        # the RK4-tableau guesses: 3.74 operator applications per strip
-        # solve on this run (6.24 with each stage started from the last)
+        # guesses from the last two steps: 2.77 operator applications per
+        # strip solve on this run, 3.74 with the RK4-tableau guesses of the
+        # last step alone
         counts = {"apply": 0, "solve": 0}
 
         def counted(name, fn):
@@ -443,7 +444,7 @@ class TestStageGuesses:
         monkeypatch.setattr(_StripWorkspace, "solve", counted("solve", _StripWorkspace.solve))
         assert ww_count_case().diagnostics.aborted is None
         assert counts["solve"] == 82
-        assert counts["apply"] / counts["solve"] <= 4.0
+        assert counts["apply"] / counts["solve"] <= 3.0
 
     def test_guesses_change_iteration_counts_only(self, monkeypatch):
         with_guess = ww_count_case()
