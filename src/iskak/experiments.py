@@ -12,7 +12,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import stdtrit
 
 from .config import ExperimentConfig, config_items
 from .consistency import dispersion_table, residuals
@@ -60,8 +59,7 @@ class SlopeFit:
             return (f"{self.metric}: slope undefined-by-rule "
                     f"(usable points {self.n_used} < 3, discarded {self.n_discarded} "
                     f"below 10x noise floor {self.noise_floor:.1e})")
-        ci = f" +/- {self.ci95:.3f}" if self.ci95 is not None else ""
-        return (f"{self.metric}: slope {self.slope:.3f}{ci} "
+        return (f"{self.metric}: slope {self.slope:.3f} +/- {self.ci95:.3f} "
                 f"(n={self.n_used}, discarded={self.n_discarded}, "
                 f"noise_floor={self.noise_floor:.1e})")
 
@@ -100,12 +98,12 @@ def fit_loglog(xs, errs, noise_floor: float, metric: str) -> SlopeFit:
     slope, intercept = np.polyfit(lx, le, 1)
     resid = le - (slope * lx + intercept)
     dof = n_used - 2
-    ci = None
-    if dof > 0:
-        se = float(np.sqrt(resid @ resid / dof / np.sum((lx - lx.mean()) ** 2)))
-        # the Student-t quantile that scipy.stats.t.ppf computes, without
-        # importing scipy.stats, which took most of the package's import time
-        ci = float(stdtrit(dof, 0.975) * se)
+    se = float(np.sqrt(resid @ resid / dof / np.sum((lx - lx.mean()) ** 2)))
+    # the Student-t quantile that scipy.stats.t.ppf computes.  Imported here,
+    # not at module level: only the fitting experiments need scipy, and they
+    # fit after their last step, so every other run starts on numpy alone.
+    from scipy.special import stdtrit
+    ci = float(stdtrit(dof, 0.975) * se)
     return SlopeFit(metric, float(slope), ci, n_used, n_disc, noise_floor)
 
 

@@ -203,6 +203,23 @@ class TestPointwiseFields:
         expected = 1.0 + 4.0 * 0.25 * c**2
         assert np.abs(coef_a(s, np.zeros(64)) - expected).max() <= 1e-12
 
+    @pytest.mark.parametrize("n", [64, 2 * MATRIX_MAX_N])
+    def test_coef_a_is_the_dp_chains(self, n):
+        # the stacked kernel calls against the five dp chains, on both
+        # multiplier paths: row-exact kernels make them equal bit for bit
+        g = PeriodicGrid(n)
+        rng = np.random.default_rng(17)
+        for _ in range(5):
+            s = IkState(random_depth(rng, g), random_band_limited(rng, g),
+                        random_band_limited(rng, g), rng.uniform(0.05, 1.0))
+            pt = random_band_limited(rng, g).values
+            dc, d2 = s.depth(), s.delta**2
+            u0, u1, p1 = dx(g, s.phi0.values), dx(g, s.phi1.values), s.phi1.values
+            want = (1.0 + 2.0 * d2 * dp(g, dc.H, pt) + 2.0 * d2 * dp(g, dc.H, dp(g, u0, u1))
+                    + 2.0 * d2 * d2 * dp(g, dc.H3, dp(g, u1, u1))
+                    + 4.0 * d2 * dp(g, dc.H, dp(g, p1, p1)))
+            assert np.array_equal(coef_a(s, pt), want)
+
     def test_coef_a_small_delta_limit(self, grid64):
         # every non-unit term carries delta^2: deviation scales down by ~4 per halving
         rng = np.random.default_rng(5)
@@ -332,6 +349,30 @@ class TestEllipticSolve:
         monkeypatch.setattr(operators, "_l1_v", counted)
         solve_initial_data(eta, phi, 0.2)
         assert 0 < len(calls) <= 10
+
+    def test_solve_from_its_solution_costs_one_application(self, monkeypatch):
+        # a start vector that already meets the tolerance is returned after
+        # the one L1 application that measures its residual
+        grid = PeriodicGrid(128)
+        rng = np.random.default_rng(21)
+        for _ in range(5):
+            dc = DepthCoefs.from_eta(random_depth(rng, grid))
+            rhs = EllipticRhs(random_band_limited(rng, grid), random_band_limited(rng, grid),
+                              random_band_limited(rng, grid))
+            delta = rng.uniform(0.05, 1.0)
+            p0, p1 = solve_elliptic_pair(delta, dc, rhs)
+            clean, calls = operators._l1_v, []
+
+            def counted(*args):
+                calls.append(1)
+                return clean(*args)
+
+            monkeypatch.setattr(operators, "_l1_v", counted)
+            q0, q1 = solve_elliptic_pair(delta, dc, rhs, psi1_guess=p1.values)
+            monkeypatch.undo()
+            assert len(calls) == 1
+            assert np.array_equal(q1.values, p1.values)
+            assert np.array_equal(q0.values, p0.values)
 
 
 class TestInitialData:

@@ -69,8 +69,25 @@ def test_benchmark_span_points_resolve():
     assert not missing
 
 
-def test_cli_import_leaves_out_scipy_stats():
-    # every CLI run pays the import time, most of which scipy.stats took
+RUNS_WITHOUT_FITS = """
+import sys
+import iskak.cli
+from iskak.config import apply_overrides, default_config
+from iskak.experiments import run_experiment
+short = ["n_points=64", "t_end=0.05", "dt=0.005", "record_every=5"]
+for name, overrides in (("simulate", short), ("simulate", short + ["model=ww"]),
+                        ("consistency", ["n_points=64"]),
+                        ("elliptic-suite", ["n_points=64", "trials=3"])):
+    run_experiment(apply_overrides(default_config(name), overrides))
+print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
+"""
+
+
+def test_runs_without_fits_load_no_scipy():
+    # every CLI run pays its imports before the first step; only the slope
+    # fits of dispersion and convergence need scipy, after their last step
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(iskak.__file__).parents[1]))
-    code = "import sys, iskak.cli; sys.exit('scipy.stats' in sys.modules)"
-    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+    out = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_FITS], env=env,
+                         capture_output=True, text=True)
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.split() == []
