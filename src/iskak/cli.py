@@ -20,6 +20,13 @@ contents do not depend on --output-dir, so reruns into different
 directories give byte-identical files.  The summary's params: block is
 the full resolved configuration, keys the experiment does not read
 included; passed back with --config it reruns the experiment.
+
+A solver failure inside a run, its t = 0 record included, aborts that run
+alone: the report is still written, with the records taken before the
+failure, and a FAIL check names each aborted run (simulate: run completed;
+convergence: no aborted sweep leg; conservation: no aborted leg).  A solver
+failure outside a run, such as an initial depth below the floor, ends the
+experiment with no output files.
 """
 
 from __future__ import annotations

@@ -18,7 +18,6 @@ from .consistency import dispersion_table, residuals
 from .ik_solver import Diagnostics, SimConfig, run
 from .operators import (
     DepthCoefs,
-    EllipticRhs,
     ik_state_from_surface,
     op_l1,
     op_l11,
@@ -233,9 +232,9 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
             e_du.append(l2_norm(RealField(grid, dx(grid, sw.phi.values)
                                           - dx(grid, phi_model.values))))
             e_ctrl.append(l2_norm(RealField(grid, sw.eta.values - sc.eta.values)))
-    min_depth = min(model.diagnostics.min_depth) if model.diagnostics.min_depth else np.nan
-    min_a = min(model.diagnostics.min_a) if model.diagnostics.min_a else np.nan
-    return _ConvLeg(delta, times, e_eta, e_du, e_ctrl, min_depth, min_a, aborted)
+    diag = model.diagnostics
+    return _ConvLeg(delta, times, e_eta, e_du, e_ctrl, min(diag.min_depth, default=np.nan),
+                    min(diag.min_a, default=np.nan), aborted)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
@@ -345,15 +344,24 @@ def _ik_run(grid, amplitude, k0, delta, sim_cfg):
 
 
 def _drift(series) -> float:
+    """max |x - x[0]| over a record series; NaN, which fails every bound, if
+    the run recorded nothing."""
     arr = np.asarray(series, dtype=float)
-    return float(np.abs(arr - arr[0]).max())
+    return float(np.abs(arr - arr[0]).max()) if arr.size else np.nan
+
+
+def _rel_drift(series) -> float:
+    """|x[-1] - x[0]| / |x[0]| over a record series; NaN if it is empty."""
+    return abs(series[-1] - series[0]) / abs(series[0]) if series else np.nan
 
 
 def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
-    rows, checks = [], []
+    rows, checks, aborted = [], [], []
 
     def add_rows(tag, n, dt, diag):
         rows.extend([tag, *r] for r in _diag_rows(diag, n, dt))
+        if diag.aborted is not None:
+            aborted.append(f"{tag} dt={dt:g}: {diag.aborted}")
 
     # rest state: everything flat to rounding
     grid0 = PeriodicGrid(128, cfg.length)
@@ -363,7 +371,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
                         _drift(rest.diagnostics.mass) <= 1e-12
                         and _drift(rest.diagnostics.energy) <= 1e-12
-                        and max(rest.diagnostics.constraint_max) <= 1e-12,
+                        and max(rest.diagnostics.constraint_max, default=np.nan) <= 1e-12,
                         f"mass {(_drift(rest.diagnostics.mass)):.2e}, "
                         f"energy {(_drift(rest.diagnostics.energy)):.2e}"))
 
@@ -377,8 +385,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                                 cg_tol=cfg.cg_tol))
         legs[dt] = res
         add_rows("order", cfg.n_points, dt, res.diagnostics)
-        e = res.diagnostics.energy
-        drifts[dt] = abs(e[-1] - e[0]) / abs(e[0])
+        drifts[dt] = _rel_drift(res.diagnostics.energy)
     ratio = drifts[cfg.dt] / drifts[cfg.dt / 2.0]
     checks.append(Check("energy-drift halving ratio 16 +/- 4",
                         12.0 <= ratio <= 20.0,
@@ -394,14 +401,14 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                    SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every,
                              record_every=100, cg_tol=cfg.cg_tol))
     add_rows("reproject", 128, 1e-3, proj.diagnostics)
-    cmax = max(proj.diagnostics.constraint_max)
+    cmax = max(proj.diagnostics.constraint_max, default=np.nan)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
                         cmax <= 1e-8, f"max residual {cmax:.2e}"))
+    min_h = min(proj.diagnostics.min_depth, default=np.nan)
+    min_a = min(proj.diagnostics.min_a, default=np.nan)
     checks.append(Check("sign conditions: min depth and min a >= 0.5",
-                        min(proj.diagnostics.min_depth) >= 0.5
-                        and min(proj.diagnostics.min_a) >= 0.5,
-                        f"min depth {min(proj.diagnostics.min_depth):.4f}, "
-                        f"min a {min(proj.diagnostics.min_a):.4f}"))
+                        min_h >= 0.5 and min_a >= 0.5,
+                        f"min depth {min_h:.4f}, min a {min_a:.4f}"))
 
     # reference solver: mass and surrogate-energy behavior
     eta_w = _cos_profile(grid0, 0.05, 1)
@@ -410,12 +417,12 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                 SimConfig(t_end=1.0, dt=1e-3, record_every=200),
                 DtnBackend.exact(16, tol=cfg.dtn_tol))
     add_rows("reference", 128, 1e-3, ww.diagnostics)
-    e = ww.diagnostics.energy
+    e = _rel_drift(ww.diagnostics.energy)
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
-                        _drift(ww.diagnostics.mass) <= 1e-11
-                        and abs(e[-1] - e[0]) / abs(e[0]) <= 1e-6,
-                        f"mass {(_drift(ww.diagnostics.mass)):.2e}, "
-                        f"energy {abs(e[-1]-e[0])/abs(e[0]):.2e}"))
+                        _drift(ww.diagnostics.mass) <= 1e-11 and e <= 1e-6,
+                        f"mass {(_drift(ww.diagnostics.mass)):.2e}, energy {e:.2e}"))
+    checks.append(Check("no aborted leg", not aborted,
+                        "; ".join(aborted) if aborted else "all legs completed"))
 
     return ExperimentReport(
         "conservation",
@@ -447,7 +454,8 @@ def _random_pair_solve(rng, grid, delta, cg_tol):
     eta = _random_band_limited(rng, grid, 4, 1.0 - target)
     data = tuple(_random_band_limited(rng, grid, 5, 1.0) for _ in range(3))
     dc = DepthCoefs.from_eta(eta)
-    return dc, data, solve_elliptic_pair(delta, dc, EllipticRhs(*data), cg_tol=cg_tol)
+    pair = solve_elliptic_pair(delta, dc, *(f.values for f in data), cg_tol=cg_tol)
+    return dc, data, tuple(RealField(grid, v) for v in pair)
 
 
 def _grad_norm(f: RealField) -> float:
@@ -561,14 +569,14 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     snap_cols = ["time", "x", *names]
 
     rows = _diag_rows(diag, cfg.n_points, cfg.dt)
+    min_h, min_a = min(diag.min_depth, default=np.nan), min(diag.min_a, default=np.nan)
     checks = [
         Check("run completed", diag.aborted is None, diag.aborted or "no abort"),
         Check("mass drift <= 1e-11", _drift(diag.mass) <= 1e-11,
               f"drift {_drift(diag.mass):.2e}"),
         Check("sign conditions: min depth and min a >= 0.5" if cfg.model == "ik" else
               "sign condition: min depth >= 0.5 (min a is not computed for model=ww)",
-              min(diag.min_depth) >= 0.5 and (cfg.model == "ww" or min(diag.min_a) >= 0.5),
-              f"min depth {min(diag.min_depth):.4f}"),
+              min_h >= 0.5 and (cfg.model == "ww" or min_a >= 0.5), f"min depth {min_h:.4f}"),
     ]
     return ExperimentReport(
         "simulate",

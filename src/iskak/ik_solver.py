@@ -25,7 +25,6 @@ import numpy as np
 from .errors import SOLVER_ERRORS, BlowUpError
 from .operators import (
     CG_TOL_DEFAULT,
-    EllipticRhs,
     IkState,
     coef_a,
     constraint_residual,
@@ -122,12 +121,10 @@ def time_derivatives(
 ) -> IkDerivative:
     """Full state derivative: continuity for eta, elliptic solve for the pair;
     guess, an estimate of phi1_t, starts the solve."""
-    grid = s.grid
     dc = s.depth()
     eta_t, f1, f2 = stage_sources(s, dc)
-    rhs = EllipticRhs(*(RealField(grid, v) for v in (-f1, f2, np.zeros(grid.n_points))))
-    phi0_t, phi1_t = solve_elliptic_pair(s.delta, dc, rhs, cg_tol, psi1_guess=guess)
-    return IkDerivative(eta_t, phi0_t.values, phi1_t.values)
+    return IkDerivative(eta_t, *solve_elliptic_pair(s.delta, dc, -f1, f2, cg_tol=cg_tol,
+                                                    psi1_guess=guess))
 
 
 def _extrapolate(*terms):
@@ -258,8 +255,9 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     every cfg.reproject_every steps.
     The gauge field is re-centered to zero mean at the start and after every
     step, after the step's blow-up guard (rk4_fields) has run.  A solver
-    failure (errors.SOLVER_ERRORS) aborts the run cleanly: diagnostics.aborted
-    holds the message and the record up to the last completed step is kept.
+    failure (errors.SOLVER_ERRORS) aborts the run cleanly, the t = 0 record
+    included: diagnostics.aborted holds the message and the records up to the
+    last completed step are kept, none if the first record failed.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
 
@@ -274,9 +272,9 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     s = replace(initial, **{n: getattr(initial, n).copy() for n in initial.FIELDS})
     _recenter(s, gauge)
     t = 0.0
-    keep(t, s)
     warm = None
     try:
+        keep(t, s)
         for i in range(1, n_steps + 1):
             s, warm = step(s, t, warm)
             _recenter(s, gauge)

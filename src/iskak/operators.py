@@ -57,7 +57,6 @@ __all__ = [
     "DepthCoefs",
     "IkState",
     "check_state",
-    "EllipticRhs",
     "op_l11",
     "op_l12",
     "op_l22",
@@ -149,20 +148,6 @@ class IkState:
 
     def depth(self) -> DepthCoefs:
         return DepthCoefs.from_eta(self.eta)
-
-
-@dataclass
-class EllipticRhs:
-    """Right-hand data (f1, f2, f3) of the coupled elliptic system."""
-
-    f1: RealField
-    f2: RealField
-    f3: RealField
-
-    @classmethod
-    def from_f1(cls, f1: RealField) -> "EllipticRhs":
-        zero = RealField(f1.grid, np.zeros(f1.grid.n_points))
-        return cls(f1, zero, zero.copy())
 
 
 # ---------------------------------------------------------------------------
@@ -336,39 +321,40 @@ def _pcg(apply_op, precond, b, tol, x0=None):
 def solve_elliptic_pair(
     delta: float,
     coefs: DepthCoefs,
-    rhs: EllipticRhs,
+    f1: np.ndarray,
+    f2: np.ndarray | float = 0.0,
+    f3: np.ndarray | float = 0.0,
     cg_tol: float = CG_TOL_DEFAULT,
     psi1_guess: np.ndarray | None = None,
-) -> tuple[RealField, RealField]:
-    """Solve the coupled (psi0, psi1) system; returns both components.
-
-    psi0 is reconstructed from the elimination identity psi0 = f1 - d^2 H^2 psi1,
-    so the first equation holds to rounding by construction.  psi1_guess warm
-    starts the CG iteration (same tolerance, fewer iterations); a guess that
-    already meets the tolerance is returned after one L1 application.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Solve the coupled system for array data (f1, f2, f3); returns the
+    arrays (psi0, psi1).  A default f2 or f3 of 0.0 enters the same sums as
+    a zero array.  psi0 is reconstructed from the elimination identity
+    psi0 = f1 - d^2 H^2 psi1, so the first equation holds to rounding by
+    construction.  psi1_guess warm starts the CG iteration (same tolerance,
+    fewer iterations); a guess that already meets the tolerance is returned
+    after one L1 application.
     """
     grid = coefs.grid
     d2 = delta * delta
-    f1v, f2v, f3v = rhs.f1.values, rhs.f2.values, rhs.f3.values
-    df1 = dx(grid, f1v)
+    df1 = dx(grid, f1)
     b = (
-        -dx(grid, (2.0 / 3.0) * coefs.H3 * df1 + f3v)
+        -dx(grid, (2.0 / 3.0) * coefs.H3 * df1 + f3)
         + 2.0 * coefs.H2 * coefs.grad_eta * df1
-        - f2v
+        - f2
     )
     flat, sc = _flat_precond(grid, delta), coefs.pc_scale
-    psi1v = _pcg(lambda v: _l1_v(grid, delta, coefs, v), lambda r: sc * flat(sc * r),
-                 b, cg_tol, x0=psi1_guess)
-    psi0v = f1v - d2 * coefs.H2 * psi1v
-    return RealField(grid, psi0v), RealField(grid, psi1v)
+    psi1 = _pcg(lambda v: _l1_v(grid, delta, coefs, v), lambda r: sc * flat(sc * r),
+                b, cg_tol, x0=psi1_guess)
+    return f1 - d2 * coefs.H2 * psi1, psi1
 
 
 def solve_initial_data(
     eta0: RealField, phi: RealField, delta: float, cg_tol: float = CG_TOL_DEFAULT,
 ) -> tuple[RealField, RealField]:
     """Split a surface potential into the constrained pair (phi0, phi1)."""
-    coefs = DepthCoefs.from_eta(eta0)
-    return solve_elliptic_pair(delta, coefs, EllipticRhs.from_f1(phi), cg_tol)
+    pair = solve_elliptic_pair(delta, DepthCoefs.from_eta(eta0), phi.values, cg_tol=cg_tol)
+    return tuple(RealField(eta0.grid, v) for v in pair)
 
 
 def ik_state_from_surface(

@@ -32,8 +32,8 @@ rules:
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction and whose values can be checked finite.
-State fields and the public operators use it; the kernels, and the stage
-results that rk4_fields combines, are plain arrays.
+State fields and the public operators use it; the kernels, rk4_fields'
+stage results and the elliptic solve's data and results are plain arrays.
 """
 
 from __future__ import annotations

@@ -3,6 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from iskak import ik_solver, waterwave
 from iskak.cli import main
 from iskak.config import (
     EXPERIMENT_NAMES,
@@ -12,6 +13,7 @@ from iskak.config import (
     default_config,
     parse_config_text,
 )
+from iskak.errors import NonConvergenceError
 from iskak.experiments import (
     Check,
     ExperimentReport,
@@ -210,6 +212,13 @@ class TestCli:
         assert main(["dispersion", "--config", str(cfgfile)]) == 2
         assert "unknown config keys" in capsys.readouterr().err
 
+    def test_config_file_line_without_equals(self, tmp_path, capsys):
+        cfgfile = tmp_path / "bad.cfg"
+        cfgfile.write_text("[grid]\nn_points 64\n")
+        assert main(["dispersion", "--config", str(cfgfile), "--output-dir", str(tmp_path)]) == 2
+        assert "line 2: expected 'key = value'" in capsys.readouterr().err
+        assert not (tmp_path / "dispersion.csv").exists()
+
     @pytest.mark.parametrize("dt,t_end,message", [("0.1", "0.2", "CFL"),
                                                   ("1e-3", "0.0015", "integer number of steps")])
     def test_step_rules_are_config_errors(self, tmp_path, capsys, dt, t_end, message):
@@ -238,6 +247,9 @@ class TestCli:
         ("simulate", "cg_tol=0"),
         ("consistency", "dtn_tol=0"),
         ("elliptic-suite", "seed=-1"),
+        ("simulate", "dt=0"),
+        ("simulate", "dtn=exact:x"),
+        ("simulate", "dt"),             # an override without '='
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
         # rejected before any run starts: no traceback, no substituted value,
@@ -258,6 +270,67 @@ class TestCli:
                      "--override", "amplitude=0.91", "--override", "n_points=64"])
         assert code == 1
         assert "experiment failed" in capsys.readouterr().err
+
+    def test_failed_first_record_is_a_clean_abort(self, tmp_path, capsys):
+        # the strip solve of the t = 0 record cannot reach dtn_tol: the run
+        # aborts with no record, and the report is still written
+        code = main(["simulate", "--output-dir", str(tmp_path), "--override", "model=ww",
+                     "--override", "dtn_tol=1e-17", "--override", "phi_amplitude=0.1",
+                     "--override", "t_end=0.01"])
+        assert code == 1
+        assert "experiment failed" not in capsys.readouterr().err
+        csv = (tmp_path / "simulate.csv").read_text().splitlines()
+        assert csv == ["time,mass,energy,constraint_max,min_depth,min_a,n_points,dt"]
+        summary = (tmp_path / "simulate.summary.txt").read_text()
+        assert "  FAIL run completed: strip potential solve: no convergence" in summary
+        assert "PASS" not in summary
+
+    def test_conservation_names_aborted_legs(self, tmp_path, monkeypatch):
+        # solver failures injected into two legs, the reprojection leg's 3rd
+        # reprojection and the reference leg's t = 0 record: the report fails
+        # and names both legs, and the checks over a leg with no record
+        # evaluate rather than raise
+        def fail_on(owner, name, call):
+            clean, calls = getattr(owner, name), []
+
+            def failing(*args):
+                calls.append(1)
+                if len(calls) == call:
+                    raise NonConvergenceError(f"injected into {name}", 0, 1.0, 1e-12)
+                return clean(*args)
+
+            monkeypatch.setattr(owner, name, failing)
+
+        fail_on(ik_solver, "reproject", 3)
+        fail_on(waterwave, "hamiltonian", 1)
+        code = main(["conservation", "--output-dir", str(tmp_path),
+                     "--override", "n_points=64", "--override", "t_end=0.1"])
+        assert code == 1
+        checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
+        tail = ": no convergence in 0 iterations (residual 1.000e+00, tol 1.000e-12)"
+        assert (f"  FAIL no aborted leg: reproject dt=0.001: injected into reproject{tail}; "
+                f"reference dt=0.001: injected into hamiltonian{tail}\n") in checks
+        assert ("  FAIL reference run: mass <= 1e-11, surrogate energy drift <= 1e-6: "
+                "mass nan, energy nan\n") in checks
+        assert checks.endswith("result: FAIL\n")
+
+    def test_convergence_rest_data(self, tmp_path):
+        # amplitude 0: every error sits at rounding and no slope is fitted
+        code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",
+                     "--override", "n_points=32", "--override", "t_end=0.02",
+                     "--override", "dt=1e-3", "--override", "record_every=10"])
+        assert code == 0
+        summary = (tmp_path / "convergence.summary.txt").read_text()
+        assert "PASS rest data: errors at rounding, slope not fitted" in summary
+        assert "surface-error slope" not in summary.split("checks:")[1]
+
+    def test_consistency_without_delta_03_checks_the_worst_leg(self, tmp_path):
+        code = main(["consistency", "--output-dir", str(tmp_path), "--override", "n_points=64",
+                     "--override", "delta_list=0.4,0.2"])
+        assert code == 0
+        summary = (tmp_path / "consistency.summary.txt").read_text()
+        assert "PASS two-path identity gap <= 1e-6 (worst leg): worst gap = " in summary
+        assert "at delta=0.3" not in summary
 
     def test_simulate_writes_snapshots(self, tmp_path):
         code = main(["simulate", "--output-dir", str(tmp_path),
