@@ -14,17 +14,19 @@ trials < 1; k0 < 1; cg_tol or dtn_tol <= 0; seed < 0; consistency with
 phi_amplitude <= 0 or a delta_list entry below consistency.DELTA_FLOOR;
 conservation with amplitude <= 0 or reproject_every < 1; and, for the
 stepped experiments, record_every < 1, reproject_every < 0 or a dt that
-breaks the CFL guard or does not divide t_end.  A --config file must be
-valid on its own, before any --override applies.  The CSV and summary
-contents do not depend on --output-dir, so reruns into different
-directories give byte-identical files.  The summary's params: block is
-the full resolved configuration, keys the experiment does not read
-included; passed back with --config it reruns the experiment.
+breaks the CFL guard, does not divide t_end or exceeds it (a run of no
+step).  A --config file must be valid on its own, before any --override
+applies.  The CSV and summary contents do not depend on --output-dir, so
+reruns into different directories give byte-identical files.  The
+summary's params: block is the full resolved configuration, keys the
+experiment does not read included; passed back with --config it reruns
+the experiment.
 
 A solver failure inside a run, its t = 0 record included, aborts that run
 alone: the report is still written, with the records taken before the
 failure, and a FAIL check names each aborted run (simulate: run completed;
-convergence: no aborted sweep leg; conservation: no aborted leg).  A solver
+convergence: no aborted sweep leg, whose later runs are not started;
+conservation: no aborted leg).  A solver
 failure outside a run, such as an initial depth below the floor, ends the
 experiment with no output files.
 """

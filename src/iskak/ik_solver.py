@@ -71,7 +71,6 @@ class SimConfig:
     reproject_every: int = 0          # 0 = never
     cg_tol: float = CG_TOL_DEFAULT
     record_every: int = 20
-    store_trajectory: bool = False
 
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
@@ -81,7 +80,7 @@ class SimConfig:
 
     def n_steps(self, spacing: float) -> int:
         """Number of steps to t_end on a grid of this spacing; ValueError if
-        dt breaks the CFL guard or does not divide t_end."""
+        dt breaks the CFL guard, does not divide t_end or exceeds it."""
         limit = CFL_FACTOR * spacing
         if self.dt > limit:
             raise ValueError(
@@ -89,8 +88,8 @@ class SimConfig:
                 f"(CFL_FACTOR * spacing at unit wave speed)"
             )
         n = int(round(self.t_end / self.dt))
-        if abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
-            raise ValueError("t_end must be an integer number of steps")
+        if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
+            raise ValueError("t_end must be an integer number of steps, at least one")
         return n
 
 
@@ -111,7 +110,7 @@ class Diagnostics:
 class RunResult:
     final: object                     # IkState or waterwave.WwState
     diagnostics: Diagnostics
-    trajectory: list | None = None    # [(t, state)] at the record cadence
+    trajectory: list                  # [(t, state)] at the record cadence
 
 
 def time_derivatives(
@@ -153,7 +152,7 @@ def _stage_guess(i, ks, p, q):
     return _extrapolate((1.0, ks[i - 1]))
 
 
-def rk4_fields(s, dt, rhs, time, warm):
+def rk4_fields(s, dt, rhs, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
     rhs(state, guess) returns a stage result: the time derivatives of those
@@ -183,9 +182,9 @@ def rk4_fields(s, dt, rhs, time, warm):
     change iteration counts only.
 
     Returns the new state and the warm start of the next step,
-    ((k1, .., k4), P).  The max-norm blow-up guard BLOWUP_GUARD is checked
-    here, on the combined state, before run_loop re-centers the potential;
-    the state constructors reject NaN/Inf and depth collapse first.
+    ((k1, .., k4), P).  The state constructors reject NaN/Inf and depth
+    collapse in every stage state and in the result; the max-norm blow-up
+    guard is run_loop's.
     """
     names = s.FIELDS
     p, q = (None, None) if warm is None else warm
@@ -203,20 +202,17 @@ def rk4_fields(s, dt, rhs, time, warm):
         n: RealField(s.grid, getattr(s, n).values + c * (a + 2 * b + 2 * e + d))
         for n, a, b, e, d in zip(names, k1, k2, k3, k4)
     })
-    m = max(float(np.abs(getattr(out, n).values).max()) for n in names)
-    if m > BLOWUP_GUARD:
-        raise BlowUpError(time + dt, m, BLOWUP_GUARD)
     return out, (tuple(ks), p)
 
 
-def _rk4_stages(s, dt, cg_tol, time, warm):
-    return rk4_fields(s, dt, lambda st, g: time_derivatives(st, cg_tol, g), time, warm)
+def _rk4_stages(s, dt, cg_tol, warm):
+    return rk4_fields(s, dt, lambda st, g: time_derivatives(st, cg_tol, g), warm)
 
 
 def rk4_step(s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
-    """One classical 4-stage explicit step from t = 0, without the CFL guard
-    or run's checks, so dt may be negative (the reversibility oracle)."""
-    out, _ = _rk4_stages(s, dt, cg_tol, 0.0, warm=None)
+    """One classical 4-stage explicit step, without run_loop's CFL and
+    blow-up guards, so dt may be negative (the reversibility oracle)."""
+    out, _ = _rk4_stages(s, dt, cg_tol, warm=None)
     return out
 
 
@@ -226,15 +222,10 @@ def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     return ik_state_from_surface(s.eta, surface_potential(s), s.delta, cg_tol)
 
 
-def _record(diag: Diagnostics, t: float, s: IkState, cg_tol: float) -> None:
-    d = time_derivatives(s, cg_tol)
-    a = coef_a(s, d.phi1_t)
-    diag.times.append(t)
-    diag.mass.append(integrate(s.eta))
-    diag.energy.append(energy(s))
-    diag.constraint_max.append(float(np.abs(constraint_residual(s).values).max()))
-    diag.min_depth.append(float(1.0 + s.eta.values.min()))
-    diag.min_a.append(float(a.min()))
+def _record(s: IkState, cg_tol: float) -> tuple:
+    """The model's own record entries: energy, constraint_max and min_a."""
+    a = coef_a(s, time_derivatives(s, cg_tol).phi1_t)
+    return energy(s), float(np.abs(constraint_residual(s).values).max()), float(a.min())
 
 
 def _recenter(s, gauge: str) -> None:
@@ -243,46 +234,55 @@ def _recenter(s, gauge: str) -> None:
 
 
 def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) -> RunResult:
-    """Step a copy of initial to cfg.t_end; the one run loop of both models.
+    """Step a copy of initial to cfg.t_end; the one run loop of both models
+    and the one owner of their records, trajectory and blow-up guard.
 
-    step(state, t, warm) advances one cfg.dt from time t and returns the new
-    state and the warm start of the next step.  warm is None on the first
-    step and otherwise what the step before returned, passed on unchanged
-    across re-centering, records and projections: it only starts the
-    solvers, so a state moved between steps costs iterations, not accuracy.
-    record(diagnostics, t, state) appends one record at t = 0, every
-    cfg.record_every steps and at the end; project(state), if given, runs
-    every cfg.reproject_every steps.
-    The gauge field is re-centered to zero mean at the start and after every
-    step, after the step's blow-up guard (rk4_fields) has run.  A solver
-    failure (errors.SOLVER_ERRORS) aborts the run cleanly, the t = 0 record
-    included: diagnostics.aborted holds the message and the records up to the
-    last completed step are kept, none if the first record failed.
+    step(state, warm) advances one cfg.dt and returns the new state and the
+    warm start of the next step.  warm is None on the first step and
+    otherwise what the step before returned, passed on unchanged across
+    re-centering, records and projections: it only starts the solvers, so a
+    state moved between steps costs iterations, not accuracy.
+    record(state), at t = 0, every cfg.record_every steps and at the end,
+    returns the energy and then the model's own series in Diagnostics order.
+    Only then are they, the time, mass and min depth appended, so a failed
+    record leaves no partial row and a series the model does not return
+    stays empty; each recorded (t, state) joins the trajectory.
+    project(state), if given, runs every cfg.reproject_every steps.  A new
+    state above BLOWUP_GUARD in max norm raises BlowUpError before it
+    replaces the current one; the gauge field is re-centered to zero mean at
+    the start and after every step.  A solver failure (errors.SOLVER_ERRORS)
+    aborts the run cleanly, the t = 0 record included: diagnostics.aborted
+    holds the message, final is the last completed step, and the records up
+    to it are kept, none if the first record failed.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
-
-    diag = Diagnostics()
-    traj = [] if cfg.store_trajectory else None
+    diag, traj = Diagnostics(), []
 
     def keep(t, state):
-        record(diag, t, state)
-        if traj is not None:
-            traj.append((t, state))
+        own = record(state)
+        diag.times.append(t)
+        diag.mass.append(integrate(state.eta))
+        diag.min_depth.append(float(1.0 + state.eta.values.min()))
+        for name, value in zip(("energy", "constraint_max", "min_a"), own):
+            getattr(diag, name).append(value)
+        traj.append((t, state))
 
     s = replace(initial, **{n: getattr(initial, n).copy() for n in initial.FIELDS})
     _recenter(s, gauge)
-    t = 0.0
     warm = None
     try:
-        keep(t, s)
+        keep(0.0, s)
         for i in range(1, n_steps + 1):
-            s, warm = step(s, t, warm)
+            new, warm = step(s, warm)
+            m = max(float(np.abs(getattr(new, n).values).max()) for n in new.FIELDS)
+            if m > BLOWUP_GUARD:
+                raise BlowUpError(i * cfg.dt, m, BLOWUP_GUARD)
+            s = new
             _recenter(s, gauge)
-            t = i * cfg.dt
             if project is not None and cfg.reproject_every and i % cfg.reproject_every == 0:
                 s = project(s)
             if i % cfg.record_every == 0 or i == n_steps:
-                keep(t, s)
+                keep(i * cfg.dt, s)
     except SOLVER_ERRORS as exc:
         diag.aborted = str(exc)
     return RunResult(s, diag, traj)
@@ -293,8 +293,8 @@ def run(initial: IkState, cfg: SimConfig) -> RunResult:
     constraint residual and both sign conditions."""
     return run_loop(
         initial, cfg,
-        step=lambda s, t, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, t, warm),
-        record=lambda diag, t, s: _record(diag, t, s, cfg.cg_tol),
+        step=lambda s, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, warm),
+        record=lambda s: _record(s, cfg.cg_tol),
         gauge="phi0",
         project=lambda s: reproject(s, cfg.cg_tol),
     )

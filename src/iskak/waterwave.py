@@ -34,7 +34,7 @@ import numpy as np
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
 from .operators import H_MIN_DEFAULT, check_state
-from .spectral import PeriodicGrid, RealField, dealias, dp, dx, integrate, kernels, lap
+from .spectral import PeriodicGrid, RealField, dealias, dp, dx, kernels, lap
 
 __all__ = [
     "WwState",
@@ -416,18 +416,9 @@ def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
     """RK4 evolution of the surface system through the model's run loop
     (ik_solver.run_loop): same scheme, guards and abort handling, with mass
     and surrogate-energy diagnostics; cfg.reproject_every does not apply."""
-
-    def record(diag, t, s):
-        e = hamiltonian(s, backend)
-        diag.times.append(t)
-        diag.mass.append(integrate(s.eta))
-        diag.energy.append(e)
-        diag.min_depth.append(float(1.0 + s.eta.values.min()))
-
     return run_loop(
         initial, cfg,
-        step=lambda s, t, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g),
-                                           t, warm),
-        record=record,
+        step=lambda s, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g), warm),
+        record=lambda s: (hamiltonian(s, backend),),
         gauge="phi",
     )

@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iskak import ik_solver, waterwave
+from iskak import experiments, ik_solver, waterwave
 from iskak.cli import main
 from iskak.config import (
     EXPERIMENT_NAMES,
@@ -220,7 +220,8 @@ class TestCli:
         assert not (tmp_path / "dispersion.csv").exists()
 
     @pytest.mark.parametrize("dt,t_end,message", [("0.1", "0.2", "CFL"),
-                                                  ("1e-3", "0.0015", "integer number of steps")])
+                                                  ("1e-3", "0.0015", "integer number of steps"),
+                                                  ("1e-3", "1e-12", "at least one")])
     def test_step_rules_are_config_errors(self, tmp_path, capsys, dt, t_end, message):
         code = main(["simulate", "--output-dir", str(tmp_path),
                      "--override", f"dt={dt}", "--override", f"t_end={t_end}"])
@@ -250,6 +251,7 @@ class TestCli:
         ("simulate", "dt=0"),
         ("simulate", "dtn=exact:x"),
         ("simulate", "dt"),             # an override without '='
+        ("conservation", "t_end=1e-12"),  # shorter than one step
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
         # rejected before any run starts: no traceback, no substituted value,
@@ -323,6 +325,40 @@ class TestCli:
         summary = (tmp_path / "convergence.summary.txt").read_text()
         assert "PASS rest data: errors at rounding, slope not fitted" in summary
         assert "surface-error slope" not in summary.split("checks:")[1]
+
+    def test_convergence_rest_data_needs_a_completed_leg(self, tmp_path):
+        # every leg's reference aborts at its t = 0 record, so no error was
+        # measured and the rest-data check has nothing to pass over
+        code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",
+                     "--override", "phi_amplitude=0.1", "--override", "dtn_tol=1e-17",
+                     "--override", "t_end=0.01"])
+        assert code == 1
+        summary = (tmp_path / "convergence.summary.txt").read_text()
+        assert ("  FAIL rest data: errors at rounding, slope not fitted: "
+                "max surface error 0.000e+00\n") in summary
+
+    def test_sweep_leg_stops_at_its_first_aborted_run(self, tmp_path, monkeypatch):
+        # every reference aborts at its t = 0 record: the sweep starts the
+        # five references and neither the model nor the control of any leg
+        started = []
+
+        def counted(name):
+            clean = getattr(experiments, name)
+
+            def wrapper(*args):
+                started.append(name)
+                return clean(*args)
+            return wrapper
+
+        for name in ("run", "ww_run"):
+            monkeypatch.setattr(experiments, name, counted(name))
+        code = main(["convergence", "--output-dir", str(tmp_path), "--override", "n_points=32",
+                     "--override", "phi_amplitude=0.1", "--override", "dtn_tol=1e-17",
+                     "--override", "t_end=0.01"])
+        assert code == 1
+        assert started == ["ww_run"] * 5
+        summary = (tmp_path / "convergence.summary.txt").read_text()
+        assert "  FAIL no aborted sweep leg: delta=0.4: strip potential solve" in summary
 
     def test_consistency_without_delta_03_checks_the_worst_leg(self, tmp_path):
         code = main(["consistency", "--output-dir", str(tmp_path), "--override", "n_points=64",

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iskak import ik_solver, operators
-from iskak.errors import BlowUpError
+from iskak.errors import NonConvergenceError
 from iskak.ik_solver import (
     SimConfig,
     reproject,
@@ -125,12 +125,6 @@ class TestRk4Step:
         out = rk4_step(s, 1e-3)
         assert abs(integrate(out.eta) - integrate(s.eta)) <= 1e-12
 
-    def test_blowup_guard(self, grid64):
-        s = rest_state(grid64)
-        huge = IkState(s.eta, RealField(grid64, np.full(64, 2e6)), s.phi1, 0.3)
-        with pytest.raises(BlowUpError):
-            rk4_step(huge, 1e-3)
-
     def test_backward_step_is_guess_independent(self, monkeypatch):
         # the reversibility path (dt < 0) takes the same stage guesses
         s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
@@ -203,8 +197,7 @@ class TestRun:
 
     def test_trajectory_recording(self, grid64):
         s = cosine_state(grid64, 0.05, 0.3)
-        res = run(s, SimConfig(t_end=0.1, dt=2e-3, record_every=10, store_trajectory=True))
-        assert res.trajectory is not None
+        res = run(s, SimConfig(t_end=0.1, dt=2e-3, record_every=10))
         times = [t for t, _ in res.trajectory]
         assert times[0] == 0.0
         assert times[-1] == pytest.approx(0.1)
@@ -214,6 +207,38 @@ class TestRun:
         s = rest_state(grid64)
         with pytest.raises(ValueError):
             run(s, SimConfig(t_end=1.0, dt=0.2))
+
+    def test_blowup_guard(self, grid64, monkeypatch):
+        # the crest of eta grows by 5e-4 a step, so the third step passes a
+        # guard of 0.1013: run_loop rejects that state before it replaces
+        # the second, whose record and state the run keeps
+        eta0 = field_from_function(grid64, lambda x: 0.1 * np.cos(x))
+        phi = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+        monkeypatch.setattr(ik_solver, "BLOWUP_GUARD", 0.1013)
+        res = run(ik_state_from_surface(eta0, phi, 0.3),
+                  SimConfig(t_end=0.05, dt=1e-2, record_every=1))
+        assert res.diagnostics.aborted.startswith("blow-up at t=0.03: max norm 1.015")
+        assert res.diagnostics.times == [0.0, 0.01, 0.02]
+        assert res.final is res.trajectory[-1][1]
+        assert 0.1010 < res.final.eta.values.max() < 0.1013
+
+    def test_failed_record_leaves_no_partial_row(self, grid64, monkeypatch):
+        # the loop appends a record only after the model's part returned
+        clean, calls = ik_solver._record, []
+
+        def failing(s, cg_tol):
+            calls.append(1)
+            if len(calls) == 2:
+                raise NonConvergenceError("injected record failure", 0, 1.0, 1e-12)
+            return clean(s, cg_tol)
+
+        monkeypatch.setattr(ik_solver, "_record", failing)
+        res = run(cosine_state(grid64, 0.05, 0.3), SimConfig(t_end=0.02, dt=2e-3, record_every=5))
+        diag = res.diagnostics
+        assert diag.aborted.startswith("injected record failure")
+        for series in (diag.times, diag.mass, diag.energy, diag.constraint_max,
+                       diag.min_depth, diag.min_a, res.trajectory):
+            assert len(series) == 1
 
     def test_abort_keeps_partial_diagnostics(self, grid64):
         # legal at t=0 but the strong flow drives the trough below the floor
@@ -284,7 +309,7 @@ class TestStageGuesses:
             return wrapper
 
         def per_stage(fields):
-            def wrapper(st, dt, rhs, time, warm):
+            def wrapper(st, dt, rhs, warm):
                 index = iter(range(4))
 
                 def counted_rhs(state, guess):
@@ -292,7 +317,7 @@ class TestStageGuesses:
                     out = rhs(state, guess)
                     stages[next(index)].append(counts["l1"] - before)
                     return out
-                return fields(st, dt, counted_rhs, time, warm)
+                return fields(st, dt, counted_rhs, warm)
             return wrapper
 
         monkeypatch.setattr(operators, "_l1_v", counted("l1", operators._l1_v))

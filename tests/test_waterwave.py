@@ -223,7 +223,7 @@ class TestSurfaceEvolution:
         eps, delta, k = 1e-4, 0.5, 2
         omega = np.sqrt(flat_symbol(k, delta))
         eta0 = field_from_function(grid64, lambda x: eps * np.cos(k * x))
-        cfg = SimConfig(t_end=3.6, dt=5e-3, record_every=5, store_trajectory=True)
+        cfg = SimConfig(t_end=3.6, dt=5e-3, record_every=5)
         res = ww_run(WwState(eta0, zeros(grid64), delta), cfg,
                      DtnBackend.exact(16))
         assert res.diagnostics.aborted is None
@@ -316,6 +316,26 @@ def test_stage_results_are_arrays(grid64):
     ww = zcs_rhs(WwState(eta0, phi, 0.3), DtnBackend.exact(16))
     for entry in (*ik, *ww):
         assert type(entry) is np.ndarray
+
+
+def test_both_models_share_the_record_contract(grid64):
+    # one run loop records both models: the same cadence gives the same
+    # times, the IK model adds constraint_max and min_a, one entry per
+    # record, and a water-wave run leaves those two series empty
+    eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+    cfg = SimConfig(t_end=0.05, dt=5e-3, record_every=3)
+    ik = ik_solver.run(ik_state_from_surface(eta0, zeros(grid64), 0.3), cfg)
+    ww = ww_run(WwState(eta0, zeros(grid64), 0.3), cfg, DtnBackend.series(2))
+    assert ik.diagnostics.aborted is None and ww.diagnostics.aborted is None
+    assert ik.diagnostics.times == ww.diagnostics.times
+    assert ww.diagnostics.times == pytest.approx([0.0, 0.015, 0.03, 0.045, 0.05])
+    for name in ("times", "mass", "energy", "constraint_max", "min_depth", "min_a"):
+        assert len(getattr(ik.diagnostics, name)) == 5
+    for name in ("times", "mass", "energy", "min_depth"):
+        assert len(getattr(ww.diagnostics, name)) == 5
+    assert ww.diagnostics.constraint_max == [] and ww.diagnostics.min_a == []
+    for res in (ik, ww):
+        assert [t for t, _ in res.trajectory] == res.diagnostics.times
 
 
 class TestBackend:

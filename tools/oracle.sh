@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the eight reference configurations on revision REV
+# Refactor oracle: run the nine reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -7,7 +7,9 @@
 # REV is unpacked with `git archive` into a temporary directory; the working
 # tree is run as it stands, uncommitted edits included.  The configurations
 # are the six experiments at their default config, `simulate --override
-# model=ww` and `simulate --override n_points=512 --override t_end=0.02`.
+# model=ww`, `simulate --override n_points=512 --override t_end=0.02` and a
+# `convergence` sweep whose every reference aborts at its t = 0 record
+# (`dtn_tol=1e-17`), which exercises the abort path.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file; a differing file also shows the first
 # lines of its diff.  Exits 0 if every file is identical, 1 if any differs
@@ -40,6 +42,7 @@ configs=(
     "convergence convergence"
     "simulate-ww simulate --override model=ww"
     "simulate-n512 simulate --override n_points=512 --override t_end=0.02"
+    "convergence-abort convergence --override dtn_tol=1e-17 --override phi_amplitude=0.1 --override t_end=0.2"
 )
 
 # run_tree TREE OUT: every configuration on TREE's sources, outputs under OUT.
