@@ -15,7 +15,7 @@ import numpy as np
 
 from .config import ExperimentConfig, config_items
 from .consistency import dispersion_table, residuals
-from .ik_solver import Diagnostics, SimConfig, run
+from .ik_solver import Diagnostics, RunResult, SimConfig, run
 from .operators import (
     DepthCoefs,
     ik_state_from_surface,
@@ -144,6 +144,22 @@ def _sin_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
     return field_from_function(grid, lambda x: amplitude * np.sin(k0 * scale * x))
 
 
+def _stepped(backend: DtnBackend | None, eta0: RealField, phi: RealField, delta: float,
+             sim: SimConfig) -> RunResult:
+    """Step the surface data (eta0, phi) at delta to sim.t_end: the IK model
+    if backend is None, else the water-wave problem under backend.  The one
+    place an experiment starts a stepped run; run_loop copies the fields."""
+    if backend is None:
+        return run(ik_state_from_surface(eta0, phi, delta, cg_tol=sim.cg_tol), sim)
+    return ww_run(WwState(eta0, phi, delta), sim, backend)
+
+
+def _sign_check(min_h: float, min_a: float) -> Check:
+    """Both sign conditions; a NaN minimum (no record) fails."""
+    return Check("sign conditions: min depth and min a >= 0.5",
+                 min_h >= 0.5 and min_a >= 0.5, f"min depth {min_h:.4f}, min a {min_a:.4f}")
+
+
 DIAG_COLUMNS = ["time", "mass", "energy", "constraint_max", "min_depth", "min_a"]
 
 
@@ -197,10 +213,7 @@ def run_dispersion(cfg: ExperimentConfig) -> ExperimentReport:
 @dataclass
 class _ConvLeg:
     delta: float
-    times: list
-    err_eta: list
-    err_du: list
-    err_ctrl: list
+    errors: list        # per record: (time, err_eta, err_grad_phi, err_control)
     min_depth: float
     min_a: float
     aborted: str | None
@@ -214,49 +227,38 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
                     cg_tol=cfg.cg_tol, record_every=cfg.record_every)
 
     # the leg stops at its first aborted run, in the order reference, model, control
-    starts = (lambda: ww_run(WwState(eta0.copy(), phi0.copy(), delta),
-                             sim, DtnBackend.parse(cfg.dtn, cfg.dtn_tol)),
-              lambda: run(ik_state_from_surface(eta0, phi0, delta, cg_tol=cfg.cg_tol), sim),
-              lambda: ww_run(WwState(eta0.copy(), phi0.copy(), delta),
-                             sim, DtnBackend.series(0)))
     results = []
-    for start in starts:
-        res = start()
+    for backend in (DtnBackend.parse(cfg.dtn, cfg.dtn_tol), None, DtnBackend.series(0)):
+        res = _stepped(backend, eta0, phi0, delta, sim)
         if res.diagnostics.aborted is not None:
-            return _ConvLeg(delta, [], [], [], [], np.nan, np.nan, res.diagnostics.aborted)
+            return _ConvLeg(delta, [], np.nan, np.nan, res.diagnostics.aborted)
         results.append(res)
     reference, model, control = results
-    times, e_eta, e_du, e_ctrl = [], [], [], []
+    errors = []
     for (tw, sw), (_, si), (_, sc) in zip(reference.trajectory, model.trajectory,
                                           control.trajectory):
         phi_model = surface_potential(si)
-        times.append(tw)
-        e_eta.append(l2_norm(RealField(grid, sw.eta.values - si.eta.values)))
-        e_du.append(l2_norm(RealField(grid, dx(grid, sw.phi.values)
-                                      - dx(grid, phi_model.values))))
-        e_ctrl.append(l2_norm(RealField(grid, sw.eta.values - sc.eta.values)))
+        errors.append((tw, l2_norm(RealField(grid, sw.eta.values - si.eta.values)),
+                       l2_norm(RealField(grid, dx(grid, sw.phi.values)
+                                         - dx(grid, phi_model.values))),
+                       l2_norm(RealField(grid, sw.eta.values - sc.eta.values))))
     diag = model.diagnostics
-    return _ConvLeg(delta, times, e_eta, e_du, e_ctrl, min(diag.min_depth),
-                    min(diag.min_a), None)
+    return _ConvLeg(delta, errors, min(diag.min_depth), min(diag.min_a), None)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     legs = [_convergence_leg(cfg, d) for d in cfg.delta_list]
-    rows = []
-    max_eta, max_du, max_ctrl, deltas = [], [], [], []
-    any_abort = []
+    rows, deltas, peaks, any_abort = [], [], [], []
     for leg in legs:
         if leg.aborted is not None:
             any_abort.append(f"delta={leg.delta}: {leg.aborted}")
             rows.append([leg.delta, np.nan, np.nan, np.nan, np.nan,
                          cfg.n_points, cfg.dt, cfg.dtn])
             continue
-        for t, a, b, c in zip(leg.times, leg.err_eta, leg.err_du, leg.err_ctrl):
-            rows.append([leg.delta, t, a, b, c, cfg.n_points, cfg.dt, cfg.dtn])
+        rows.extend([leg.delta, *e, cfg.n_points, cfg.dt, cfg.dtn] for e in leg.errors)
         deltas.append(leg.delta)
-        max_eta.append(max(leg.err_eta))
-        max_du.append(max(leg.err_du))
-        max_ctrl.append(max(leg.err_ctrl))
+        peaks.append(np.max(leg.errors, axis=0)[1:])
+    max_eta, max_du, max_ctrl = np.reshape(peaks, (-1, 3)).T
 
     floor = cfg.noise_floor
     sf_eta = fit_loglog(deltas, max_eta, floor, "surface_error")
@@ -265,7 +267,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 
     checks = []
     if cfg.amplitude == 0.0:
-        flat = bool(max_eta) and all(e <= 1e-11 for e in max_eta)   # needs a completed leg
+        flat = bool(deltas) and all(e <= 1e-11 for e in max_eta)    # needs a completed leg
         checks.append(Check("rest data: errors at rounding, slope not fitted",
                             flat and sf_eta.slope is None,
                             f"max surface error {max(max_eta, default=0.0):.3e}"))
@@ -279,11 +281,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(Check("no aborted sweep leg", not any_abort,
                         "; ".join(any_abort) if any_abort else "all legs completed"))
     fin = [leg for leg in legs if leg.aborted is None]
-    min_h = min((leg.min_depth for leg in fin), default=np.nan)
-    min_a = min((leg.min_a for leg in fin), default=np.nan)
-    checks.append(Check("sign conditions: min depth and min a >= 0.5",
-                        bool(fin) and min_h >= 0.5 and min_a >= 0.5,
-                        f"min depth {min_h:.4f}, min a {min_a:.4f}"))
+    checks.append(_sign_check(min((leg.min_depth for leg in fin), default=np.nan),
+                              min((leg.min_a for leg in fin), default=np.nan)))
     return ExperimentReport(
         "convergence",
         ["delta", "time", "err_eta", "err_grad_phi", "err_control",
@@ -339,13 +338,6 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 # conservation and scheme order
 
-def _ik_run(grid, amplitude, k0, delta, sim_cfg):
-    eta0 = _cos_profile(grid, amplitude, k0)
-    phi = RealField(grid, np.zeros(grid.n_points))
-    s0 = ik_state_from_surface(eta0, phi, delta, cg_tol=sim_cfg.cg_tol)
-    return run(s0, sim_cfg)
-
-
 def _drift(series) -> float:
     """max |x - x[0]| over a record series; NaN, which fails every bound, if
     the run recorded nothing."""
@@ -358,72 +350,63 @@ def _rel_drift(series) -> float:
     return abs(series[-1] - series[0]) / abs(series[0]) if series else np.nan
 
 
+def _halving_check(dt: float, coarse: float, fine: float) -> Check:
+    """Energy drifts at dt and dt/2 shrink 16-fold under RK4; a fine drift
+    of zero (at rounding) or a NaN drift (no record) fails."""
+    ratio = coarse / fine if fine else np.nan
+    return Check("energy-drift halving ratio 16 +/- 4", 12.0 <= ratio <= 20.0,
+                 f"drift({dt:g}) = {coarse:.3e}, drift({dt/2:g}) = {fine:.3e} "
+                 f"({fine / np.finfo(float).eps:.0f} eps), ratio {ratio:.2f}")
+
+
 def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     rows, checks, aborted = [], [], []
 
-    def add_rows(tag, n, dt, diag):
-        rows.extend([tag, *r] for r in _diag_rows(diag, n, dt))
+    def leg(tag, grid, amplitude, k0, delta, sim, backend=None) -> Diagnostics:
+        # a cosine surface under a zero potential; its records become rows tagged tag
+        zero = RealField(grid, np.zeros(grid.n_points))
+        diag = _stepped(backend, _cos_profile(grid, amplitude, k0), zero, delta, sim).diagnostics
+        rows.extend([tag, *r] for r in _diag_rows(diag, grid.n_points, sim.dt))
         if diag.aborted is not None:
-            aborted.append(f"{tag} dt={dt:g}: {diag.aborted}")
+            aborted.append(f"{tag} dt={sim.dt:g}: {diag.aborted}")
+        return diag
 
     # rest state: everything flat to rounding
     grid0 = PeriodicGrid(128, cfg.length)
-    rest = _ik_run(grid0, 0.0, 1, 0.2,
-                   SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol))
-    add_rows("rest", 128, 1e-3, rest.diagnostics)
+    rest = leg("rest", grid0, 0.0, 1, 0.2,
+               SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol))
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
-                        _drift(rest.diagnostics.mass) <= 1e-12
-                        and _drift(rest.diagnostics.energy) <= 1e-12
-                        and max(rest.diagnostics.constraint_max, default=np.nan) <= 1e-12,
-                        f"mass {(_drift(rest.diagnostics.mass)):.2e}, "
-                        f"energy {(_drift(rest.diagnostics.energy)):.2e}"))
+                        _drift(rest.mass) <= 1e-12 and _drift(rest.energy) <= 1e-12
+                        and max(rest.constraint_max, default=np.nan) <= 1e-12,
+                        f"mass {_drift(rest.mass):.2e}, energy {_drift(rest.energy):.2e}"))
 
     # step-halving order on the configured drift run
     grid = PeriodicGrid(cfg.n_points, cfg.length)
-    drifts = {}
-    legs = {}
-    for dt in (cfg.dt, cfg.dt / 2.0):
-        res = _ik_run(grid, cfg.amplitude, cfg.k0, cfg.delta,
-                      SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9,
-                                cg_tol=cfg.cg_tol))
-        legs[dt] = res
-        add_rows("order", cfg.n_points, dt, res.diagnostics)
-        drifts[dt] = _rel_drift(res.diagnostics.energy)
-    ratio = drifts[cfg.dt] / drifts[cfg.dt / 2.0]
-    checks.append(Check("energy-drift halving ratio 16 +/- 4",
-                        12.0 <= ratio <= 20.0,
-                        f"drift({cfg.dt:g}) = {drifts[cfg.dt]:.3e}, "
-                        f"drift({cfg.dt/2:g}) = {drifts[cfg.dt/2]:.3e} "
-                        f"({drifts[cfg.dt/2] / np.finfo(float).eps:.0f} eps), ratio {ratio:.2f}"))
-    mass_worst = max(_drift(r.diagnostics.mass) for r in legs.values())
+    order = [leg("order", grid, cfg.amplitude, cfg.k0, cfg.delta,
+                 SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9, cg_tol=cfg.cg_tol))
+             for dt in (cfg.dt, cfg.dt / 2.0)]
+    checks.append(_halving_check(cfg.dt, *(_rel_drift(d.energy) for d in order)))
+    mass_worst = max(_drift(d.mass) for d in order)
     checks.append(Check("mass drift <= 1e-11 on every leg", mass_worst <= 1e-11,
                         f"worst {mass_worst:.2e}"))
 
     # reprojection keeps the constraint at solver level
-    proj = _ik_run(grid0, 0.1, 1, 0.2,
-                   SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every,
-                             record_every=100, cg_tol=cfg.cg_tol))
-    add_rows("reproject", 128, 1e-3, proj.diagnostics)
-    cmax = max(proj.diagnostics.constraint_max, default=np.nan)
+    proj = leg("reproject", grid0, 0.1, 1, 0.2,
+               SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every,
+                         record_every=100, cg_tol=cfg.cg_tol))
+    cmax = max(proj.constraint_max, default=np.nan)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
                         cmax <= 1e-8, f"max residual {cmax:.2e}"))
-    min_h = min(proj.diagnostics.min_depth, default=np.nan)
-    min_a = min(proj.diagnostics.min_a, default=np.nan)
-    checks.append(Check("sign conditions: min depth and min a >= 0.5",
-                        min_h >= 0.5 and min_a >= 0.5,
-                        f"min depth {min_h:.4f}, min a {min_a:.4f}"))
+    checks.append(_sign_check(min(proj.min_depth, default=np.nan),
+                              min(proj.min_a, default=np.nan)))
 
     # reference solver: mass and surrogate-energy behavior
-    eta_w = _cos_profile(grid0, 0.05, 1)
-    phi_w = RealField(grid0, np.zeros(128))
-    ww = ww_run(WwState(eta_w, phi_w, 0.2),
-                SimConfig(t_end=1.0, dt=1e-3, record_every=200),
-                DtnBackend.exact(16, tol=cfg.dtn_tol))
-    add_rows("reference", 128, 1e-3, ww.diagnostics)
-    e = _rel_drift(ww.diagnostics.energy)
+    ww = leg("reference", grid0, 0.05, 1, 0.2, SimConfig(t_end=1.0, dt=1e-3, record_every=200),
+             DtnBackend.exact(16, tol=cfg.dtn_tol))
+    e = _rel_drift(ww.energy)
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
-                        _drift(ww.diagnostics.mass) <= 1e-11 and e <= 1e-6,
-                        f"mass {(_drift(ww.diagnostics.mass)):.2e}, energy {e:.2e}"))
+                        _drift(ww.mass) <= 1e-11 and e <= 1e-6,
+                        f"mass {_drift(ww.mass):.2e}, energy {e:.2e}"))
     checks.append(Check("no aborted leg", not aborted,
                         "; ".join(aborted) if aborted else "all legs completed"))
 
@@ -450,13 +433,17 @@ def _random_band_limited(rng, grid, modes=5, amplitude=1.0) -> RealField:
     return RealField(grid, v)
 
 
-def _random_pair_solve(rng, grid, delta, cg_tol):
-    """Draw a random depth (1 + eta >= 0.5) and data (f1, f2, f3), in that
-    order, and solve the elliptic pair on them; returns (depth, data, pair)."""
+def _random_depth(rng, grid) -> DepthCoefs:
+    """A random depth 1 + eta, min depth drawn from U(0.5, 0.9) first."""
     target = rng.uniform(0.5, 0.9)
-    eta = _random_band_limited(rng, grid, 4, 1.0 - target)
+    return DepthCoefs.from_eta(_random_band_limited(rng, grid, 4, 1.0 - target))
+
+
+def _random_pair_solve(rng, grid, delta, cg_tol):
+    """Draw a random depth and data (f1, f2, f3), in that order, and solve
+    the elliptic pair on them; returns (depth, data, pair)."""
+    dc = _random_depth(rng, grid)
     data = tuple(_random_band_limited(rng, grid, 5, 1.0) for _ in range(3))
-    dc = DepthCoefs.from_eta(eta)
     pair = solve_elliptic_pair(delta, dc, *(f.values for f in data), cg_tol=cg_tol)
     return dc, data, tuple(RealField(grid, v) for v in pair)
 
@@ -476,10 +463,8 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
     min_ratio = np.inf
     for trial in range(cfg.trials):
         delta = float(rng.choice(deltas))
-        target = rng.uniform(0.5, 0.9)
-        eta = _random_band_limited(rng, grid, 4, 1.0 - target)
+        dc = _random_depth(rng, grid)
         psi = _random_band_limited(rng, grid, 6, 1.0)
-        dc = DepthCoefs.from_eta(eta)
         quad = grid.spacing * float(np.dot(op_l1(delta, dc, psi).values, psi.values))
         lower = l2_norm(psi) ** 2 + delta**2 * _grad_norm(psi) ** 2
         ratio = quad / lower
@@ -559,11 +544,8 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
                     cg_tol=cfg.cg_tol, record_every=cfg.record_every)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
-    if cfg.model == "ik":
-        res = run(ik_state_from_surface(eta0, phi, cfg.delta, cg_tol=cfg.cg_tol), sim)
-    else:
-        res = ww_run(WwState(eta0, phi, cfg.delta), sim,
-                     DtnBackend.parse(cfg.dtn, cfg.dtn_tol))
+    backend = None if cfg.model == "ik" else DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
+    res = _stepped(backend, eta0, phi, cfg.delta, sim)
     diag = res.diagnostics
     names = res.final.FIELDS
     snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]

@@ -30,6 +30,11 @@ rules:
   m(0) v0 added back, m(0) = symbol[0] the multiplier at wavenumber 0 (0
   for the derivatives, 1 for dealias), so a constant maps exactly.
 
+Multiplier.whole is the plain product over a whole array at once, w @
+matrix up to MATRIX_MAX_N points and the transform above, under neither
+rule: for the (n_z + 1, N) strip arrays of the water-wave solve one
+product is cheaper than one per row.  The size rule lives here alone.
+
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction and whose values can be checked finite.
 State fields and the public operators use it; the kernels, rk4_fields'
@@ -148,6 +153,10 @@ class Multiplier:
         if self.at_zero:
             out += self.at_zero * v0
         return out
+
+    def whole(self, w: np.ndarray) -> np.ndarray:
+        """w @ matrix, or the transform above MATRIX_MAX_N (module docstring)."""
+        return self.transform(w) if self.matrix is None else w @ self.matrix
 
 
 class Kernels(NamedTuple):

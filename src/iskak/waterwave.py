@@ -7,16 +7,15 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with the
 flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
 preconditioner of a GMRES iteration.  The x-derivative of a whole
-(n_z + 1, N) strip array is one product with the cached dx matrix
-(spectral.kernels) up to spectral.MATRIX_MAX_N points, and a transform pair
-above: one product over the whole array is cheaper than the row-by-row
-product of spectral.Multiplier or a transform pair.  The preconditioner
-stays in Fourier space, because its mode solve couples z within each
-wavenumber.  GMRES reports the residual
-|r0 - sum_i y_i A v_i| / |b|, from the operator outputs A v_i it keeps, so a
-claimed convergence is confirmed by the operator itself, not by the Givens
-estimate, at no extra application.  The flux is then the vertical average
-of the horizontal velocity and
+(n_z + 1, N) strip array is the whole-array product of the dx Multiplier
+(spectral.Multiplier.whole): one product with its cached matrix up to
+spectral.MATRIX_MAX_N points and a transform pair above, cheaper than the
+row-by-row product of a Multiplier call.  The preconditioner stays in
+Fourier space, because its mode solve couples z within each wavenumber.
+GMRES reports the residual |r0 - sum_i y_i A v_i| / |b|, from the operator
+outputs A v_i it keeps, so a claimed convergence is confirmed by the
+operator itself, not by the Givens estimate, at no extra application.  The
+flux is then the vertical average of the horizontal velocity and
 
     Lambda phi = -div(H Vbar),
 
@@ -233,12 +232,8 @@ class _StripWorkspace:
             self.mode_inverses = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"flat strip modes: {exc}") from exc
-        self.dx_matrix = kernels(grid).dx.matrix
+        self.dx = kernels(grid).dx          # applied with .whole (module docstring)
         self.last_solution: np.ndarray | None = None
-
-    def _dx(self, w: np.ndarray) -> np.ndarray:
-        # x-derivative of a whole (n_z + 1, N) array (module docstring)
-        return dx(self.grid, w) if self.dx_matrix is None else w @ self.dx_matrix
 
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
         # one real matmul per Fourier mode, over its (real, imag) column pair
@@ -249,11 +244,11 @@ class _StripWorkspace:
     def _apply(self, w: np.ndarray, h, eta_x, d2) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
         wz = self.dz @ w
-        wx = self._dx(w)
+        wx = self.dx.whole(w)
         zp1 = self.zp1[:, None]
         p = h * wx - zp1 * eta_x * wz
         q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
-        out = self.dzz @ w + d2 * h * (self._dx(p) + self.dz @ q)
+        out = self.dzz @ w + d2 * h * (self.dx.whole(p) + self.dz @ q)
         out[0, :] = w[0, :]
         out[-1, :] = wz[-1, :]
         return out
@@ -311,7 +306,7 @@ class _StripWorkspace:
         h = 1.0 + eta.values
         eta_x = dx(grid, eta.values)
         wz = self.dz @ w
-        wx = self._dx(w)
+        wx = self.dx.whole(w)
         integrand = wx - self.zp1[:, None] * (eta_x / h) * wz
         vbar = self.wq @ integrand
         return -dx(grid, h * vbar)

@@ -166,6 +166,19 @@ class TestReports:
         assert excluded and all(r[4] == 0 for r in excluded)
         assert all(len(r) == len(rep.columns) for r in rep.rows)
 
+    @pytest.mark.parametrize("drifts, passed, ratio", [
+        ((1.6e-10, 1e-11), True, "16.00"),
+        ((3.2e-12, 0.0), False, "nan"),         # finer drift at rounding
+        ((np.nan, np.nan), False, "nan"),       # no record on either leg
+    ])
+    def test_halving_check(self, drifts, passed, ratio):
+        # the check fails, with both drifts shown, where no ratio exists
+        check = experiments._halving_check(2e-3, *drifts)
+        assert check.passed == passed
+        assert check.detail.startswith(
+            f"drift(0.002) = {drifts[0]:.3e}, drift(0.001) = {drifts[1]:.3e} (")
+        assert check.detail.endswith(f"ratio {ratio}")
+
     def test_elliptic_suite_deterministic_with_seed(self):
         cfg = replace(default_config("elliptic-suite"), n_points=64, trials=10)
         r1 = run_elliptic_suite(cfg)
@@ -315,6 +328,17 @@ class TestCli:
         assert ("  FAIL reference run: mass <= 1e-11, surrogate energy drift <= 1e-6: "
                 "mass nan, energy nan\n") in checks
         assert checks.endswith("result: FAIL\n")
+        # each leg's rows carry its own grid size and step; the reference
+        # leg failed its t = 0 record and wrote none
+        header, *lines = (tmp_path / "conservation.csv").read_text().splitlines()
+        cols = header.split(",")
+        legs = {}
+        for line in lines:
+            cells = dict(zip(cols, line.split(",")))
+            legs.setdefault(cells["leg"], set()).add((int(cells["n_points"]), float(cells["dt"])))
+        dt = default_config("conservation").dt
+        assert legs == {"rest": {(128, 1e-3)}, "order": {(64, dt), (64, dt / 2)},
+                        "reproject": {(128, 1e-3)}}
 
     def test_convergence_rest_data(self, tmp_path):
         # amplitude 0: every error sits at rounding and no slope is fitted

@@ -126,6 +126,9 @@ class TestMultiplierMatrices:
             want = matrix_form(mult)(v) if n <= MATRIX_MAX_N else mult.transform(v)
             assert np.array_equal(public(grid, v), want)
             assert (mult.matrix is None) == (n > MATRIX_MAX_N)
+            # the whole-array product: one product with the matrix or the transform
+            whole = mult.transform(v) if n > MATRIX_MAX_N else v @ mult.matrix
+            assert np.array_equal(mult.whole(v), whole)
 
 
 class TestDealiasedProduct:

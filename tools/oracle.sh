@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the nine reference configurations on revision REV
+# Refactor oracle: run the ten reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -9,7 +9,9 @@
 # are the six experiments at their default config, `simulate --override
 # model=ww`, `simulate --override n_points=512 --override t_end=0.02` and a
 # `convergence` sweep whose every reference aborts at its t = 0 record
-# (`dtn_tol=1e-17`), which exercises the abort path.
+# (`dtn_tol=1e-17`), which exercises the abort path, and `conservation
+# --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
+# which exercises the failing halving check.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file; a differing file also shows the first
 # lines of its diff.  Exits 0 if every file is identical, 1 if any differs
@@ -43,6 +45,7 @@ configs=(
     "simulate-ww simulate --override model=ww"
     "simulate-n512 simulate --override n_points=512 --override t_end=0.02"
     "convergence-abort convergence --override dtn_tol=1e-17 --override phi_amplitude=0.1 --override t_end=0.2"
+    "conservation-halving conservation --override t_end=2e-3"
 )
 
 # run_tree TREE OUT: every configuration on TREE's sources, outputs under OUT.
