@@ -10,17 +10,18 @@ are found before any run starts, by ExperimentConfig: an unknown key,
 name or dtn spec; a float key (length, delta, amplitude, phi_amplitude,
 t_end, dt, cg_tol, dtn_tol, noise_floor) that is NaN or infinite;
 n_points odd or < 8; delta or delta_list outside (0, 1]; amplitude < 0;
-trials < 1; k0 < 1; cg_tol or dtn_tol <= 0; seed < 0; consistency with
-phi_amplitude <= 0 or a delta_list entry below consistency.DELTA_FLOOR;
-conservation with amplitude <= 0 or reproject_every < 1; and, for the
-stepped experiments, record_every < 1, reproject_every < 0 or a dt that
-breaks the CFL guard, does not divide t_end or exceeds it (a run of no
-step).  A --config file must be valid on its own, before any --override
-applies.  The CSV and summary contents do not depend on --output-dir, so
-reruns into different directories give byte-identical files.  The
-summary's params: block is the full resolved configuration, keys the
-experiment does not read included; passed back with --config it reruns
-the experiment.
+trials < 1; k0 < 1 or k0 > n_points // 3 (above the resolved band, where
+the grid would run another mode); cg_tol or dtn_tol <= 0; seed < 0;
+consistency with phi_amplitude <= 0 or a delta_list entry below
+consistency.DELTA_FLOOR; conservation with amplitude <= 0 or
+reproject_every < 1; and, for the stepped experiments, record_every < 1,
+reproject_every < 0 or a dt that breaks the CFL guard, does not divide
+t_end or exceeds it (a run of no step).  A --config file must be valid
+on its own, before any --override applies.  The CSV and summary contents
+do not depend on --output-dir, so reruns into different directories give
+byte-identical files.  The summary's params: block is the full resolved
+configuration, keys the experiment does not read included; passed back
+with --config it reruns the experiment.
 
 A solver failure inside a run, its t = 0 record included, aborts that run
 alone: the report is still written, with the records taken before the

@@ -81,8 +81,10 @@ class ExperimentConfig:
             raise ValueError("amplitude must be >= 0")
         if self.trials < 1:
             raise ValueError("trials must be >= 1")
-        if self.k0 < 1:
-            raise ValueError("k0 must be >= 1")
+        if not 1 <= self.k0 <= self.n_points // 3:
+            # above the 2/3-rule band the grid aliases k0 to another mode
+            raise ValueError(f"k0 must be in [1, n_points // 3 = {self.n_points // 3}], "
+                             f"got {self.k0}")
         if not (self.cg_tol > 0.0 and self.dtn_tol > 0.0):
             raise ValueError("cg_tol and dtn_tol must be > 0")
         if self.seed < 0:

@@ -155,7 +155,7 @@ class IkState:
 
 def _l1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np.ndarray:
     # the fused form of the module docstring: two fluxes, two 2-row dx calls
-    dg, dv = dx(grid, np.stack((dc.H2 * v, v)))
+    dg, dv = dx(grid, np.array((dc.H2 * v, v)))
     c = dc.l1_flux
     f = dx(grid, c[:, 0] * dg + c[:, 1] * dv)
     return (delta * delta) * (dc.H2 * f[0] + f[1]) + (4.0 / 3.0) * dc.H3 * v
@@ -218,16 +218,16 @@ def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, n
     n = grid.n_points
     ik, minus_k2, keep = (m.symbol for m in kernels(grid))    # dx, lap, dealias
     rows = (s.phi0.values, s.phi1.values, dc.H, dc.H2, dc.H3, dc.H4)
-    f = np.fft.rfft(np.stack(rows), axis=-1)
+    f = np.fft.rfft(np.array(rows), axis=-1)
     f *= keep
     u0, u1, p1, h, h2, h3, h4, lap1 = np.fft.irfft(
         np.concatenate((ik * f[:2], f[1:], minus_k2 * f[1:2])), n=n, axis=-1)
-    g = np.fft.rfft(np.stack((h * u0 + (d2 / 3.0) * (h3 * u1),
+    g = np.fft.rfft(np.array((h * u0 + (d2 / 3.0) * (h3 * u1),
                               u0 * u0, u0 * u1, u1 * u1, p1 * p1)), axis=-1)
     g *= keep
     g[0] *= -ik
     div, q00, q01, q11, qpp = np.fft.irfft(g, n=n, axis=-1)    # div: truncated dt eta
-    c01, c11, cpp, m = dealias(grid, np.stack((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
+    c01, c11, cpp, m = dealias(grid, np.array((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
     f1 = s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
     f2 = (4.0 / 15.0) * d2 * dealias(grid, h4 * m)
     return div, f1, f2
@@ -244,10 +244,10 @@ def coef_a(s: IkState, phi1_t: np.ndarray) -> np.ndarray:
     grid = s.grid
     dc = s.depth()
     d2 = s.delta**2
-    u0, u1 = dx(grid, np.stack((s.phi0.values, s.phi1.values)))
-    h, pt, v0, v1, p1, h3 = dealias(grid, np.stack((dc.H, phi1_t, u0, u1, s.phi1.values, dc.H3)))
-    q = dealias(grid, dealias(grid, np.stack((v0 * v1, v1 * v1, p1 * p1))))
-    o = dealias(grid, np.stack((h * pt, h * q[0], h3 * q[1], h * q[2])))
+    u0, u1 = dx(grid, np.array((s.phi0.values, s.phi1.values)))
+    h, pt, v0, v1, p1, h3 = dealias(grid, np.array((dc.H, phi1_t, u0, u1, s.phi1.values, dc.H3)))
+    q = dealias(grid, dealias(grid, np.array((v0 * v1, v1 * v1, p1 * p1))))
+    o = dealias(grid, np.array((h * pt, h * q[0], h3 * q[1], h * q[2])))
     return 1.0 + 2.0 * d2 * o[0] + 2.0 * d2 * o[1] + 2.0 * d2 * d2 * o[2] + 4.0 * d2 * o[3]
 
 

@@ -22,11 +22,19 @@ flux is then the vertical average of the horizontal velocity and
 a divergence form that conserves mass to rounding.  The shallow-water series
 backend applies Lambda^(0) + d^2 Lambda^(1) + d^4 Lambda^(2) truncated at a
 chosen order.
+
+A solve makes about three applications, so what is fixed for a solve is
+built once per solve or per workspace, never per application
+(_StripWorkspace).  GMRES keeps its Krylov vectors in lists and its Givens
+bookkeeping in floats: a preallocated (max_iter + 1) x n basis is slower,
+as every solve then touches a 2 MB array (N = 128) for its few vectors.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -52,6 +60,11 @@ DTN_MAX_ITER = 120
 GIVENS_FLOOR = 1e-14     # a Givens denominator below this share of its column is zero
 
 
+def _norm(v: np.ndarray) -> float:
+    # what np.linalg.norm computes for a 1-D float array, without its dispatch
+    return math.sqrt(float(np.dot(v, v)))
+
+
 def _gmres(apply_op, b, tol, max_iter, x0=None):
     """Full GMRES with Givens rotations; returns (x, relative residual).
 
@@ -64,8 +77,9 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     equals |b - A x| / |b| up to the rounding of x, of order
     eps |A| |x| / |b|, which is negligible on the strip system; so a Givens
     estimate that has drifted from the truth cannot pass for convergence.
+    The triangular factor is solved by back substitution.
     """
-    bnorm = float(np.linalg.norm(b))
+    bnorm = _norm(b)
     if bnorm == 0.0:
         return np.zeros_like(b), 0.0
     if x0 is None:
@@ -74,51 +88,48 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     else:
         x = x0.copy()
         r = b - apply_op(x)
-    beta = float(np.linalg.norm(r))
+    beta = _norm(r)
     if beta <= tol * bnorm:
         return x, beta / bnorm
     basis = [r / beta]
-    hess = np.zeros((max_iter + 1, max_iter))
-    cs = np.zeros(max_iter)
-    sn = np.zeros(max_iter)
-    g = np.zeros(max_iter + 1)
-    g[0] = beta
-    outputs = []
-    k_done = 0
+    outputs = []       # A v_i
+    cols = []          # rotated Hessenberg columns: column k holds R[:k + 1, k]
+    rotations = []     # Givens (cos, sin) pairs
+    g = [beta]
     for k in range(max_iter):
         outputs.append(apply_op(basis[k]))
         v = outputs[k].copy()
-        for i in range(k + 1):
-            hess[i, k] = float(np.dot(basis[i], v))
-            v -= hess[i, k] * basis[i]
-        hess[k + 1, k] = float(np.linalg.norm(v))
-        col = float(np.linalg.norm(hess[:k + 2, k]))   # rotations keep this norm
-        if hess[k + 1, k] > 0.0:
-            basis.append(v / hess[k + 1, k])
-        else:
-            basis.append(v)
-        for i in range(k):
-            t = cs[i] * hess[i, k] + sn[i] * hess[i + 1, k]
-            hess[i + 1, k] = -sn[i] * hess[i, k] + cs[i] * hess[i + 1, k]
-            hess[i, k] = t
-        denom = float(np.hypot(hess[k, k], hess[k + 1, k]))
-        if denom <= GIVENS_FLOOR * col:
+        col = []
+        for q in basis:
+            c = float(np.dot(q, v))
+            v -= c * q
+            col.append(c)
+        sub = _norm(v)
+        col_norm = math.hypot(*col, sub)     # rotations keep this norm
+        basis.append(v / sub if sub > 0.0 else v)
+        for i, (c, s) in enumerate(rotations):
+            col[i], col[i + 1] = c * col[i] + s * col[i + 1], -s * col[i] + c * col[i + 1]
+        denom = math.hypot(col[k], sub)
+        if denom <= GIVENS_FLOOR * col_norm:
             raise SingularSystemError(f"GMRES breakdown at iteration {k}: Givens denominator "
-                                      f"{denom:.3e} against column norm {col:.3e}")
-        cs[k] = hess[k, k] / denom
-        sn[k] = hess[k + 1, k] / denom
-        hess[k, k] = denom
-        hess[k + 1, k] = 0.0
-        g[k + 1] = -sn[k] * g[k]
-        g[k] = cs[k] * g[k]
-        k_done = k + 1
+                                      f"{denom:.3e} against column norm {col_norm:.3e}")
+        c, s = col[k] / denom, sub / denom
+        col[k] = denom
+        cols.append(col)
+        rotations.append((c, s))
+        g.append(-s * g[k])
+        g[k] = c * g[k]
         if abs(g[k + 1]) <= tol * bnorm:
             break
-    y = np.linalg.solve(hess[:k_done, :k_done], g[:k_done])
-    for i in range(k_done):
-        x += y[i] * basis[i]
-        r -= y[i] * outputs[i]
-    return x, float(np.linalg.norm(r)) / bnorm
+    y = g[:len(cols)]
+    for j in reversed(range(len(cols))):     # back substitution, column by column
+        y[j] /= cols[j][j]
+        for i in range(j):
+            y[i] -= cols[j][i] * y[j]
+    for i, yi in enumerate(y):
+        x += yi * basis[i]
+        r -= yi * outputs[i]
+    return x, _norm(r) / bnorm
 
 
 @dataclass
@@ -210,9 +221,29 @@ def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(vand.T.copy(), moments)
 
 
+class _StripFields(NamedTuple):
+    """The depth fields of one strip solve, for its applications and flux."""
+
+    h: np.ndarray        # 1 + eta
+    eta_x: np.ndarray
+    c1: np.ndarray       # -(z + 1) eta_x, per strip row
+    c2: np.ndarray       # (z + 1)^2 eta_x^2 / h, per strip row
+    hd2: np.ndarray      # delta^2 h
+
+
 class _StripWorkspace:
     """Cached geometry, differentiation and flat-mode inverses for one
-    (grid, n_z, delta) combination."""
+    (grid, n_z, delta) combination.
+
+    What is fixed for a whole solve is built once: the mode inverses and the
+    preconditioned lift column here, the depth fields (_StripFields) at the
+    start of each solve.  The right side of the strip system is -lift_res on
+    every interior row and 0 on the two boundary rows, so per Fourier mode k
+    its preconditioned form is lift_column[:, k] times the mode k of
+    -lift_res, with lift_column[:, k] = M_k^-1 (0, 1, ..., 1, 0): one 1-row
+    transform pair in place of a whole strip array's.  The fields of the last
+    solve stay in fields, where flux_divergence reads them.
+    """
 
     def __init__(self, grid: PeriodicGrid, n_z: int, delta: float):
         self.grid = grid
@@ -232,8 +263,12 @@ class _StripWorkspace:
             self.mode_inverses = np.linalg.inv(m)
         except np.linalg.LinAlgError as exc:
             raise SingularSystemError(f"flat strip modes: {exc}") from exc
+        interior = np.ones(n_z + 1)
+        interior[[0, -1]] = 0.0
+        self.lift_column = np.ascontiguousarray((self.mode_inverses @ interior).T)
         self.dx = kernels(grid).dx          # applied with .whole (module docstring)
         self.last_solution: np.ndarray | None = None
+        self.fields: _StripFields | None = None
 
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
         # one real matmul per Fourier mode, over its (real, imag) column pair
@@ -241,14 +276,13 @@ class _StripWorkspace:
         sol = np.matmul(self.mode_inverses, rh.view(np.float64).reshape(*rh.shape, 2))
         return np.fft.irfft(sol.view(np.complex128)[..., 0].T, n=self.grid.n_points, axis=1)
 
-    def _apply(self, w: np.ndarray, h, eta_x, d2) -> np.ndarray:
+    def _apply(self, w: np.ndarray, f: _StripFields) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
         wz = self.dz @ w
         wx = self.dx.whole(w)
-        zp1 = self.zp1[:, None]
-        p = h * wx - zp1 * eta_x * wz
-        q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
-        out = self.dzz @ w + d2 * h * (self.dx.whole(p) + self.dz @ q)
+        p = f.h * wx + f.c1 * wz
+        q = f.c1 * wx + f.c2 * wz
+        out = self.dzz @ w + f.hd2 * (self.dx.whole(p) + self.dz @ q)
         out[0, :] = w[0, :]
         out[-1, :] = wz[-1, :]
         return out
@@ -269,23 +303,23 @@ class _StripWorkspace:
         if float(h.min()) < h_min:
             raise DepthTooSmallError(float(h.min()), h_min)
         eta_x = dx(grid, eta.values)
-        d2 = self.delta**2
+        zp1 = self.zp1[:, None]
+        self.fields = f = _StripFields(h, eta_x, -zp1 * eta_x, zp1**2 * (eta_x**2 / h),
+                                       self.delta**2 * h)
         shape = (self.n_z + 1, grid.n_points)
 
         # lifting by the z-independent surface data; residual is z-independent too
         phi_x = dx(grid, phi.values)
-        lift_res = d2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
-        b = np.broadcast_to(-lift_res, shape).copy()
-        b[0, :] = 0.0
-        b[-1, :] = 0.0
+        lift_res = f.hd2 * (dx(grid, h * phi_x) - eta_x * phi_x)
 
         # iterate on the left-preconditioned system: the flat inverse is O(1)
         # conditioned, so the residual tracks the solution error rather than
         # the n_z^4-scaled collocation rows
         def apply_pa(v):
-            return self._precondition(self._apply(v.reshape(shape), h, eta_x, d2)).ravel()
+            return self._precondition(self._apply(v.reshape(shape), f)).ravel()
 
-        b_p = self._precondition(b).ravel()
+        b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points,
+                           axis=1).ravel()
         sol = None
         if guess is not None:
             sol = guess.ravel()
@@ -299,17 +333,16 @@ class _StripWorkspace:
             self.last_solution = w
         return w + phi.values[None, :]
 
-    def flux_divergence(self, eta: RealField, w: np.ndarray) -> np.ndarray:
+    def flux_divergence(self, w: np.ndarray) -> np.ndarray:
         """Lambda phi = -div(H Vbar) with Vbar the vertical average of the
-        horizontal velocity, integrated by Clenshaw-Curtis quadrature."""
-        grid = self.grid
-        h = 1.0 + eta.values
-        eta_x = dx(grid, eta.values)
+        horizontal velocity, integrated by Clenshaw-Curtis quadrature, for
+        the potential w of the last solve, over that solve's depth fields."""
+        f = self.fields
         wz = self.dz @ w
         wx = self.dx.whole(w)
-        integrand = wx - self.zp1[:, None] * (eta_x / h) * wz
+        integrand = wx - self.zp1[:, None] * (f.eta_x / f.h) * wz
         vbar = self.wq @ integrand
-        return -dx(grid, h * vbar)
+        return -dx(self.grid, f.h * vbar)
 
 
 @dataclass
@@ -376,7 +409,7 @@ class DtnBackend:
             return dtn_series(eta, phi, delta, self.order).values, None
         ws = self._workspace(phi.grid, delta)
         w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
-        return ws.flux_divergence(eta, w), w - phi.values
+        return ws.flux_divergence(w), w - phi.values
 
 
 # ---------------------------------------------------------------------------
@@ -390,9 +423,9 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
     grid = s.grid
     d2 = s.delta**2
     lam, strip = backend.apply(s.eta, s.phi, s.delta, guess)
-    eta_x, phi_x = dx(grid, np.stack((s.eta.values, s.phi.values)))
-    etx, phx, lamt = dealias(grid, np.stack((eta_x, phi_x, lam)))
-    sq_phx, cross = dealias(grid, np.stack((phx * phx, etx * phx)))
+    eta_x, phi_x = dx(grid, np.array((s.eta.values, s.phi.values)))
+    etx, phx, lamt = dealias(grid, np.array((eta_x, phi_x, lam)))
+    sq_phx, cross = dealias(grid, np.array((phx * phx, etx * phx)))
     num = lamt + cross
     num2 = dealias(grid, num * num)
     denom = 1.0 + d2 * eta_x * eta_x

@@ -102,6 +102,10 @@ class TestConfigParsing:
             ExperimentConfig(experiment="dispersion", amplitude=-1.0)
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="simulate", model="nope")
+        # k0 runs up to the edge of the 2/3-rule band, floor(N/3), and no further
+        assert ExperimentConfig(experiment="simulate", n_points=128, k0=42).k0 == 42
+        with pytest.raises(ValueError, match="k0"):
+            ExperimentConfig(experiment="simulate", n_points=128, k0=43)
 
 
 class TestSlopeFit:
@@ -251,6 +255,7 @@ class TestCli:
         ("simulate", "reproject_every=-1"),
         ("elliptic-suite", "trials=0"),
         ("consistency", "k0=0"),
+        ("simulate", "k0=100"),         # N = 128 would alias it to mode 28
         ("consistency", "phi_amplitude=0"),
         ("consistency", "delta_list=0.01,0.3"),
         ("conservation", "amplitude=0"),

@@ -7,7 +7,7 @@ from iskak import ik_solver, waterwave
 from iskak.errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from iskak.ik_solver import SimConfig
 from iskak.operators import H_MIN_DEFAULT, ik_state_from_surface
-from iskak.spectral import PeriodicGrid, RealField, field_from_function, l2_norm
+from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
 from iskak.waterwave import (
     DTN_TOL_DEFAULT,
     DtnBackend,
@@ -200,6 +200,56 @@ class TestStripSolution:
         assert coeffs.shape == (64 // 2 + 1, 17)
         # Chebyshev tail of an analytic profile decays below rounding noise
         assert np.abs(coeffs[:, -4:]).max() <= 1e-12
+
+
+class TestStripFields:
+    """The depth fields built once per solve and the cached lift column give
+    what the per-application expressions they replace give."""
+
+    @staticmethod
+    def case(n):
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(n)
+        eta = random_band_limited(rng, grid, 4, 0.1)
+        phi = random_band_limited(rng, grid)
+        return grid, eta, phi, rng
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_apply_is_the_per_application_expression(self, n):
+        grid, eta, phi, rng = self.case(n)
+        ws = _StripWorkspace(grid, 16, 0.2)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
+        w = rng.standard_normal((17, n))
+        # reference: the application with its depth fields rebuilt inside it
+        h, eta_x, d2 = 1.0 + eta.values, dx(grid, eta.values), 0.2**2
+        wz, wx, zp1 = ws.dz @ w, ws.dx.whole(w), ws.zp1[:, None]
+        p = h * wx - zp1 * eta_x * wz
+        q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
+        ref = ws.dzz @ w + d2 * h * (ws.dx.whole(p) + ws.dz @ q)
+        ref[0, :] = w[0, :]
+        ref[-1, :] = wz[-1, :]
+        assert np.array_equal(ws._apply(w, ws.fields), ref)
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_lift_column_preconditions_the_whole_right_side(self, n, monkeypatch):
+        grid, eta, phi, _ = self.case(n)
+        clean, seen = waterwave._gmres, []
+
+        def spy(apply_op, b, tol, max_iter, x0=None):
+            seen.append(b)
+            return clean(apply_op, b, tol, max_iter, x0)
+
+        monkeypatch.setattr(waterwave, "_gmres", spy)
+        ws = _StripWorkspace(grid, 16, 0.2)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
+        # reference: the (n_z + 1, N) right side, preconditioned row by row
+        h, eta_x, phi_x = 1.0 + eta.values, dx(grid, eta.values), dx(grid, phi.values)
+        lift_res = 0.2**2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
+        b = np.broadcast_to(-lift_res, (17, n)).copy()
+        b[0, :] = 0.0
+        b[-1, :] = 0.0
+        ref = ws._precondition(b).ravel()
+        assert np.abs(seen[0] - ref).max() <= 1e-14 * np.abs(ref).max()
 
 
 class TestSurfaceEvolution:
@@ -419,6 +469,19 @@ class TestGmresResidual:
         assert len(calls) == 2
         assert true > 1e-12
         assert res == pytest.approx(true, rel=1e-6)
+
+    def test_random_systems_match_a_direct_solve(self):
+        # well-conditioned 20 x 20 systems, cold and warm: x is the direct
+        # solution, and the returned residual is the recomputed one
+        rng = np.random.default_rng(20)
+        for trial in range(8):
+            a = np.eye(20) + 0.3 * rng.standard_normal((20, 20)) / np.sqrt(20)
+            b = rng.standard_normal(20)
+            ref = np.linalg.solve(a, b)
+            x0 = ref + 1e-3 * rng.standard_normal(20) if trial % 2 else None
+            x, res = _gmres(lambda v: a @ v, b, 1e-14, 20, x0)
+            assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
+            assert abs(res - np.linalg.norm(b - a @ x) / np.linalg.norm(b)) <= 1e-14
 
     @pytest.mark.parametrize("reported", [1e-3, np.nan])
     def test_unconverged_strip_solve_raises(self, grid64, monkeypatch, reported):

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the ten reference configurations on revision REV
+# Refactor oracle: run the eleven reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -7,16 +7,20 @@
 # REV is unpacked with `git archive` into a temporary directory; the working
 # tree is run as it stands, uncommitted edits included.  The configurations
 # are the six experiments at their default config, `simulate --override
-# model=ww`, `simulate --override n_points=512 --override t_end=0.02` and a
+# model=ww`, `simulate --override n_points=512 --override t_end=0.02`, a
 # `convergence` sweep whose every reference aborts at its t = 0 record
-# (`dtn_tol=1e-17`), which exercises the abort path, and `conservation
+# (`dtn_tol=1e-17`), which exercises the abort path, `conservation
 # --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
-# which exercises the failing halving check.
+# which exercises the failing halving check, and `simulate --override
+# model=ww --override n_points=256 --override t_end=0.02`, whose strip
+# solve runs on transforms (above spectral.MATRIX_MAX_N).
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file; a differing file also shows the first
-# lines of its diff.  Exits 0 if every file is identical, 1 if any differs
-# or is missing on one side, 2 on a usage error.  The two trees run side by
-# side, one process each.
+# lines of its diff, and a differing CSV with the same header and row count
+# also the largest absolute and relative cell move of each numeric column
+# that moved, relative to REV's cell.  Exits 0 if every file is identical,
+# 1 if any differs or is missing on one side, 2 on a usage error.  The two
+# trees run side by side, one process each.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -46,7 +50,39 @@ configs=(
     "simulate-n512 simulate --override n_points=512 --override t_end=0.02"
     "convergence-abort convergence --override dtn_tol=1e-17 --override phi_amplitude=0.1 --override t_end=0.2"
     "conservation-halving conservation --override t_end=2e-3"
+    "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
 )
+
+# column_moves A B: for two CSVs of one header and row count, the largest
+# absolute and relative cell move of each numeric column that moved (a cell
+# that leaves 0 moves by inf relative).
+column_moves() {
+    python3 - "$1" "$2" <<'PY'
+import csv
+import math
+import sys
+
+
+def table(path):
+    with open(path, newline="") as fh:
+        return list(csv.reader(fh))
+
+
+a, b = table(sys.argv[1]), table(sys.argv[2])
+if not a or not b or a[0] != b[0] or len(a) != len(b):
+    sys.exit("columns: header or row count differs")
+for j, name in enumerate(a[0]):
+    try:
+        pairs = [(float(ra[j]), float(rb[j])) for ra, rb in zip(a[1:], b[1:])]
+    except (ValueError, IndexError):
+        continue
+    moved = [(abs(y - x), abs(y - x) / abs(x) if x else math.inf)
+             for x, y in pairs if x != y and not (math.isnan(x) and math.isnan(y))]
+    if moved:
+        print(f"column {name}: {len(moved)} of {len(pairs)} cells moved, "
+              f"max abs {max(m[0] for m in moved):.3e}, max rel {max(m[1] for m in moved):.3e}")
+PY
+}
 
 # run_tree TREE OUT: every configuration on TREE's sources, outputs under OUT.
 # stderr is kept but not compared: warnings name source paths, which differ.
@@ -81,6 +117,9 @@ done | sort -u | while read -r rel; do
     else
         echo "DIFFERS    $rel"
         diff "$a" "$b" | head -n 6 | sed 's/^/    /'
+        case $rel in
+            *.csv) column_moves "$a" "$b" 2>&1 | sed 's/^/    /' ;;
+        esac
     fi
 done | tee "$work/verdicts"
 if grep -qv '^identical' "$work/verdicts"; then
