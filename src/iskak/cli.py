@@ -7,21 +7,23 @@ Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 if every check passed,
 1 if one failed or a solver failed, 2 for a configuration error.  Those
 are found before any run starts, by ExperimentConfig: an unknown key,
-name or dtn spec; a float key (length, delta, amplitude, phi_amplitude,
-t_end, dt, cg_tol, dtn_tol, noise_floor) that is NaN or infinite;
-n_points odd or < 8; delta or delta_list outside (0, 1]; amplitude < 0;
-trials < 1; k0 < 1 or k0 > n_points // 3 (above the resolved band, where
-the grid would run another mode); cg_tol or dtn_tol <= 0; seed < 0;
-consistency with phi_amplitude <= 0 or a delta_list entry below
-consistency.DELTA_FLOOR; conservation with amplitude <= 0 or
-reproject_every < 1; and, for the stepped experiments, record_every < 1,
-reproject_every < 0 or a dt that breaks the CFL guard, does not divide
-t_end or exceeds it (a run of no step).  A --config file must be valid
-on its own, before any --override applies.  The CSV and summary contents
-do not depend on --output-dir, so reruns into different directories give
-byte-identical files.  The summary's params: block is the full resolved
-configuration, keys the experiment does not read included; passed back
-with --config it reruns the experiment.
+name or dtn spec; a float key (delta, amplitude, phi_amplitude, t_end,
+dt, cg_tol, dtn_tol) that is NaN or infinite; n_points odd or < 8;
+delta or delta_list outside (0, 1]; amplitude < 0; k0 < 1 or
+k0 > n_points // 3 (above the resolved band, where the grid would run
+another mode); cg_tol or dtn_tol <= 0; seed < 0; consistency with
+phi_amplitude <= 0 or a delta_list entry below consistency.DELTA_FLOOR;
+conservation with amplitude <= 0 or reproject_every < 1; and, for the
+stepped experiments, record_every < 1, reproject_every < 0 or a dt that
+breaks the CFL guard, does not divide t_end or exceeds it (a run of no
+step).  An --output-dir that cannot be created, such as an existing file
+or a path under one, is a configuration error too; it is created before
+the run starts.  A --config file must be valid on its own, before any
+--override applies.  The CSV and summary contents do not depend on
+--output-dir, so reruns into different directories give byte-identical
+files.  The summary's params: block is the full resolved configuration,
+keys the experiment does not read included; passed back with --config it
+reruns the experiment.
 
 A solver failure inside a run, its t = 0 record included, aborts that run
 alone: the report is still written, with the records taken before the
@@ -51,7 +53,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="flat key = value config file")
-    p.add_argument("--output-dir", help="directory for CSV and summary output")
+    p.add_argument("--output-dir", default=".", help="directory for CSV and summary output")
     p.add_argument("--seed", type=int, help="random seed for randomized suites")
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override a single config key (repeatable)")
@@ -65,8 +67,6 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config, cfg)
         cfg = apply_overrides(cfg, args.override)
-        if args.output_dir is not None:
-            cfg = replace(cfg, output_dir=args.output_dir)
         if args.seed is not None:
             cfg = replace(cfg, seed=args.seed)
         if cfg.experiment != args.experiment:
@@ -74,6 +74,7 @@ def main(argv=None) -> int:
                 f"config names experiment {cfg.experiment!r} but the command line "
                 f"asked for {args.experiment!r}"
             )
+        os.makedirs(args.output_dir, exist_ok=True)
     except (ValueError, OSError) as exc:
         print(f"iskak: config error: {exc}", file=sys.stderr)
         return 2
@@ -84,16 +85,15 @@ def main(argv=None) -> int:
         print(f"iskak: experiment failed: {exc}", file=sys.stderr)
         return 1
 
-    os.makedirs(cfg.output_dir, exist_ok=True)
-    csv_path = os.path.join(cfg.output_dir, f"{cfg.experiment}.csv")
-    summary_path = os.path.join(cfg.output_dir, f"{cfg.experiment}.summary.txt")
+    csv_path = os.path.join(args.output_dir, f"{cfg.experiment}.csv")
+    summary_path = os.path.join(args.output_dir, f"{cfg.experiment}.summary.txt")
     text = summary_text(report)
     write_csv(report, csv_path)
     with open(summary_path, "w", encoding="utf-8") as fh:
         fh.write(text)
     if report.snapshots is not None:
         cols, rows = report.snapshots
-        snap_path = os.path.join(cfg.output_dir, f"{cfg.experiment}_snapshots.csv")
+        snap_path = os.path.join(args.output_dir, f"{cfg.experiment}_snapshots.csv")
         write_csv(ExperimentReport(cfg.experiment, cols, rows), snap_path)
 
     sys.stdout.write(text)

@@ -1,8 +1,8 @@
 """Experiment configuration: flat key = value files with section headers.
 
-Sections group keys for readability only; keys are globally unique.  Unknown
-keys are a hard error (all of them reported at once).  Command-line
-overrides reuse the same schema.
+Sections group keys for readability only; keys are globally unique.  Config
+files and command-line overrides go through one reader, which reports every
+unknown key at once, each named with its source.
 """
 
 from __future__ import annotations
@@ -42,7 +42,6 @@ def _parse_str(text: str) -> str:
 class ExperimentConfig:
     experiment: str = "dispersion"
     n_points: int = 128
-    length: float = 2.0 * np.pi
     delta_list: tuple = (0.4, 0.3, 0.2, 0.15, 0.1)
     delta: float = 0.2               # single-run experiments
     amplitude: float = 0.05
@@ -52,13 +51,10 @@ class ExperimentConfig:
     dt: float = 5e-4
     dtn: str = "exact:16"
     seed: int = 0
-    output_dir: str = "."
     record_every: int = 40
     reproject_every: int = 10
     cg_tol: float = 1e-12
     dtn_tol: float = 1e-12
-    noise_floor: float = 1e-12
-    trials: int = 100
     model: str = "ik"                # simulate: which solver to drive
 
     def __post_init__(self):
@@ -71,7 +67,7 @@ class ExperimentConfig:
                      if isinstance(f.default, float) and not np.isfinite(getattr(self, f.name))]
         if nonfinite:
             raise ValueError(f"{', '.join(nonfinite)} must be finite")
-        grid = PeriodicGrid(self.n_points, self.length)
+        grid = PeriodicGrid(self.n_points)
         if not self.delta_list or any(not 0.0 < d <= 1.0 for d in (self.delta, *self.delta_list)):
             raise ValueError("delta_list must be non-empty, and delta and its entries in (0, 1]")
         if len(set(self.delta_list)) < len(self.delta_list):
@@ -79,8 +75,6 @@ class ExperimentConfig:
             raise ValueError(f"delta_list entries must be distinct, got {self.delta_list}")
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be >= 0")
-        if self.trials < 1:
-            raise ValueError("trials must be >= 1")
         if not 1 <= self.k0 <= self.n_points // 3:
             # above the 2/3-rule band the grid aliases k0 to another mode
             raise ValueError(f"k0 must be in [1, n_points // 3 = {self.n_points // 3}], "
@@ -114,7 +108,7 @@ _CASTERS = {f.name: (_parse_delta_list if f.name == "delta_list"
                      else type(f.default))
             for f in fields(ExperimentConfig)}
 
-# keys accepted in files as aliases
+# keys accepted as other names of a field, in files and overrides alike
 _ALIASES = {"name": "experiment"}
 
 
@@ -134,10 +128,26 @@ def default_config(experiment: str) -> ExperimentConfig:
     return ExperimentConfig(experiment=experiment, **_DEFAULTS.get(experiment, {}))
 
 
+def _read(items, base: ExperimentConfig) -> ExperimentConfig:
+    """Apply (source, key, value) string triples to base: the one owner of
+    the aliases, the casts and the unknown-key rule."""
+    items = [(src, _ALIASES.get(key, key), value) for src, key, value in items]
+    unknown = [f"{key} ({src})" for src, key, _ in items if key not in _CASTERS]
+    if unknown:
+        raise ValueError("unknown config keys: " + ", ".join(unknown)
+                         + "; known keys: " + ", ".join(sorted(_CASTERS)))
+    updates: dict = {}
+    for src, key, value in items:
+        try:
+            updates[key] = _CASTERS[key](value)
+        except ValueError as exc:
+            raise ValueError(f"{src}: bad value for {key}: {exc}") from exc
+    return replace(base, **updates)
+
+
 def parse_config_text(text: str, base: ExperimentConfig) -> ExperimentConfig:
     """Apply key = value lines (with [section] headers and # comments) to base."""
-    updates: dict = {}
-    unknown: list[str] = []
+    items = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -149,20 +159,8 @@ def parse_config_text(text: str, base: ExperimentConfig) -> ExperimentConfig:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (p.strip() for p in line.split("=", 1))
-        key = _ALIASES.get(key, key)
-        if key not in _CASTERS:
-            unknown.append(f"{key} (line {lineno})")
-            continue
-        try:
-            updates[key] = _CASTERS[key](value)
-        except ValueError as exc:
-            raise ValueError(f"line {lineno}: bad value for {key}: {exc}") from exc
-    if unknown:
-        raise ValueError(
-            "unknown config keys: " + ", ".join(unknown)
-            + "; known keys: " + ", ".join(sorted(_CASTERS))
-        )
-    return replace(base, **updates)
+        items.append((f"line {lineno}", key, value))
+    return _read(items, base)
 
 
 def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
@@ -172,35 +170,27 @@ def load_config(path: str, base: ExperimentConfig) -> ExperimentConfig:
 
 def apply_overrides(cfg: ExperimentConfig, overrides: list[str]) -> ExperimentConfig:
     """Apply 'key=value' strings from the command line."""
-    updates: dict = {}
+    items = []
     for item in overrides:
         if "=" not in item:
             raise ValueError(f"override must look like key=value, got {item!r}")
         key, value = (p.strip() for p in item.split("=", 1))
-        key = _ALIASES.get(key, key)
-        if key not in _CASTERS:
-            raise ValueError(f"unknown override key {key!r}; known keys: "
-                             + ", ".join(sorted(_CASTERS)))
-        updates[key] = _CASTERS[key](value)
-    return replace(cfg, **updates)
+        items.append((f"override {item!r}", key, value))
+    return _read(items, cfg)
 
 
 def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
     """Stable (key, rendered value) pairs for provenance output.
 
-    Every field appears in declaration order except ``output_dir``: it records
-    where the output went, not what was computed.  Summaries written by the
-    same configuration are therefore byte-identical across output directories.
-    The pairs are the full resolved configuration, including keys the chosen
-    experiment or model does not read (simulate model=ww records
-    reproject_every and cg_tol), and ``key = value`` lines of them parse back
-    through parse_config_text into the same configuration, so a summary's
-    params: block reruns the experiment.
+    The pairs are every field in declaration order, the full resolved
+    configuration, including keys the chosen experiment or model does not
+    read (simulate model=ww records reproject_every and cg_tol), and
+    ``key = value`` lines of them parse back through parse_config_text into
+    the same configuration, so a summary's params: block reruns the
+    experiment.
     """
     out = []
     for f in fields(cfg):
-        if f.name == "output_dir":
-            continue
         v = getattr(cfg, f.name)
         if isinstance(v, tuple):
             out.append((f.name, ",".join(repr(x) for x in v)))

@@ -42,6 +42,8 @@ __all__ = [
 
 # frozen reference: dispersion gap at x = 1 is 16/21 - tanh(1)
 GAP_AT_ONE = 3.106059489970166e-04
+# convergence errors within 10x of this are rounding and left out of the fits
+NOISE_FLOOR = 1e-12
 
 
 @dataclass
@@ -135,13 +137,11 @@ def summary_text(report: ExperimentReport) -> str:
 
 
 def _cos_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
-    scale = 2.0 * np.pi / grid.length
-    return field_from_function(grid, lambda x: amplitude * np.cos(k0 * scale * x))
+    return field_from_function(grid, lambda x: amplitude * np.cos(k0 * x))
 
 
 def _sin_profile(grid: PeriodicGrid, amplitude: float, k0: int) -> RealField:
-    scale = 2.0 * np.pi / grid.length
-    return field_from_function(grid, lambda x: amplitude * np.sin(k0 * scale * x))
+    return field_from_function(grid, lambda x: amplitude * np.sin(k0 * x))
 
 
 def _stepped(backend: DtnBackend | None, eta0: RealField, phi: RealField, delta: float,
@@ -220,7 +220,7 @@ class _ConvLeg:
 
 
 def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
-    grid = PeriodicGrid(cfg.n_points, cfg.length)
+    grid = PeriodicGrid(cfg.n_points)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi0 = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
     sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, reproject_every=0,
@@ -260,10 +260,9 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         peaks.append(np.max(leg.errors, axis=0)[1:])
     max_eta, max_du, max_ctrl = np.reshape(peaks, (-1, 3)).T
 
-    floor = cfg.noise_floor
-    sf_eta = fit_loglog(deltas, max_eta, floor, "surface_error")
-    sf_du = fit_loglog(deltas, max_du, floor, "velocity_error")
-    sf_ctrl = fit_loglog(deltas, max_ctrl, floor, "control_error")
+    sf_eta = fit_loglog(deltas, max_eta, NOISE_FLOOR, "surface_error")
+    sf_du = fit_loglog(deltas, max_du, NOISE_FLOOR, "velocity_error")
+    sf_ctrl = fit_loglog(deltas, max_ctrl, NOISE_FLOOR, "control_error")
 
     checks = []
     if cfg.amplitude == 0.0:
@@ -275,6 +274,9 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         checks.append(Check("surface-error slope >= 5.5",
                             sf_eta.slope is not None and sf_eta.slope >= 5.5,
                             sf_eta.describe()))
+        checks.append(Check("velocity-error slope >= 5.5",
+                            sf_du.slope is not None and sf_du.slope >= 5.5,
+                            sf_du.describe()))
         checks.append(Check("degraded-map control slope <= 2.5",
                             sf_ctrl.slope is not None and sf_ctrl.slope <= 2.5,
                             sf_ctrl.describe()))
@@ -297,7 +299,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
 # consistency: delta^-6-normalized residual sweep
 
 def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
-    grid = PeriodicGrid(cfg.n_points, cfg.length)
+    grid = PeriodicGrid(cfg.n_points)
     eta_p = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi_p = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
     backend = DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
@@ -372,7 +374,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
         return diag
 
     # rest state: everything flat to rounding
-    grid0 = PeriodicGrid(128, cfg.length)
+    grid0 = PeriodicGrid(128)
     rest = leg("rest", grid0, 0.0, 1, 0.2,
                SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol))
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
@@ -381,7 +383,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                         f"mass {_drift(rest.mass):.2e}, energy {_drift(rest.energy):.2e}"))
 
     # step-halving order on the configured drift run
-    grid = PeriodicGrid(cfg.n_points, cfg.length)
+    grid = PeriodicGrid(cfg.n_points)
     order = [leg("order", grid, cfg.amplitude, cfg.k0, cfg.delta,
                  SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9, cg_tol=cfg.cg_tol))
              for dt in (cfg.dt, cfg.dt / 2.0)]
@@ -424,7 +426,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 def _random_band_limited(rng, grid, modes=5, amplitude=1.0) -> RealField:
     """Random trig polynomial, normalized to the requested max amplitude."""
     v = np.zeros(grid.n_points)
-    x = grid.nodes * (2.0 * np.pi / grid.length)
+    x = grid.nodes
     for k in range(1, modes + 1):
         v += rng.standard_normal() * np.cos(k * x) + rng.standard_normal() * np.sin(k * x)
     m = np.abs(v).max()
@@ -454,30 +456,22 @@ def _grad_norm(f: RealField) -> float:
 
 def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
-    grid = PeriodicGrid(cfg.n_points, cfg.length)
+    grid = PeriodicGrid(cfg.n_points)
     deltas = cfg.delta_list
-    rows, checks = [], []
+    trials = 100
+    rows = []
 
     # coercivity of the reduced operator with depth bounded below by 0.5
-    positives = 0
-    min_ratio = np.inf
-    for trial in range(cfg.trials):
+    for trial in range(trials):
         delta = float(rng.choice(deltas))
         dc = _random_depth(rng, grid)
         psi = _random_band_limited(rng, grid, 6, 1.0)
         quad = grid.spacing * float(np.dot(op_l1(delta, dc, psi).values, psi.values))
         lower = l2_norm(psi) ** 2 + delta**2 * _grad_norm(psi) ** 2
-        ratio = quad / lower
-        positives += int(ratio > 0.0)
-        min_ratio = min(min_ratio, ratio)
-        rows.append(["coercivity", trial, delta, ratio, ""])
-    checks.append(Check(f"coercivity positive in {cfg.trials}/{cfg.trials} trials",
-                        positives == cfg.trials,
-                        f"positives {positives}, min ratio {min_ratio:.4f}"))
+        rows.append(["coercivity", trial, delta, quad / lower, ""])
 
     # flat-depth single-mode closed form
-    worst_closed = 0.0
-    x = grid.nodes * (2.0 * np.pi / grid.length)
+    x = grid.nodes
     zero = RealField(grid, np.zeros(grid.n_points))
     for delta in deltas:
         for k in (1, 2, 3):
@@ -488,14 +482,9 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
             amp0 = (1.0 - delta**2 * k**2 / 10.0) / denom
             err = max(np.abs(p1.values - amp1 * np.cos(k * x)).max(),
                       np.abs(p0.values - amp0 * np.cos(k * x)).max())
-            worst_closed = max(worst_closed, err)
             rows.append(["closed_form", k, delta, err, ""])
-    checks.append(Check("flat-depth closed form matched to 1e-10",
-                        worst_closed <= 1e-10, f"worst error {worst_closed:.2e}"))
 
     # back-substitution residual on random coefficients and data
-    worst_res = 0.0
-    ratios_by_delta = {d: [] for d in deltas}
     for trial in range(20):
         delta = float(rng.choice(deltas))
         dc, (f1, f2, f3), (psi0, psi1) = _random_pair_solve(rng, grid, delta, cfg.cg_tol)
@@ -506,10 +495,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
             - op_l12(dc, psi0).values - op_l22(delta, dc, psi1).values
             - f2.values - dx(grid, f3.values)
         ).max()
-        worst_res = max(worst_res, eq1, eq2)
         rows.append(["back_substitution", trial, delta, max(eq1, eq2), ""])
-    checks.append(Check("back-substitution residual <= 1e-8",
-                        worst_res <= 1e-8, f"worst residual {worst_res:.2e}"))
 
     # delta-uniformity of the a-priori estimate constant
     for delta in deltas:
@@ -520,13 +506,27 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
                    + delta**4 * _grad_norm(psi1) ** 2)
             rhs = (_grad_norm(f1) ** 2 + l2_norm(f3) ** 2
                    + delta**2 * l2_norm(f2) ** 2)
-            ratios_by_delta[delta].append(lhs / rhs)
             rows.append(["estimate_ratio", trial, delta, lhs / rhs, ""])
-    cs = [max(v) for v in ratios_by_delta.values() if v]
-    spread = float(np.log10(max(cs)) - np.log10(min(cs)))
-    checks.append(Check("estimate constant uniform in delta (spread <= 1 decade)",
-                        spread <= 1.0, f"log10 spread {spread:.3f}"))
 
+    # every check reads the value column of its own rows
+    def values(kind, delta=None):
+        return [r[3] for r in rows if r[0] == kind and (delta is None or r[2] == delta)]
+
+    ratios = values("coercivity")
+    positives = sum(r > 0.0 for r in ratios)
+    worst_closed, worst_res = max(values("closed_form")), max(values("back_substitution"))
+    cs = [max(values("estimate_ratio", d)) for d in deltas]
+    spread = float(np.log10(max(cs)) - np.log10(min(cs)))
+    checks = [
+        Check(f"coercivity positive in {trials}/{trials} trials", positives == trials,
+              f"positives {positives}, min ratio {min(ratios):.4f}"),
+        Check("flat-depth closed form matched to 1e-10",
+              worst_closed <= 1e-10, f"worst error {worst_closed:.2e}"),
+        Check("back-substitution residual <= 1e-8",
+              worst_res <= 1e-8, f"worst residual {worst_res:.2e}"),
+        Check("estimate constant uniform in delta (spread <= 1 decade)",
+              spread <= 1.0, f"log10 spread {spread:.3f}"),
+    ]
     return ExperimentReport(
         "elliptic-suite",
         ["kind", "trial", "delta", "value", "note"],
@@ -539,7 +539,7 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
 # plain simulation with snapshot export
 
 def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
-    grid = PeriodicGrid(cfg.n_points, cfg.length)
+    grid = PeriodicGrid(cfg.n_points)
     sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, reproject_every=cfg.reproject_every,
                     cg_tol=cfg.cg_tol, record_every=cfg.record_every)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
@@ -562,6 +562,11 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
               "sign condition: min depth >= 0.5 (min a is not computed for model=ww)",
               min_h >= 0.5 and (cfg.model == "ww" or min_a >= 0.5), f"min depth {min_h:.4f}"),
     ]
+    if cfg.model == "ik":
+        # a residual above the conservation bound says the data outran the grid
+        cmax = max(diag.constraint_max, default=np.nan)
+        checks.append(Check("constraint residual <= 1e-8", cmax <= 1e-8,
+                            f"max residual {cmax:.2e}"))
     return ExperimentReport(
         "simulate",
         [*DIAG_COLUMNS, "n_points", "dt"],

@@ -1,6 +1,6 @@
 """Periodic 1-D pseudo-spectral kernel layer.
 
-Grid functions live on the uniform nodes of [0, L).  The kernels dx, lap,
+Grid functions live on the uniform nodes of [0, 2 pi).  The kernels dx, lap,
 dealias and dp act on raw float arrays along the last axis, on a single
 field of shape (N,) or a stack of fields of shape (..., N).  Derivatives act
 through the trigonometric interpolant; quadratic nonlinearities use the
@@ -70,20 +70,17 @@ MATRIX_MAX_N = 128      # largest grid on which the kernels apply matrices
 
 @dataclass(frozen=True)
 class PeriodicGrid:
-    """Uniform periodic grid on [0, length) with n_points nodes (even, >= 8)."""
+    """Uniform periodic grid on [0, 2 pi) with n_points nodes (even, >= 8)."""
 
     n_points: int
-    length: float = TWO_PI
 
     def __post_init__(self):
         if self.n_points < 8 or self.n_points % 2 != 0:
             raise ValueError(f"n_points must be even and >= 8, got {self.n_points}")
-        if not self.length > 0.0:
-            raise ValueError(f"length must be positive, got {self.length}")
 
     @property
     def spacing(self) -> float:
-        return self.length / self.n_points
+        return TWO_PI / self.n_points
 
     @cached_property
     def nodes(self) -> np.ndarray:
@@ -92,7 +89,7 @@ class PeriodicGrid:
     @cached_property
     def wavenumbers_half(self) -> np.ndarray:
         """Nonnegative wavenumbers matching numpy's rfft layout."""
-        return np.fft.rfftfreq(self.n_points, d=1.0 / self.n_points) * (TWO_PI / self.length)
+        return np.fft.rfftfreq(self.n_points, d=1.0 / self.n_points)
 
 
 @dataclass

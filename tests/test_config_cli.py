@@ -3,7 +3,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from iskak import experiments, ik_solver, waterwave
+from iskak import cli, experiments, ik_solver, waterwave
 from iskak.cli import main
 from iskak.config import (
     EXPERIMENT_NAMES,
@@ -33,7 +33,6 @@ class TestConfigParsing:
 
         [grid]
         n_points = 64
-        length = 6.283185307179586
 
         [sweep]  # grouping only
         delta_list = 0.4, 0.2, 0.1
@@ -67,8 +66,24 @@ class TestConfigParsing:
         assert cfg.delta_list == (0.3, 0.1)
 
     def test_override_unknown_key(self):
-        with pytest.raises(ValueError, match="unknown override"):
-            apply_overrides(default_config("dispersion"), ["nope=1"])
+        # files and overrides share one reader: every unknown key at once,
+        # each named with its source
+        with pytest.raises(ValueError) as err:
+            apply_overrides(default_config("dispersion"), ["nope=1", "seed=2", "wibble=x"])
+        assert str(err.value).startswith("unknown config keys: nope (override 'nope=1'), "
+                                         "wibble (override 'wibble=x'); known keys: ")
+
+    def test_bad_override_value_names_the_override(self):
+        with pytest.raises(ValueError, match=r"^override 'n_points=many': bad value for n_points"):
+            apply_overrides(default_config("dispersion"), ["n_points=many"])
+
+    def test_removed_keys_are_unknown(self):
+        # a summary written before these keys left the configuration names
+        # them, and no longer parses back
+        text = "length = 1.0\nnoise_floor = 0\ntrials = 5\noutput_dir = out\n"
+        with pytest.raises(ValueError, match=r"^unknown config keys: length \(line 1\), "
+                           r"noise_floor \(line 2\), trials \(line 3\), output_dir \(line 4\);"):
+            parse_config_text(text, default_config("convergence"))
 
     def test_dtn_spec(self):
         exact, series = DtnBackend.parse("exact:16"), DtnBackend.parse("series:0")
@@ -81,17 +96,17 @@ class TestConfigParsing:
     @pytest.mark.parametrize("name", EXPERIMENT_NAMES)
     def test_params_block_round_trips(self, name):
         # a summary's params: lines, fed back as a config file, rebuild the
-        # configuration that wrote them (output_dir is not among them)
+        # configuration that wrote them
         for cfg in (default_config(name), replace(default_config(name), model="ww")):
             text = summary_text(ExperimentReport(name, [], [], params=config_items(cfg)))
             params = text.split("params:\n", 1)[1].split("checks:", 1)[0]
             assert parse_config_text(params, ExperimentConfig()) == cfg
 
-    def test_config_items_omits_only_output_dir(self):
+    def test_config_items_lists_every_field(self):
         from dataclasses import fields
         cfg = default_config("elliptic-suite")
         keys = [k for k, _ in config_items(cfg)]
-        assert keys == [f.name for f in fields(ExperimentConfig) if f.name != "output_dir"]
+        assert keys == [f.name for f in fields(ExperimentConfig)]
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -184,7 +199,7 @@ class TestReports:
         assert check.detail.endswith(f"ratio {ratio}")
 
     def test_elliptic_suite_deterministic_with_seed(self):
-        cfg = replace(default_config("elliptic-suite"), n_points=64, trials=10)
+        cfg = replace(default_config("elliptic-suite"), n_points=64)
         r1 = run_elliptic_suite(cfg)
         r2 = run_elliptic_suite(cfg)
         assert r1.rows == r2.rows
@@ -207,7 +222,7 @@ class TestCli:
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
             assert main(["elliptic-suite", "--output-dir", str(d), "--seed", "3",
-                         "--override", "trials=10", "--override", "n_points=64"]) == 0
+                         "--override", "n_points=64"]) == 0
         assert (a / "elliptic-suite.csv").read_bytes() == (b / "elliptic-suite.csv").read_bytes()
         assert (a / "elliptic-suite.summary.txt").read_bytes() \
             == (b / "elliptic-suite.summary.txt").read_bytes()
@@ -215,13 +230,13 @@ class TestCli:
     def test_config_file_and_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
         cfgfile.write_text("[experiment]\nname = elliptic-suite\n"
-                           "[suite]\ntrials = 5\nn_points = 64\n")
+                           "[suite]\nseed = 5\nn_points = 64\n")
         code = main(["elliptic-suite", "--config", str(cfgfile),
                      "--output-dir", str(tmp_path),
-                     "--override", "trials=6"])
+                     "--override", "seed=6"])
         assert code == 0
         summary = (tmp_path / "elliptic-suite.summary.txt").read_text()
-        assert "trials = 6" in summary
+        assert "seed = 6" in summary
 
     def test_config_error_exit_code(self, tmp_path, capsys):
         cfgfile = tmp_path / "bad.cfg"
@@ -253,7 +268,6 @@ class TestCli:
         ("simulate", "delta=1.5"),
         ("simulate", "record_every=0"),
         ("simulate", "reproject_every=-1"),
-        ("elliptic-suite", "trials=0"),
         ("consistency", "k0=0"),
         ("simulate", "k0=100"),         # N = 128 would alias it to mode 28
         ("consistency", "phi_amplitude=0"),
@@ -278,6 +292,17 @@ class TestCli:
         assert code == 2
         assert "iskak: config error" in capsys.readouterr().err
         assert not (tmp_path / f"{experiment}.csv").exists()
+
+    @pytest.mark.parametrize("under", [False, True])
+    def test_uncreatable_output_dir_is_a_config_error(self, tmp_path, capsys, monkeypatch,
+                                                      under):
+        # an existing file, or a path under one, is found before any run starts
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("experiment ran"))
+        out = blocker / "sub" if under else blocker
+        assert main(["dispersion", "--output-dir", str(out)]) == 2
+        assert "iskak: config error" in capsys.readouterr().err
 
     def test_experiment_name_mismatch(self, tmp_path):
         cfgfile = tmp_path / "mismatch.cfg"
@@ -345,6 +370,21 @@ class TestCli:
         assert legs == {"rest": {(128, 1e-3)}, "order": {(64, dt), (64, dt / 2)},
                         "reproject": {(128, 1e-3)}}
 
+    def test_convergence_checks_the_velocity_slope(self, monkeypatch):
+        # synthetic legs: surface error as delta^6, velocity error as delta^4,
+        # control as delta^2, all far above the noise floor
+        def leg(cfg, delta):
+            errors = [(0.0, 0.0, 0.0, 0.0), (cfg.t_end, delta**6, delta**4, delta**2)]
+            return experiments._ConvLeg(delta, errors, 0.9, 0.9, None)
+
+        monkeypatch.setattr(experiments, "_convergence_leg", leg)
+        report = experiments.run_convergence(default_config("convergence"))
+        verdicts = {c.name: c.passed for c in report.checks}
+        assert verdicts["surface-error slope >= 5.5"]
+        assert not verdicts["velocity-error slope >= 5.5"]
+        assert verdicts["degraded-map control slope <= 2.5"]
+        assert report.checks[1].detail.startswith("velocity_error: slope 4.000 +/- 0.000")
+
     def test_convergence_rest_data(self, tmp_path):
         # amplitude 0: every error sits at rounding and no slope is fitted
         code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",
@@ -396,6 +436,16 @@ class TestCli:
         summary = (tmp_path / "consistency.summary.txt").read_text()
         assert "PASS two-path identity gap <= 1e-6 (worst leg): worst gap = " in summary
         assert "at delta=0.3" not in summary
+
+    def test_simulate_flags_an_unresolved_constraint(self, tmp_path):
+        # k0 = 10 at N = 128 outruns the grid: the IK constraint residual
+        # climbs past the conservation bound, and the run says so
+        code = main(["simulate", "--output-dir", str(tmp_path),
+                     "--override", "k0=10", "--override", "t_end=0.1"])
+        assert code == 1
+        checks = (tmp_path / "simulate.summary.txt").read_text().split("checks:\n")[1]
+        assert "  FAIL constraint residual <= 1e-8: max residual " in checks
+        assert "PASS run completed" in checks
 
     def test_simulate_writes_snapshots(self, tmp_path):
         code = main(["simulate", "--output-dir", str(tmp_path),

@@ -77,7 +77,7 @@ from iskak.experiments import run_experiment
 short = ["n_points=64", "t_end=0.05", "dt=0.005", "record_every=5"]
 for name, overrides in (("simulate", short), ("simulate", short + ["model=ww"]),
                         ("consistency", ["n_points=64"]),
-                        ("elliptic-suite", ["n_points=64", "trials=3"])):
+                        ("elliptic-suite", ["n_points=64"])):
     run_experiment(apply_overrides(default_config(name), overrides))
 print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """

@@ -25,7 +25,7 @@ from conftest import random_band_limited
 class TestGrid:
     def test_basic_layout(self):
         g = PeriodicGrid(64)
-        assert g.spacing * g.n_points == pytest.approx(g.length, rel=1e-15)
+        assert g.spacing * g.n_points == pytest.approx(2.0 * np.pi, rel=1e-15)
         assert g.nodes[0] == 0.0
         assert g.wavenumbers_half[1] == pytest.approx(1.0)
 
@@ -33,10 +33,6 @@ class TestGrid:
     def test_rejects_bad_sizes(self, n):
         with pytest.raises(ValueError):
             PeriodicGrid(n)
-
-    def test_rejects_bad_length(self):
-        with pytest.raises(ValueError):
-            PeriodicGrid(16, 0.0)
 
 
 class TestDeriv:
@@ -89,8 +85,8 @@ class TestMultiplierMatrices:
     def test_symbols(self):
         # kernels writes each symbol in rfft layout: 1j k with the Nyquist
         # mode zeroed, -k^2, and the mask of modes <= N // 3
-        grid = PeriodicGrid(12, 4.0 * np.pi)
-        k = np.arange(7) / 2.0
+        grid = PeriodicGrid(12)
+        k = np.arange(7.0)
         sym_dx, sym_lap, sym_dealias = (m.symbol for m in spectral.kernels(grid))
         assert np.array_equal(sym_dx, np.append(1j * k[:-1], 0.0))
         assert np.array_equal(sym_lap, -k * k)

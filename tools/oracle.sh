@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the eleven reference configurations on revision REV
+# Refactor oracle: run the twelve reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -13,7 +13,9 @@
 # --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
 # which exercises the failing halving check, and `simulate --override
 # model=ww --override n_points=256 --override t_end=0.02`, whose strip
-# solve runs on transforms (above spectral.MATRIX_MAX_N).
+# solve runs on transforms (above spectral.MATRIX_MAX_N), and `simulate
+# --override k0=10 --override t_end=0.1`, whose IK constraint residual
+# outgrows its bound, which exercises the failing constraint check.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file; a differing file also shows the first
 # lines of its diff, and a differing CSV with the same header and row count
@@ -51,6 +53,7 @@ configs=(
     "convergence-abort convergence --override dtn_tol=1e-17 --override phi_amplitude=0.1 --override t_end=0.2"
     "conservation-halving conservation --override t_end=2e-3"
     "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
+    "simulate-k10 simulate --override k0=10 --override t_end=0.1"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
