@@ -1,29 +1,31 @@
 """Command-line experiment runner.
 
-    iskak <experiment> [--config FILE] [--output-dir DIR] [--seed N]
-                       [--override key=value ...]
+    iskak <experiment> [--config FILE] [--output-dir DIR] [--override key=value ...]
 
 Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 if every check passed,
 1 if one failed or a solver failed, 2 for a configuration error.  Those
 are found before any run starts, by ExperimentConfig: an unknown key,
-name or dtn spec; a float key (delta, amplitude, phi_amplitude, t_end,
-dt, cg_tol, dtn_tol) that is NaN or infinite; n_points odd or < 8;
-delta or delta_list outside (0, 1]; amplitude < 0; k0 < 1 or
-k0 > n_points // 3 (above the resolved band, where the grid would run
-another mode); cg_tol or dtn_tol <= 0; seed < 0; consistency with
-phi_amplitude <= 0 or a delta_list entry below consistency.DELTA_FLOOR;
-conservation with amplitude <= 0 or reproject_every < 1; and, for the
-stepped experiments, record_every < 1, reproject_every < 0 or a dt that
-breaks the CFL guard, does not divide t_end or exceeds it (a run of no
-step).  An --output-dir that cannot be created, such as an existing file
-or a path under one, is a configuration error too; it is created before
-the run starts.  A --config file must be valid on its own, before any
---override applies.  The CSV and summary contents do not depend on
---output-dir, so reruns into different directories give byte-identical
-files.  The summary's params: block is the full resolved configuration,
-keys the experiment does not read included; passed back with --config it
-reruns the experiment.
+experiment or dtn spec; a float key (amplitude, phi_amplitude, t_end,
+dt, cg_tol, dtn_tol) that is NaN or infinite; n_points odd or < 8; delta
+(a comma list of the delta values the experiment runs) empty, with an
+entry outside (0, 1] or with a repeated entry; simulate or conservation
+with more than one delta; consistency or elliptic-suite with fewer than
+two; amplitude < 0; k0 < 1 or k0 > n_points // 3 (above the resolved
+band, where the grid would run another mode); cg_tol or dtn_tol <= 0;
+seed < 0; consistency with phi_amplitude <= 0 or a delta entry below
+consistency.DELTA_FLOOR; conservation with amplitude <= 0 or
+reproject_every < 1; and, for the stepped experiments, record_every < 1,
+reproject_every < 0 or a dt that breaks the CFL guard, does not divide
+t_end or exceeds it (a run of no step).  An --output-dir that cannot be
+created, such as an existing file or a path under one, is a
+configuration error too; it is created before the run starts.  A
+--config file must be valid on its own, before any --override applies.
+The CSV and summary contents do not depend on --output-dir, so reruns
+into different directories give byte-identical files.  The summary's
+params: block is the full resolved configuration, keys the experiment
+does not read included; passed back with --config it reruns the
+experiment.
 
 A solver failure inside a run, its t = 0 record included, aborts that run
 alone: the report is still written, with the records taken before the
@@ -39,7 +41,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import replace
 
 from .config import EXPERIMENT_NAMES, apply_overrides, default_config, load_config
 from .errors import SOLVER_ERRORS
@@ -54,7 +55,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("experiment", choices=EXPERIMENT_NAMES)
     p.add_argument("--config", help="flat key = value config file")
     p.add_argument("--output-dir", default=".", help="directory for CSV and summary output")
-    p.add_argument("--seed", type=int, help="random seed for randomized suites")
     p.add_argument("--override", action="append", default=[], metavar="KEY=VALUE",
                    help="override a single config key (repeatable)")
     return p
@@ -67,8 +67,6 @@ def main(argv=None) -> int:
         if args.config:
             cfg = load_config(args.config, cfg)
         cfg = apply_overrides(cfg, args.override)
-        if args.seed is not None:
-            cfg = replace(cfg, seed=args.seed)
         if cfg.experiment != args.experiment:
             raise ValueError(
                 f"config names experiment {cfg.experiment!r} but the command line "

@@ -1,8 +1,9 @@
 """Experiment configuration: flat key = value files with section headers.
 
-Sections group keys for readability only; keys are globally unique.  Config
-files and command-line overrides go through one reader, which reports every
-unknown key at once, each named with its source.
+Sections group keys for readability only; keys are globally unique, and
+each field has one spelling.  Config files and command-line overrides go
+through one reader, which reports every unknown key at once, each named with
+its source.
 """
 
 from __future__ import annotations
@@ -26,7 +27,7 @@ EXPERIMENT_NAMES = (
 )
 
 
-def _parse_delta_list(text: str) -> tuple[float, ...]:
+def _parse_delta(text: str) -> tuple[float, ...]:
     return tuple(float(p) for p in text.replace(",", " ").split())
 
 
@@ -42,8 +43,7 @@ def _parse_str(text: str) -> str:
 class ExperimentConfig:
     experiment: str = "dispersion"
     n_points: int = 128
-    delta_list: tuple = (0.4, 0.3, 0.2, 0.15, 0.1)
-    delta: float = 0.2               # single-run experiments
+    delta: tuple = (0.4, 0.3, 0.2, 0.15, 0.1)   # the delta values the experiment runs
     amplitude: float = 0.05
     phi_amplitude: float = 0.0
     k0: int = 1
@@ -68,11 +68,17 @@ class ExperimentConfig:
         if nonfinite:
             raise ValueError(f"{', '.join(nonfinite)} must be finite")
         grid = PeriodicGrid(self.n_points)
-        if not self.delta_list or any(not 0.0 < d <= 1.0 for d in (self.delta, *self.delta_list)):
-            raise ValueError("delta_list must be non-empty, and delta and its entries in (0, 1]")
-        if len(set(self.delta_list)) < len(self.delta_list):
+        if not self.delta or any(not 0.0 < d <= 1.0 for d in self.delta):
+            raise ValueError("delta must be non-empty, with entries in (0, 1]")
+        if len(set(self.delta)) < len(self.delta):
             # a slope fitted over repeated x values is not a measurement
-            raise ValueError(f"delta_list entries must be distinct, got {self.delta_list}")
+            raise ValueError(f"delta entries must be distinct, got {self.delta}")
+        if self.experiment in ("simulate", "conservation") and len(self.delta) != 1:
+            raise ValueError(f"{self.experiment} runs one delta, got {self.delta}")
+        if self.experiment in ("consistency", "elliptic-suite") and len(self.delta) < 2:
+            # a spread over one delta is 1 by construction
+            raise ValueError(f"{self.experiment} compares deltas and needs at least two, "
+                             f"got {self.delta}")
         if self.amplitude < 0.0:
             raise ValueError("amplitude must be >= 0")
         if not 1 <= self.k0 <= self.n_points // 3:
@@ -88,9 +94,9 @@ class ExperimentConfig:
         DtnBackend.parse(self.dtn)  # validates the backend spec
         if self.experiment == "consistency" and not self.phi_amplitude > 0.0:
             raise ValueError("consistency needs phi_amplitude > 0")
-        if self.experiment == "consistency" and min(self.delta_list) < DELTA_FLOOR:
-            raise ValueError(f"consistency needs delta_list entries >= {DELTA_FLOOR} "
-                             f"(the delta^-6 normalization), got {self.delta_list}")
+        if self.experiment == "consistency" and min(self.delta) < DELTA_FLOOR:
+            raise ValueError(f"consistency needs delta entries >= {DELTA_FLOOR} "
+                             f"(the delta^-6 normalization), got {self.delta}")
         if self.experiment == "conservation" and (self.amplitude <= 0.0
                                                   or self.reproject_every < 1):
             raise ValueError("conservation needs amplitude > 0 and reproject_every >= 1")
@@ -101,25 +107,21 @@ class ExperimentConfig:
                       record_every=self.record_every).n_steps(grid.spacing)
 
 
-# one parser per field: the type of its default, delta_list a comma list,
+# one parser per field: the type of its default, delta a comma list,
 # strings unquoted, so that a summary's params: block reads back as a config
-_CASTERS = {f.name: (_parse_delta_list if f.name == "delta_list"
+_CASTERS = {f.name: (_parse_delta if f.name == "delta"
                      else _parse_str if isinstance(f.default, str)
                      else type(f.default))
             for f in fields(ExperimentConfig)}
-
-# keys accepted as other names of a field, in files and overrides alike
-_ALIASES = {"name": "experiment"}
-
 
 _DEFAULTS = {    # where an experiment departs from the field defaults
     "consistency": dict(amplitude=0.1, phi_amplitude=0.1),
     # drift-order run: higher mode on a finer grid lifts the dt^4 signal
     # above the spectral floor, and dt = 2e-3 keeps the finer leg's drift
     # about a thousand machine epsilons above rounding
-    "conservation": dict(n_points=256, k0=4, amplitude=0.1, delta=0.5, dt=2e-3, cg_tol=1e-13),
-    "simulate": dict(amplitude=0.1, delta=0.2, dt=1e-3, record_every=20),
-    "elliptic-suite": dict(delta_list=(0.05, 0.1, 0.2, 0.4)),
+    "conservation": dict(n_points=256, k0=4, amplitude=0.1, delta=(0.5,), dt=2e-3, cg_tol=1e-13),
+    "simulate": dict(amplitude=0.1, delta=(0.2,), dt=1e-3, record_every=20),
+    "elliptic-suite": dict(delta=(0.05, 0.1, 0.2, 0.4)),
 }
 
 
@@ -130,8 +132,7 @@ def default_config(experiment: str) -> ExperimentConfig:
 
 def _read(items, base: ExperimentConfig) -> ExperimentConfig:
     """Apply (source, key, value) string triples to base: the one owner of
-    the aliases, the casts and the unknown-key rule."""
-    items = [(src, _ALIASES.get(key, key), value) for src, key, value in items]
+    the casts and the unknown-key rule."""
     unknown = [f"{key} ({src})" for src, key, _ in items if key not in _CASTERS]
     if unknown:
         raise ValueError("unknown config keys: " + ", ".join(unknown)
@@ -184,10 +185,10 @@ def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
     The pairs are every field in declaration order, the full resolved
     configuration, including keys the chosen experiment or model does not
-    read (simulate model=ww records reproject_every and cg_tol), and
-    ``key = value`` lines of them parse back through parse_config_text into
-    the same configuration, so a summary's params: block reruns the
-    experiment.
+    read (simulate model=ww records reproject_every and cg_tol, dispersion
+    delta), with delta as a comma list.  ``key = value`` lines of them parse
+    back through parse_config_text into the same configuration, so a
+    summary's params: block reruns the experiment.
     """
     out = []
     for f in fields(cfg):

@@ -216,6 +216,7 @@ class _ConvLeg:
     errors: list        # per record: (time, err_eta, err_grad_phi, err_control)
     min_depth: float
     min_a: float
+    constraint_max: float   # of the IK model run, which does not reproject
     aborted: str | None
 
 
@@ -231,7 +232,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
     for backend in (DtnBackend.parse(cfg.dtn, cfg.dtn_tol), None, DtnBackend.series(0)):
         res = _stepped(backend, eta0, phi0, delta, sim)
         if res.diagnostics.aborted is not None:
-            return _ConvLeg(delta, [], np.nan, np.nan, res.diagnostics.aborted)
+            return _ConvLeg(delta, [], np.nan, np.nan, np.nan, res.diagnostics.aborted)
         results.append(res)
     reference, model, control = results
     errors = []
@@ -243,11 +244,12 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
                                          - dx(grid, phi_model.values))),
                        l2_norm(RealField(grid, sw.eta.values - sc.eta.values))))
     diag = model.diagnostics
-    return _ConvLeg(delta, errors, min(diag.min_depth), min(diag.min_a), None)
+    return _ConvLeg(delta, errors, min(diag.min_depth), min(diag.min_a),
+                    max(diag.constraint_max), None)
 
 
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
-    legs = [_convergence_leg(cfg, d) for d in cfg.delta_list]
+    legs = [_convergence_leg(cfg, d) for d in cfg.delta]
     rows, deltas, peaks, any_abort = [], [], [], []
     for leg in legs:
         if leg.aborted is not None:
@@ -265,7 +267,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     sf_ctrl = fit_loglog(deltas, max_ctrl, NOISE_FLOOR, "control_error")
 
     checks = []
-    if cfg.amplitude == 0.0:
+    if cfg.amplitude == 0.0 and cfg.phi_amplitude == 0.0:
         flat = bool(deltas) and all(e <= 1e-11 for e in max_eta)    # needs a completed leg
         checks.append(Check("rest data: errors at rounding, slope not fitted",
                             flat and sf_eta.slope is None,
@@ -285,6 +287,8 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     fin = [leg for leg in legs if leg.aborted is None]
     checks.append(_sign_check(min((leg.min_depth for leg in fin), default=np.nan),
                               min((leg.min_a for leg in fin), default=np.nan)))
+    cmax = max((leg.constraint_max for leg in fin), default=np.nan)
+    checks.append(Check("constraint residual <= 1e-8", cmax <= 1e-8, f"max residual {cmax:.2e}"))
     return ExperimentReport(
         "convergence",
         ["delta", "time", "err_eta", "err_grad_phi", "err_control",
@@ -306,7 +310,7 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
 
     reports = [residuals(ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol),
                          backend, cg_tol=cfg.cg_tol)
-               for delta in cfg.delta_list]
+               for delta in cfg.delta]
     rows = [[r.delta, r.r1_norm, r.r2_norm, r.identity_gap, r.r5_max,
              cfg.n_points, cfg.dtn] for r in reports]
 
@@ -384,7 +388,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     # step-halving order on the configured drift run
     grid = PeriodicGrid(cfg.n_points)
-    order = [leg("order", grid, cfg.amplitude, cfg.k0, cfg.delta,
+    order = [leg("order", grid, cfg.amplitude, cfg.k0, cfg.delta[0],
                  SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9, cg_tol=cfg.cg_tol))
              for dt in (cfg.dt, cfg.dt / 2.0)]
     checks.append(_halving_check(cfg.dt, *(_rel_drift(d.energy) for d in order)))
@@ -457,7 +461,7 @@ def _grad_norm(f: RealField) -> float:
 def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
     rng = np.random.default_rng(cfg.seed)
     grid = PeriodicGrid(cfg.n_points)
-    deltas = cfg.delta_list
+    deltas = cfg.delta
     trials = 100
     rows = []
 
@@ -545,7 +549,7 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
     backend = None if cfg.model == "ik" else DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
-    res = _stepped(backend, eta0, phi, cfg.delta, sim)
+    res = _stepped(backend, eta0, phi, cfg.delta[0], sim)
     diag = res.diagnostics
     names = res.final.FIELDS
     snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]

@@ -29,19 +29,19 @@ class TestConfigParsing:
     def test_sections_and_values(self):
         text = """
         [experiment]
-        name = convergence
+        experiment = convergence
 
         [grid]
         n_points = 64
 
         [sweep]  # grouping only
-        delta_list = 0.4, 0.2, 0.1
+        delta = 0.4, 0.2, 0.1
         amplitude = 0.02
         """
         cfg = parse_config_text(text, default_config("convergence"))
         assert cfg.experiment == "convergence"
         assert cfg.n_points == 64
-        assert cfg.delta_list == (0.4, 0.2, 0.1)
+        assert cfg.delta == (0.4, 0.2, 0.1)
         assert cfg.amplitude == 0.02
 
     def test_unknown_keys_reported_together(self):
@@ -61,9 +61,9 @@ class TestConfigParsing:
 
     def test_overrides(self):
         cfg = apply_overrides(default_config("dispersion"),
-                              ["seed=7", "delta_list=0.3,0.1"])
+                              ["seed=7", "delta=0.3,0.1"])
         assert cfg.seed == 7
-        assert cfg.delta_list == (0.3, 0.1)
+        assert cfg.delta == (0.3, 0.1)
 
     def test_override_unknown_key(self):
         # files and overrides share one reader: every unknown key at once,
@@ -79,10 +79,13 @@ class TestConfigParsing:
 
     def test_removed_keys_are_unknown(self):
         # a summary written before these keys left the configuration names
-        # them, and no longer parses back
-        text = "length = 1.0\nnoise_floor = 0\ntrials = 5\noutput_dir = out\n"
+        # them, and no longer parses back; delta_list is now delta, and name
+        # was another spelling of experiment
+        text = ("length = 1.0\nnoise_floor = 0\ntrials = 5\noutput_dir = out\n"
+                "delta_list = 0.4,0.2\nname = convergence\n")
         with pytest.raises(ValueError, match=r"^unknown config keys: length \(line 1\), "
-                           r"noise_floor \(line 2\), trials \(line 3\), output_dir \(line 4\);"):
+                           r"noise_floor \(line 2\), trials \(line 3\), output_dir \(line 4\), "
+                           r"delta_list \(line 5\), name \(line 6\);"):
             parse_config_text(text, default_config("convergence"))
 
     def test_dtn_spec(self):
@@ -112,15 +115,20 @@ class TestConfigParsing:
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="unknown")
         with pytest.raises(ValueError):
-            ExperimentConfig(experiment="dispersion", delta_list=(1.5,))
+            ExperimentConfig(experiment="dispersion", delta=(1.5,))
         with pytest.raises(ValueError):
             ExperimentConfig(experiment="dispersion", amplitude=-1.0)
-        with pytest.raises(ValueError):
-            ExperimentConfig(experiment="simulate", model="nope")
+        simulate = default_config("simulate")    # one delta, as simulate runs
+        with pytest.raises(ValueError, match="model"):
+            replace(simulate, model="nope")
         # k0 runs up to the edge of the 2/3-rule band, floor(N/3), and no further
-        assert ExperimentConfig(experiment="simulate", n_points=128, k0=42).k0 == 42
+        assert replace(simulate, n_points=128, k0=42).k0 == 42
         with pytest.raises(ValueError, match="k0"):
-            ExperimentConfig(experiment="simulate", n_points=128, k0=43)
+            replace(simulate, n_points=128, k0=43)
+        with pytest.raises(ValueError, match="simulate runs one delta"):
+            replace(simulate, delta=(0.2, 0.3))
+        with pytest.raises(ValueError, match="consistency compares deltas"):
+            replace(default_config("consistency"), delta=(0.3,))
 
 
 class TestSlopeFit:
@@ -221,7 +229,7 @@ class TestCli:
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a", tmp_path / "b"
         for d in (a, b):
-            assert main(["elliptic-suite", "--output-dir", str(d), "--seed", "3",
+            assert main(["elliptic-suite", "--output-dir", str(d), "--override", "seed=3",
                          "--override", "n_points=64"]) == 0
         assert (a / "elliptic-suite.csv").read_bytes() == (b / "elliptic-suite.csv").read_bytes()
         assert (a / "elliptic-suite.summary.txt").read_bytes() \
@@ -229,7 +237,7 @@ class TestCli:
 
     def test_config_file_and_override(self, tmp_path, capsys):
         cfgfile = tmp_path / "run.cfg"
-        cfgfile.write_text("[experiment]\nname = elliptic-suite\n"
+        cfgfile.write_text("[experiment]\nexperiment = elliptic-suite\n"
                            "[suite]\nseed = 5\nn_points = 64\n")
         code = main(["elliptic-suite", "--config", str(cfgfile),
                      "--output-dir", str(tmp_path),
@@ -271,10 +279,14 @@ class TestCli:
         ("consistency", "k0=0"),
         ("simulate", "k0=100"),         # N = 128 would alias it to mode 28
         ("consistency", "phi_amplitude=0"),
-        ("consistency", "delta_list=0.01,0.3"),
+        ("consistency", "delta=0.01,0.3"),
+        ("consistency", "delta=0.3"),   # a band over one delta is 1 by construction
         ("conservation", "amplitude=0"),
         ("conservation", "reproject_every=0"),
-        ("convergence", "delta_list=0.2,0.2,0.2"),
+        ("convergence", "delta=0.2,0.2,0.2"),
+        ("simulate", "delta=0.2,0.3"),
+        ("conservation", "delta=0.5,0.4"),
+        ("elliptic-suite", "delta=0.2"),  # so is a spread
         ("simulate", "t_end=inf"),
         ("simulate", "amplitude=nan"),
         ("simulate", "cg_tol=0"),
@@ -304,9 +316,21 @@ class TestCli:
         assert main(["dispersion", "--output-dir", str(out)]) == 2
         assert "iskak: config error" in capsys.readouterr().err
 
+    def test_seed_flag_is_gone(self, capsys):
+        # --override seed=N is the one way to set the seed
+        with pytest.raises(SystemExit) as exc:
+            main(["elliptic-suite", "--seed", "3"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
+    def test_every_experiment_name_dispatches(self):
+        # the CLI choices and the dispatch table name the same six experiments
+        assert len(EXPERIMENT_NAMES) == 6
+        assert sorted(EXPERIMENT_NAMES) == sorted(experiments.EXPERIMENTS)
+
     def test_experiment_name_mismatch(self, tmp_path):
         cfgfile = tmp_path / "mismatch.cfg"
-        cfgfile.write_text("name = convergence\n")
+        cfgfile.write_text("experiment = convergence\n")
         assert main(["dispersion", "--config", str(cfgfile)]) == 2
 
     def test_solver_failure_exit_code(self, tmp_path, capsys):
@@ -375,7 +399,7 @@ class TestCli:
         # control as delta^2, all far above the noise floor
         def leg(cfg, delta):
             errors = [(0.0, 0.0, 0.0, 0.0), (cfg.t_end, delta**6, delta**4, delta**2)]
-            return experiments._ConvLeg(delta, errors, 0.9, 0.9, None)
+            return experiments._ConvLeg(delta, errors, 0.9, 0.9, 0.0, None)
 
         monkeypatch.setattr(experiments, "_convergence_leg", leg)
         report = experiments.run_convergence(default_config("convergence"))
@@ -395,16 +419,45 @@ class TestCli:
         assert "PASS rest data: errors at rounding, slope not fitted" in summary
         assert "surface-error slope" not in summary.split("checks:")[1]
 
-    def test_convergence_rest_data_needs_a_completed_leg(self, tmp_path):
-        # every leg's reference aborts at its t = 0 record, so no error was
-        # measured and the rest-data check has nothing to pass over
+    def test_convergence_rest_data_needs_a_completed_leg(self, tmp_path, monkeypatch):
+        # every leg's reference aborts at its t = 0 record (a solver failure
+        # injected into its energy), so no error was measured and the
+        # rest-data check has nothing to pass over
+        def failing(*args):
+            raise NonConvergenceError("injected into hamiltonian", 0, 1.0, 1e-12)
+
+        monkeypatch.setattr(waterwave, "hamiltonian", failing)
         code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",
-                     "--override", "phi_amplitude=0.1", "--override", "dtn_tol=1e-17",
-                     "--override", "t_end=0.01"])
+                     "--override", "n_points=32", "--override", "t_end=0.01"])
         assert code == 1
         summary = (tmp_path / "convergence.summary.txt").read_text()
         assert ("  FAIL rest data: errors at rounding, slope not fitted: "
                 "max surface error 0.000e+00\n") in summary
+        assert "  FAIL constraint residual <= 1e-8: max residual nan\n" in summary
+
+    def test_convergence_flat_surface_under_a_potential_is_not_rest_data(self, tmp_path):
+        # amplitude 0 with phi_amplitude > 0 moves the water: the slopes are
+        # fitted and checked, and no rest check passes over them
+        code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",
+                     "--override", "phi_amplitude=0.1", "--override", "n_points=64",
+                     "--override", "t_end=0.02", "--override", "dt=5e-3",
+                     "--override", "record_every=2"])
+        checks = (tmp_path / "convergence.summary.txt").read_text().split("checks:\n")[1]
+        for name in ("surface-error slope >= 5.5", "velocity-error slope >= 5.5",
+                     "degraded-map control slope <= 2.5"):
+            assert f" {name}: " in checks
+        assert "rest data" not in checks
+        assert code in (0, 1)
+
+    def test_convergence_checks_the_constraint_residual(self, tmp_path):
+        # k0 = 10 at N = 128 outruns the grid in the IK model runs, which do
+        # not reproject: every leg completes and the constraint check fails
+        code = main(["convergence", "--output-dir", str(tmp_path), "--override", "k0=10",
+                     "--override", "t_end=0.1", "--override", "delta=0.4,0.2"])
+        assert code == 1
+        checks = (tmp_path / "convergence.summary.txt").read_text().split("checks:\n")[1]
+        assert "  PASS no aborted sweep leg: all legs completed\n" in checks
+        assert "  FAIL constraint residual <= 1e-8: max residual " in checks
 
     def test_sweep_leg_stops_at_its_first_aborted_run(self, tmp_path, monkeypatch):
         # every reference aborts at its t = 0 record: the sweep starts the
@@ -431,7 +484,7 @@ class TestCli:
 
     def test_consistency_without_delta_03_checks_the_worst_leg(self, tmp_path):
         code = main(["consistency", "--output-dir", str(tmp_path), "--override", "n_points=64",
-                     "--override", "delta_list=0.4,0.2"])
+                     "--override", "delta=0.4,0.2"])
         assert code == 0
         summary = (tmp_path / "consistency.summary.txt").read_text()
         assert "PASS two-path identity gap <= 1e-6 (worst leg): worst gap = " in summary
@@ -469,13 +522,14 @@ class TestCli:
 
     def test_sweep_legs_independent(self, tmp_path):
         # a sweep leg's row does not depend on which other legs ran with it
-        both, alone = tmp_path / "both", tmp_path / "alone"
+        # or on its place in the sweep
+        after, before = tmp_path / "after", tmp_path / "before"
         args = ["consistency", "--override", "n_points=64"]
-        assert main(args + ["--override", "delta_list=0.4,0.3", "--output-dir", str(both)]) == 0
-        assert main(args + ["--override", "delta_list=0.3", "--output-dir", str(alone)]) == 0
-        rows_both = (both / "consistency.csv").read_bytes().splitlines()
-        rows_alone = (alone / "consistency.csv").read_bytes().splitlines()
-        assert len(rows_both) == 3 and len(rows_alone) == 2
-        assert rows_both[0] == rows_alone[0]
-        assert rows_both[2] == rows_alone[1]
-        assert rows_alone[1].startswith(b"3.000000000000e-01,")
+        assert main(args + ["--override", "delta=0.4,0.3", "--output-dir", str(after)]) == 0
+        assert main(args + ["--override", "delta=0.3,0.2", "--output-dir", str(before)]) == 0
+        rows_after = (after / "consistency.csv").read_bytes().splitlines()
+        rows_before = (before / "consistency.csv").read_bytes().splitlines()
+        assert len(rows_after) == 3 and len(rows_before) == 3
+        assert rows_after[0] == rows_before[0]
+        assert rows_after[2] == rows_before[1]
+        assert rows_before[1].startswith(b"3.000000000000e-01,")

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the twelve reference configurations on revision REV
+# Refactor oracle: run the thirteen reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -13,9 +13,12 @@
 # --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
 # which exercises the failing halving check, and `simulate --override
 # model=ww --override n_points=256 --override t_end=0.02`, whose strip
-# solve runs on transforms (above spectral.MATRIX_MAX_N), and `simulate
+# solve runs on transforms (above spectral.MATRIX_MAX_N), `simulate
 # --override k0=10 --override t_end=0.1`, whose IK constraint residual
-# outgrows its bound, which exercises the failing constraint check.
+# outgrows its bound, which exercises the failing constraint check, and
+# `simulate --config tools/oracle-simulate.cfg`, which exercises the
+# config-file reader.  That file is read from the working tree for both
+# runs, so REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file; a differing file also shows the first
 # lines of its diff, and a differing CSV with the same header and row count
@@ -54,6 +57,7 @@ configs=(
     "conservation-halving conservation --override t_end=2e-3"
     "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
     "simulate-k10 simulate --override k0=10 --override t_end=0.1"
+    "simulate-config simulate --config $top/tools/oracle-simulate.cfg"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
