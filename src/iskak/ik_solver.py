@@ -181,28 +181,25 @@ def rk4_fields(s, dt, rhs, warm):
     the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  The guesses
     change iteration counts only.
 
-    Returns the new state and the warm start of the next step,
-    ((k1, .., k4), P).  The state constructors reject NaN/Inf and depth
-    collapse in every stage state and in the result; the max-norm blow-up
-    guard is run_loop's.
+    Every stage state and the result are formed from one (m, N) array of
+    the m fields.  Returns the new state and the warm start of the next
+    step, ((k1, .., k4), P).  The state constructors reject NaN/Inf and
+    depth collapse in every stage state and in the result; the max-norm
+    blow-up guard is run_loop's.
     """
-    names = s.FIELDS
+    m, grid, delta = len(s.FIELDS), s.grid, s.delta
     p, q = (None, None) if warm is None else warm
+    y = np.array([getattr(s, n).values for n in s.FIELDS])
 
-    def shifted(k, h):
-        return replace(s, **{n: RealField(s.grid, getattr(s, n).values + h * d)
-                             for n, d in zip(names, k)})
+    def state(v):
+        # the state class takes its FIELDS, then delta
+        return type(s)(*(RealField(grid, row) for row in v), delta)
 
     ks = [rhs(s, _stage_guess(0, [], p, q))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(shifted(ks[-1], h), _stage_guess(i, ks, p, q)))
-    k1, k2, k3, k4 = ks
-    c = dt / 6.0
-    out = replace(s, **{
-        n: RealField(s.grid, getattr(s, n).values + c * (a + 2 * b + 2 * e + d))
-        for n, a, b, e, d in zip(names, k1, k2, k3, k4)
-    })
-    return out, (tuple(ks), p)
+        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, p, q)))
+    k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
+    return state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)), (tuple(ks), p)
 
 
 def _rk4_stages(s, dt, cg_tol, warm):

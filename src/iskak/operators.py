@@ -119,8 +119,9 @@ def check_state(s) -> None:
         raise ValueError("state fields live on different grids")
     for f in fields:
         f.check_finite()
-    if float(1.0 + s.eta.values.min()) < H_MIN_DEFAULT:
-        raise DepthTooSmallError(float(1.0 + s.eta.values.min()), H_MIN_DEFAULT)
+    h_min = float(1.0 + s.eta.values.min())
+    if h_min < H_MIN_DEFAULT:
+        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
 
 
 @dataclass

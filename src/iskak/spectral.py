@@ -109,7 +109,7 @@ class RealField:
         return RealField(self.grid, self.values.copy())
 
     def check_finite(self) -> "RealField":
-        if not np.all(np.isfinite(self.values)):
+        if not np.isfinite(self.values).all():
             raise FloatingPointError("field contains NaN/Inf")
         return self
 

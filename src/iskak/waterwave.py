@@ -4,14 +4,29 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 
     H^{-1} dzz P + d^2 div_X (P_coef grad_X P) = 0,   P(x,0) = phi,  dz P(x,-1) = 0,
 
-by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with the
-flat-bottom operator (dzz + d^2 dxx) inverted per Fourier mode as the
-preconditioner of a GMRES iteration.  The x-derivative of a whole
-(n_z + 1, N) strip array is the whole-array product of the dx Multiplier
-(spectral.Multiplier.whole): one product with its cached matrix up to
-spectral.MATRIX_MAX_N points and a transform pair above, cheaper than the
-row-by-row product of a Multiplier call.  The preconditioner stays in
-Fourier space, because its mode solve couples z within each wavenumber.
+by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with
+the flat-bottom operator inverted mode by mode as the left preconditioner of
+a GMRES iteration.  The x-derivative of a whole (n_z + 1, N) strip array is
+the whole-array product of the dx Multiplier (spectral.Multiplier.whole):
+one product with its cached matrix up to spectral.MATRIX_MAX_N points and a
+transform pair above, cheaper than the row-by-row product of a Multiplier
+call.
+
+The flat operator of Fourier mode k is M_k = A - kappa_k E: A is dzz with
+the surface Dirichlet and bottom Neumann rows, E = diag(0, 1, .., 1, 0) and
+kappa_k = -d^2 s_k^2, with s_k the dx symbol.  The preconditioner inverts
+all modes at once by fast diagonalization (Lynch, Rice & Thomas 1964):
+A^-1 E = W diag(theta) W^-1, so M_k^-1 = W diag(gain[:, k]) W^-1 A^-1 with
+gain = 1 / (1 - theta kappa_k), a z-transform, one x-transform pair with a
+gain per (z-mode, x-mode) and a z-transform back.  W, theta and W^-1 A^-1
+depend on n_z alone and are cached per n_z.  For n_z = 8..64, theta is real
+and <= 0 and cond W <= 5.7, so every gain lies in (0, 1].  The dx symbol
+is zeroed at the Nyquist mode, so dx o dx applies 0 there and kappa is 0
+too: the preconditioner is then the exact inverse of the flat discrete
+operator at every mode.  Inverting -d^2 k^2 at the Nyquist mode instead
+left the preconditioned flat operator 2-4 % off the identity (N = 64..256),
+and that outlier eigenvalue stalled GMRES on a ~1e-12 plateau.
+
 GMRES reports the residual |r0 - sum_i y_i A v_i| / |b|, from the operator
 outputs A v_i it keeps, so a claimed convergence is confirmed by the
 operator itself, not by the Givens estimate, at no extra application.  The
@@ -23,17 +38,20 @@ a divergence form that conserves mass to rounding.  The shallow-water series
 backend applies Lambda^(0) + d^2 Lambda^(1) + d^4 Lambda^(2) truncated at a
 chosen order.
 
-A solve makes about three applications, so what is fixed for a solve is
-built once per solve or per workspace, never per application
-(_StripWorkspace).  GMRES keeps its Krylov vectors in lists and its Givens
-bookkeeping in floats: a preallocated (max_iter + 1) x n basis is slower,
-as every solve then touches a 2 MB array (N = 128) for its few vectors.
+A solve makes few applications: 2.46 per solve on the 200-step simulate run
+(N = 128, d = 0.2, dt = 1e-3, exact:16), 3.16 with the Nyquist mode
+mis-inverted.  So what is fixed for a solve is built once per solve or per
+workspace, never per application (_StripWorkspace).  GMRES keeps its Krylov
+vectors in lists and its Givens bookkeeping in floats: a preallocated
+(max_iter + 1) x n basis is slower, as every solve then touches a 2 MB
+array (N = 128) for its few vectors.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import NamedTuple
 
 import numpy as np
@@ -221,60 +239,93 @@ def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(vand.T.copy(), moments)
 
 
+class _StripGeometry(NamedTuple):
+    """What one vertical resolution n_z fixes: the Chebyshev rows, the flux's
+    z-reductions and the fast diagonalization of the flat mode operators."""
+
+    dz: np.ndarray       # d/dz on z in [-1, 0], row 0 = surface
+    dzz: np.ndarray
+    zp1: np.ndarray      # z + 1
+    reduce: np.ndarray   # (2, n_z + 1): wq and (wq (z + 1)) @ dz
+    vecs: np.ndarray     # W
+    theta: np.ndarray    # the eigenvalues of A^-1 E, real and <= 0
+    zmap: np.ndarray     # W^-1 A^-1
+
+
+@lru_cache(maxsize=8)
+def _strip_geometry(n_z: int) -> _StripGeometry:
+    """The strip geometry of n_z, with the fast diagonalization A^-1 E =
+    W diag(theta) W^-1 of the flat mode operators (module docstring).  The
+    arrays are shared by every workspace of this n_z and never written."""
+    xi, d_xi = _cheb_lobatto(n_z)
+    dz = 2.0 * d_xi
+    dzz = dz @ dz
+    zp1 = (xi - 1.0) / 2.0 + 1.0       # z + 1, z in [-1, 0]
+    wq = _clenshaw_curtis_weights(xi) / 2.0
+    a = dzz.copy()
+    a[0, :] = np.eye(n_z + 1)[0]           # surface Dirichlet row
+    a[-1, :] = dz[-1, :]                   # bottom Neumann row
+    try:
+        a_inv = np.linalg.inv(a)
+        ae = a_inv.copy()
+        ae[:, [0, -1]] = 0.0               # A^-1 E
+        theta, vecs = np.linalg.eig(ae)
+        zmap = np.linalg.solve(vecs, a_inv)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystemError(f"flat strip modes: {exc}") from exc
+    if np.iscomplexobj(theta) or theta.max() > 0.0:
+        raise SingularSystemError(f"flat strip modes: n_z = {n_z} has eigenvalues off the "
+                                  "nonpositive real axis")
+    return _StripGeometry(dz, dzz, zp1, np.array((wq, (wq * zp1) @ dz)), vecs, theta, zmap)
+
+
 class _StripFields(NamedTuple):
     """The depth fields of one strip solve, for its applications and flux."""
 
     h: np.ndarray        # 1 + eta
     eta_x: np.ndarray
+    phi_x: np.ndarray
     c1: np.ndarray       # -(z + 1) eta_x, per strip row
     c2: np.ndarray       # (z + 1)^2 eta_x^2 / h, per strip row
     hd2: np.ndarray      # delta^2 h
 
 
 class _StripWorkspace:
-    """Cached geometry, differentiation and flat-mode inverses for one
+    """Cached geometry, differentiation and flat-mode preconditioner for one
     (grid, n_z, delta) combination.
 
-    What is fixed for a whole solve is built once: the mode inverses and the
-    preconditioned lift column here, the depth fields (_StripFields) at the
-    start of each solve.  The right side of the strip system is -lift_res on
-    every interior row and 0 on the two boundary rows, so per Fourier mode k
-    its preconditioned form is lift_column[:, k] times the mode k of
-    -lift_res, with lift_column[:, k] = M_k^-1 (0, 1, ..., 1, 0): one 1-row
-    transform pair in place of a whole strip array's.  The fields of the last
-    solve stay in fields, where flux_divergence reads them.
+    What is fixed for a whole solve is built once: the n_z geometry
+    (_strip_geometry) per n_z, the mode gains and the preconditioned lift
+    column here, the depth fields (_StripFields) at the start of each solve.
+    The right side of the strip system is -lift_res on every interior row and
+    0 on the two boundary rows, so per Fourier mode k its preconditioned form
+    is lift_column[:, k] times the mode k of -lift_res, with lift_column[:, k]
+    = M_k^-1 (0, 1, ..., 1, 0): one 1-row transform pair in place of a whole
+    strip array's.  The fields of the last solve stay in fields, where
+    flux_divergence reads them.
     """
 
     def __init__(self, grid: PeriodicGrid, n_z: int, delta: float):
         self.grid = grid
         self.n_z = n_z
         self.delta = delta
-        xi, d_xi = _cheb_lobatto(n_z)
-        self.z = (xi - 1.0) / 2.0            # z in [-1, 0], row 0 = surface
-        self.dz = 2.0 * d_xi
-        self.dzz = self.dz @ self.dz
-        self.zp1 = self.z + 1.0
-        self.wq = _clenshaw_curtis_weights(xi) / 2.0
-        eye = np.eye(n_z + 1)
-        m = self.dzz - ((delta * grid.wavenumbers_half) ** 2)[:, None, None] * eye
-        m[:, 0, :] = eye[0]                 # surface Dirichlet row
-        m[:, -1, :] = self.dz[-1, :]        # bottom Neumann row
-        try:
-            self.mode_inverses = np.linalg.inv(m)
-        except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(f"flat strip modes: {exc}") from exc
+        geo = _strip_geometry(n_z)
+        self.dz, self.dzz, self.zp1 = geo.dz, geo.dzz, geo.zp1
+        self.reduce, self.vecs, self.zmap = geo.reduce, geo.vecs, geo.zmap
+        self.dx = kernels(grid).dx          # applied with .whole (module docstring)
+        # kappa_k = -delta^2 (dx symbol)^2: the symbol dx o dx applies, 0 at Nyquist
+        kappa = -(delta * delta) * (self.dx.symbol * self.dx.symbol).real
+        self.gain = 1.0 / (1.0 - geo.theta[:, None] * kappa)
         interior = np.ones(n_z + 1)
         interior[[0, -1]] = 0.0
-        self.lift_column = np.ascontiguousarray((self.mode_inverses @ interior).T)
-        self.dx = kernels(grid).dx          # applied with .whole (module docstring)
+        self.lift_column = self.vecs @ (self.gain * (self.zmap @ interior)[:, None])
         self.last_solution: np.ndarray | None = None
         self.fields: _StripFields | None = None
 
     def _precondition(self, rows: np.ndarray) -> np.ndarray:
-        # one real matmul per Fourier mode, over its (real, imag) column pair
-        rh = np.ascontiguousarray(np.fft.rfft(rows, axis=1).T)
-        sol = np.matmul(self.mode_inverses, rh.view(np.float64).reshape(*rh.shape, 2))
-        return np.fft.irfft(sol.view(np.complex128)[..., 0].T, n=self.grid.n_points, axis=1)
+        # the flat inverse by fast diagonalization: z-transforms around a gain per mode
+        h = self.gain * np.fft.rfft(self.zmap @ rows, axis=1)
+        return self.vecs @ np.fft.irfft(h, n=self.grid.n_points, axis=1)
 
     def _apply(self, w: np.ndarray, f: _StripFields) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
@@ -302,14 +353,13 @@ class _StripWorkspace:
         h = 1.0 + eta.values
         if float(h.min()) < h_min:
             raise DepthTooSmallError(float(h.min()), h_min)
-        eta_x = dx(grid, eta.values)
+        eta_x, phi_x = dx(grid, np.array((eta.values, phi.values)))
         zp1 = self.zp1[:, None]
-        self.fields = f = _StripFields(h, eta_x, -zp1 * eta_x, zp1**2 * (eta_x**2 / h),
-                                       self.delta**2 * h)
+        self.fields = f = _StripFields(h, eta_x, phi_x, -zp1 * eta_x,
+                                       zp1**2 * (eta_x**2 / h), self.delta**2 * h)
         shape = (self.n_z + 1, grid.n_points)
 
         # lifting by the z-independent surface data; residual is z-independent too
-        phi_x = dx(grid, phi.values)
         lift_res = f.hd2 * (dx(grid, h * phi_x) - eta_x * phi_x)
 
         # iterate on the left-preconditioned system: the flat inverse is O(1)
@@ -336,12 +386,14 @@ class _StripWorkspace:
     def flux_divergence(self, w: np.ndarray) -> np.ndarray:
         """Lambda phi = -div(H Vbar) with Vbar the vertical average of the
         horizontal velocity, integrated by Clenshaw-Curtis quadrature, for
-        the potential w of the last solve, over that solve's depth fields."""
+        the potential w of the last solve, over that solve's depth fields.
+
+        The average of wx - (z + 1) (eta_x / h) wz is dx(wq @ w) - (eta_x / h)
+        (r @ w) with r = (wq (z + 1)) @ dz: two z-reductions of w, not two
+        whole-strip products."""
         f = self.fields
-        wz = self.dz @ w
-        wx = self.dx.whole(w)
-        integrand = wx - self.zp1[:, None] * (f.eta_x / f.h) * wz
-        vbar = self.wq @ integrand
+        mean, tilt = self.reduce @ w
+        vbar = dx(self.grid, mean) - (f.eta_x / f.h) * tilt
         return -dx(self.grid, f.h * vbar)
 
 
@@ -400,16 +452,20 @@ class DtnBackend:
         return ws
 
     def apply(self, eta: RealField, phi: RealField, delta: float,
-              guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray | None]:
-        """Lambda phi and the lift-free strip potential it was computed from
-        (None for the series backend).  The strip solve starts from guess, an
-        estimate of the latter, when one is given, and otherwise from the
-        workspace's last solution (_StripWorkspace.solve)."""
+              guess: np.ndarray | None = None
+              ) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
+        """Lambda phi, the lift-free strip potential it was computed from
+        (None for the series backend) and the slopes (dx eta, dx phi), one
+        2-row dx call, which the strip solve computes anyway.  The strip
+        solve starts from guess, an estimate of the potential, when one is
+        given, and otherwise from the workspace's last solution
+        (_StripWorkspace.solve)."""
         if self.kind == "series":
-            return dtn_series(eta, phi, delta, self.order).values, None
+            eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
+            return dtn_series(eta, phi, delta, self.order).values, None, (eta_x, phi_x)
         ws = self._workspace(phi.grid, delta)
         w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
-        return ws.flux_divergence(w), w - phi.values
+        return ws.flux_divergence(w), w - phi.values, (ws.fields.eta_x, ws.fields.phi_x)
 
 
 # ---------------------------------------------------------------------------
@@ -422,8 +478,7 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
     guess starts), from which rk4_fields extrapolates later stages' guesses."""
     grid = s.grid
     d2 = s.delta**2
-    lam, strip = backend.apply(s.eta, s.phi, s.delta, guess)
-    eta_x, phi_x = dx(grid, np.array((s.eta.values, s.phi.values)))
+    lam, strip, (eta_x, phi_x) = backend.apply(s.eta, s.phi, s.delta, guess)
     etx, phx, lamt = dealias(grid, np.array((eta_x, phi_x, lam)))
     sq_phx, cross = dealias(grid, np.array((phx * phx, etx * phx)))
     num = lamt + cross
@@ -435,7 +490,7 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
 
 def hamiltonian(s: WwState, backend: DtnBackend) -> float:
     """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2)."""
-    lam, _ = backend.apply(s.eta, s.phi, s.delta)
+    lam = backend.apply(s.eta, s.phi, s.delta)[0]
     dens = s.phi.values * lam + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
 

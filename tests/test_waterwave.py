@@ -13,6 +13,7 @@ from iskak.waterwave import (
     DtnBackend,
     WwState,
     _gmres,
+    _strip_geometry,
     _StripWorkspace,
     dtn_series,
     hamiltonian,
@@ -250,6 +251,45 @@ class TestStripFields:
         b[-1, :] = 0.0
         ref = ws._precondition(b).ravel()
         assert np.abs(seen[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+
+class TestFlatPreconditioner:
+    """The fast-diagonalized flat preconditioner inverts the flat strip
+    operator at every Fourier mode, the Nyquist mode included, and the flux
+    reduces w in z before it differentiates in x."""
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_exact_inverse_of_the_flat_operator(self, n):
+        # with -delta^2 k^2 at the Nyquist mode, where dx o dx applies 0,
+        # the gap was 2.2e-2, 3.2e-2 and 3.8e-2 at N = 64, 128 and 256
+        grid = PeriodicGrid(n)
+        ws, _ = strip_solution(zeros(grid), field_from_function(grid, np.cos), 0.2, 16)
+        w = np.random.default_rng(n).standard_normal((17, n))
+        gap = ws._precondition(ws._apply(w, ws.fields)) - w
+        assert np.abs(gap).max() <= 1e-10 * np.abs(w).max()
+
+    @pytest.mark.parametrize("n_z", [8, 16, 32, 48])
+    def test_eigenvalues_nonpositive_and_gains_in_unit_interval(self, n_z):
+        theta = _strip_geometry(n_z).theta
+        assert theta.dtype == np.float64 and theta.max() <= 0.0
+        for n, delta in ((64, 0.05), (128, 0.2), (256, 1.0)):
+            gain = _StripWorkspace(PeriodicGrid(n), n_z, delta).gain
+            assert gain.min() > 0.0 and gain.max() <= 1.0
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_flux_is_the_two_product_form(self, n):
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(n + 1)
+        eta = random_band_limited(rng, grid, 4, 0.1)
+        ws, w = strip_solution(eta, random_band_limited(rng, grid), 0.2, 16)
+        # reference: the vertical average of the whole-strip horizontal velocity
+        f, wq = ws.fields, ws.reduce[0]
+        integrand = ws.dx.whole(w) - ws.zp1[:, None] * (f.eta_x / f.h) * (ws.dz @ w)
+        flux = f.h * (wq @ integrand)
+        # the two averages differ at rounding level (<= 7e-15 relative here),
+        # which the outer derivative lifts by up to the top wavenumber N / 2
+        gap = ws.flux_divergence(w) + dx(grid, flux)
+        assert np.abs(gap).max() <= 1e-14 * (n / 2) * np.abs(flux).max()
 
 
 class TestSurfaceEvolution:
@@ -500,14 +540,30 @@ class TestGmresResidual:
         assert len(calls) == 1
 
 
-def ww_count_case():
-    """The 20-step run the stage-guess tests share: simulate's wave at
-    N = 128, delta = 0.2, dt = 1e-3 on the warm exact:16 backend."""
+def ww_count_case(t_end=0.02):
+    """The run the stage-guess tests share, 20 steps by default: simulate's
+    wave at N = 128, delta = 0.2, dt = 1e-3 on the warm exact:16 backend."""
     grid = PeriodicGrid(128)
     eta0 = field_from_function(grid, lambda x: 0.1 * np.cos(x))
     return ww_run(WwState(eta0, zeros(grid), 0.2),
-                  SimConfig(t_end=0.02, dt=1e-3, record_every=20),
+                  SimConfig(t_end=t_end, dt=1e-3, record_every=20),
                   DtnBackend.exact(16))
+
+
+def counted_strip_run(monkeypatch, t_end):
+    """(strip solves, strip applications) of ww_count_case(t_end)."""
+    counts = {"apply": 0, "solve": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(_StripWorkspace, "_apply", counted("apply", _StripWorkspace._apply))
+    monkeypatch.setattr(_StripWorkspace, "solve", counted("solve", _StripWorkspace.solve))
+    assert ww_count_case(t_end).diagnostics.aborted is None
+    return counts["solve"], counts["apply"]
 
 
 class TestStageGuesses:
@@ -515,19 +571,17 @@ class TestStageGuesses:
         # guesses from the last two steps: 2.77 operator applications per
         # strip solve on this run, 3.74 with the RK4-tableau guesses of the
         # last step alone
-        counts = {"apply": 0, "solve": 0}
+        solves, applies = counted_strip_run(monkeypatch, 0.02)
+        assert solves == 82
+        assert applies / solves <= 3.0
 
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(_StripWorkspace, "_apply", counted("apply", _StripWorkspace._apply))
-        monkeypatch.setattr(_StripWorkspace, "solve", counted("solve", _StripWorkspace.solve))
-        assert ww_count_case().diagnostics.aborted is None
-        assert counts["solve"] == 82
-        assert counts["apply"] / counts["solve"] <= 3.0
+    def test_strip_applications_per_solve_on_simulate_run(self, monkeypatch):
+        # simulate's 200-step run: 2.46 applications per solve; 3.16 with a
+        # flat preconditioner that missed the Nyquist mode, whose outlier
+        # eigenvalue left a tail of solves at 5-9 applications
+        solves, applies = counted_strip_run(monkeypatch, 0.2)
+        assert solves == 811
+        assert applies / solves <= 2.8
 
     def test_guesses_change_iteration_counts_only(self, monkeypatch):
         with_guess = ww_count_case()

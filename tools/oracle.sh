@@ -20,12 +20,13 @@
 # config-file reader.  That file is read from the working tree for both
 # runs, so REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
-# cmp, one verdict line per file; a differing file also shows the first
-# lines of its diff, and a differing CSV with the same header and row count
-# also the largest absolute and relative cell move of each numeric column
-# that moved, relative to REV's cell.  Exits 0 if every file is identical,
-# 1 if any differs or is missing on one side, 2 on a usage error.  The two
-# trees run side by side, one process each.
+# cmp, one verdict line per file.  A differing summary, stdout or exit code
+# also shows its whole diff, every hunk; a differing CSV the first lines of
+# its diff and, with the same header and row count, the largest absolute and
+# relative cell move of each numeric column that moved, relative to REV's
+# cell.  Exits 0 if every file is identical, 1 if any differs or is missing
+# on one side, 2 on a usage error.  The two trees run side by side, one
+# process each.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -123,9 +124,11 @@ done | sort -u | while read -r rel; do
         echo "identical  $rel"
     else
         echo "DIFFERS    $rel"
-        diff "$a" "$b" | head -n 6 | sed 's/^/    /'
         case $rel in
-            *.csv) column_moves "$a" "$b" 2>&1 | sed 's/^/    /' ;;
+            *.csv)
+                diff "$a" "$b" | head -n 6 | sed 's/^/    /'
+                column_moves "$a" "$b" 2>&1 | sed 's/^/    /' ;;
+            *) diff "$a" "$b" | sed 's/^/    /' ;;
         esac
     fi
 done | tee "$work/verdicts"
