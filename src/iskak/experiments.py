@@ -248,6 +248,39 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
                     max(diag.constraint_max), None)
 
 
+def _delta6_bands(legs: list, column: int) -> list:
+    """[(t, band)] over the record times t > 0, shared by the legs through
+    their dt and record_every: band is max/min over the legs of
+    e(t) / delta^6, e the column-th entry of a leg's error record (an
+    aborted leg records none).  Errors within 10x NOISE_FLOOR are left out,
+    as fit_loglog leaves them out, and a time with fewer than two legs left
+    is skipped."""
+    cells = {}
+    for leg in legs:
+        for rec in leg.errors:
+            if rec[0] > 0.0 and rec[column] > 10.0 * NOISE_FLOOR:
+                cells.setdefault(rec[0], []).append(rec[column] / leg.delta**6)
+    return [(t, max(v) / min(v)) for t, v in sorted(cells.items()) if len(v) >= 2]
+
+
+def _band_check(legs: list) -> Check:
+    """The delta^6 claim uniformly in time: the normalized surface and
+    velocity errors of all legs within a factor 3 at every record time, the
+    band consistency puts on its residuals.  No usable record time fails."""
+    passed, details = True, []
+    for name, column in (("surface", 1), ("velocity", 2)):
+        bands = _delta6_bands(legs, column)
+        if not bands:
+            passed = False
+            details.append(f"{name}: no record time with two legs above 10x noise floor")
+            continue
+        t_worst, worst = max(bands, key=lambda b: b[1])
+        passed = passed and worst <= 3.0
+        details.append(f"{name} worst {worst:.3f} at t={t_worst:g}, "
+                       f"{bands[-1][1]:.3f} at t={bands[-1][0]:g}")
+    return Check("delta^6-normalized error band <= 3", passed, "; ".join(details))
+
+
 def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
     legs = [_convergence_leg(cfg, d) for d in cfg.delta]
     rows, deltas, peaks, any_abort = [], [], [], []
@@ -282,6 +315,7 @@ def run_convergence(cfg: ExperimentConfig) -> ExperimentReport:
         checks.append(Check("degraded-map control slope <= 2.5",
                             sf_ctrl.slope is not None and sf_ctrl.slope <= 2.5,
                             sf_ctrl.describe()))
+        checks.append(_band_check(legs))
     checks.append(Check("no aborted sweep leg", not any_abort,
                         "; ".join(any_abort) if any_abort else "all legs completed"))
     fin = [leg for leg in legs if leg.aborted is None]

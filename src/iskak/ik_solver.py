@@ -17,6 +17,7 @@ every step (pure gauge, nothing measurable depends on it).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
@@ -135,14 +136,18 @@ def _extrapolate(*terms):
     return sum(w * e for (w, _), e in zip(terms, entries))
 
 
-def _stage_guess(i, ks, p, q):
+def _stage_guess(i, ks, past):
     """The guess of stage i (0-based) from this step's earlier stage results
-    ks and the stage results p and q of the last two steps (rk4_fields)."""
-    if q is not None:
+    ks and the stage results of the past steps, newest first (rk4_fields)."""
+    p = past[0] if past else None
+    if len(past) > 1:
         if i == 0:
-            return _extrapolate((1.0, p[3]), (1.0, p[0]), (-1.0, q[3]))
-        return _extrapolate((1.0, ks[i - 1]), (2.0, p[i]), (-2.0, p[i - 1]),
-                            (-1.0, q[i]), (1.0, q[i - 1]))
+            return _extrapolate((1.0, p[3]), (1.0, p[0]), (-1.0, past[1][3]))
+        terms = [(1.0, ks[i - 1])]
+        for j, r in enumerate(past):   # binomial weights (2, -1), (3, -3, 1)
+            w = float((-1) ** j * math.comb(len(past), j + 1))
+            terms += [(w, r[i]), (-w, r[i - 1])]
+        return _extrapolate(*terms)
     if i == 0:
         return None if p is None else _extrapolate((1.0, p[3]))
     if i == 1 and p is not None:
@@ -160,46 +165,53 @@ def rk4_fields(s, dt, rhs, warm):
     Its last entry is what the stage's solver computes (phi1_t on the IK
     side, the strip potential on the water-wave side), and guess, an array
     or None, estimates it.  warm is None on a run's first step and otherwise
-    (P, Q): the stage results (P1, .., P4) of the previous step and those of
-    the step before, or None on the second step.  With both, the guesses are
+    the stage results (P1, .., P4) of up to s.GUESS_STEPS past steps, newest
+    first: P, then Q, then R.  With at least two, the guesses are
 
         k1 <- P4 + (P1 - Q4),
-        ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1))    for i = 2, 3, 4.
+        ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1))    for i = 2, 3, 4,
 
+    and over three steps ki <- k(i-1) + 3 (Pi - P(i-1)) - 3 (Qi - Q(i-1)) +
+    (Ri - R(i-1)): binomial weights, polynomial extrapolation in t.
     P4 is evaluated at y' + dt P3, a midpoint-rule step that lands within
     O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth in t, so the
     previous step's offset P1 - Q4 carries it over to O(dt^4).  Extrapolating
-    the offset linearly as well measured more operator applications per
-    solve on both models, not fewer: the carried offset already sits at the
-    solver tolerance, and larger weights only amplify the tolerance-level
-    noise of the entries.  A stage difference ki - k(i-1) is at most O(dt)
-    and smooth in t, so its linear extrapolation is O(dt^3) from the stage.
+    the offset further measured more operator applications per solve on both
+    models, not fewer: the carried offset already sits at the solver
+    tolerance, and larger weights only amplify the tolerance-level noise of
+    the entries.  A stage difference ki - k(i-1) is at most O(dt) and smooth
+    in t, so its extrapolation is O(dt^3) from the stage over two steps and
+    O(dt^4) over three.  The third step brings the water-wave guesses of
+    stages 2 and 4 to the strip tolerance (WwState.GUESS_STEPS = 3); on the IK
+    side it measured more L1 applications per solve (IkState.GUESS_STEPS = 2).
 
     The second step has only P, and takes the guesses the RK4 tableau fixes:
     k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each
     O(dt^2) from its stage.  The first step has none: k1 gets no guess and
-    the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  The guesses
+    the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  A run with
+    fewer past steps than GUESS_STEPS uses those it has.  The guesses
     change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
     the m fields.  Returns the new state and the warm start of the next
-    step, ((k1, .., k4), P).  The state constructors reject NaN/Inf and
-    depth collapse in every stage state and in the result; the max-norm
-    blow-up guard is run_loop's.
+    step, (k1, .., k4) and then the newest GUESS_STEPS - 1 past entries.
+    The state constructors reject NaN/Inf and depth collapse in every stage
+    state and in the result; the max-norm blow-up guard is run_loop's.
     """
     m, grid, delta = len(s.FIELDS), s.grid, s.delta
-    p, q = (None, None) if warm is None else warm
+    past = warm or ()
     y = np.array([getattr(s, n).values for n in s.FIELDS])
 
     def state(v):
         # the state class takes its FIELDS, then delta
         return type(s)(*(RealField(grid, row) for row in v), delta)
 
-    ks = [rhs(s, _stage_guess(0, [], p, q))]
+    ks = [rhs(s, _stage_guess(0, [], past))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, p, q)))
+        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
-    return state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)), (tuple(ks), p)
+    return (state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
+            (tuple(ks),) + past[:s.GUESS_STEPS - 1])
 
 
 def _rk4_stages(s, dt, cg_tol, warm):

@@ -134,6 +134,7 @@ class IkState:
     """
 
     FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order
+    GUESS_STEPS = 2                     # past steps the stage guesses use (rk4_fields)
 
     eta: RealField
     phi0: RealField

@@ -38,13 +38,14 @@ a divergence form that conserves mass to rounding.  The shallow-water series
 backend applies Lambda^(0) + d^2 Lambda^(1) + d^4 Lambda^(2) truncated at a
 chosen order.
 
-A solve makes few applications: 2.46 per solve on the 200-step simulate run
-(N = 128, d = 0.2, dt = 1e-3, exact:16), 3.16 with the Nyquist mode
-mis-inverted.  So what is fixed for a solve is built once per solve or per
-workspace, never per application (_StripWorkspace).  GMRES keeps its Krylov
-vectors in lists and its Givens bookkeeping in floats: a preallocated
-(max_iter + 1) x n basis is slower, as every solve then touches a 2 MB
-array (N = 128) for its few vectors.
+A solve makes few applications, about two on a simulate run, as a stage
+starts GMRES from a guess extrapolated over the last three steps, near
+the tolerance (ik_solver.rk4_fields).  So what is fixed for a solve is
+built once per solve or per workspace, never per application
+(_StripWorkspace).  GMRES keeps its Krylov vectors in lists and its
+Givens bookkeeping in floats: a preallocated (max_iter + 1) x n basis is
+slower, as every solve then touches a 2 MB array (N = 128) for its few
+vectors.
 """
 
 from __future__ import annotations
@@ -159,6 +160,7 @@ class WwState:
     delta: float
 
     FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order
+    GUESS_STEPS = 3           # past steps the stage guesses use (rk4_fields)
 
     def __post_init__(self):
         check_state(self)

@@ -409,6 +409,43 @@ class TestCli:
         assert verdicts["degraded-map control slope <= 2.5"]
         assert report.checks[1].detail.startswith("velocity_error: slope 4.000 +/- 0.000")
 
+    @pytest.mark.parametrize("power, passed", [(6, True), (4, False)])
+    def test_convergence_checks_the_delta6_band(self, monkeypatch, power, passed):
+        # synthetic legs whose errors grow in time and scale as delta^power:
+        # normalized by delta^6 they collapse for power 6 and spread by
+        # (0.4 / 0.1)^2 = 16 over the default legs for power 4
+        def leg(cfg, delta):
+            errors = [(t, c * t * delta**power, 2 * c * t * delta**power, 0.1 * t * delta**2)
+                      for t, c in ((0.0, 0.0), (0.5, 1.0), (1.0, 1.5))]
+            return experiments._ConvLeg(delta, errors, 0.9, 0.9, 0.0, None)
+
+        monkeypatch.setattr(experiments, "_convergence_leg", leg)
+        report = experiments.run_convergence(default_config("convergence"))
+        band = next(c for c in report.checks if c.name == "delta^6-normalized error band <= 3")
+        assert band.passed is passed
+        worst = "1.000" if passed else "16.000"
+        surface, velocity = band.detail.split("; ")
+        assert surface.startswith(f"surface worst {worst} at t=")
+        assert velocity.startswith(f"velocity worst {worst} at t=")
+        assert surface.endswith(f", {worst} at t=1") and velocity.endswith(f", {worst} at t=1")
+
+    def test_delta6_band_leaves_out_noise_and_aborted_legs(self):
+        # cells within 10x the noise floor and aborted legs (which record no
+        # errors, as _convergence_leg builds them) do not count; a record
+        # time left with fewer than two legs is skipped
+        def leg(delta, errs, aborted=None):
+            rows = [(t, e, e, 0.0) for t, e in zip((0.0, 0.5, 1.0), errs)]
+            return experiments._ConvLeg(delta, rows, 0.9, 0.9, 0.0, aborted)
+
+        legs = [leg(0.4, (0.0, 0.4**6, 2 * 0.4**6)),
+                leg(0.2, (0.0, 3 * 0.2**6, 1e-12)),
+                leg(0.1, (0.0, 0.1**6, 3e-12)),
+                leg(0.3, (), aborted="injected")]
+        assert experiments._delta6_bands(legs, 1) == [(0.5, pytest.approx(3.0))]
+        bands = experiments._delta6_bands(legs[:1] + legs[3:], 2)
+        assert bands == []
+        assert not experiments._band_check(legs[:1]).passed
+
     def test_convergence_rest_data(self, tmp_path):
         # amplitude 0: every error sits at rounding and no slope is fitted
         code = main(["convergence", "--output-dir", str(tmp_path), "--override", "amplitude=0",

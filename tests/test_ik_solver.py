@@ -292,7 +292,68 @@ def ik_count_case(s):
     return run(s, SimConfig(t_end=0.02, dt=1e-3, reproject_every=10, record_every=20))
 
 
+def stage_results(rng, steps, entry=None):
+    """steps past steps of four synthetic stage results each, newest first;
+    entry(n, i) gives the solver entry of stage i of step n (default random)."""
+    if entry is None:
+        return tuple(tuple((rng.standard_normal(16),) for _ in range(4)) for _ in range(steps))
+    return tuple(tuple((entry(-n, i),) for i in range(4)) for n in range(1, steps + 1))
+
+
 class TestStageGuesses:
+    def test_three_step_guess_is_exact_for_quadratic_stage_series(self):
+        # stage results quadratic in the step index n: extrapolating the
+        # stage differences over three steps reproduces the stage, over two
+        # it misses by the curvature
+        rng = np.random.default_rng(7)
+        a, b, c = (rng.standard_normal((4, 16)) for _ in range(3))
+        def entry(n, i):
+            return a[i] + b[i] * n + c[i] * n * n
+        past = stage_results(rng, 3, entry)
+        ks = [(entry(0, i),) for i in range(4)]
+        for i in (1, 2, 3):
+            exact = entry(0, i)
+            three = ik_solver._stage_guess(i, ks[:i], past)
+            two = ik_solver._stage_guess(i, ks[:i], past[:2])
+            assert np.abs(three - exact).max() <= 1e-12 * np.abs(exact).max()
+            assert np.abs(two - exact).max() > 1e-3 * np.abs(exact).max()
+
+    def test_two_step_guess_is_the_explicit_formula(self):
+        # bit for bit the rule before the guess depth was per model:
+        # k1 <- P4 + (P1 - Q4) and ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1)),
+        # and the three-step k1 carries the same offset
+        rng = np.random.default_rng(8)
+        (p, q, r), ks = stage_results(rng, 3), stage_results(rng, 1)[0]
+        k1 = 1.0 * p[3][0] + 1.0 * p[0][0] + -1.0 * q[3][0]
+        assert np.array_equal(ik_solver._stage_guess(0, [], (p, q)), k1)
+        assert np.array_equal(ik_solver._stage_guess(0, [], (p, q, r)), k1)
+        for i in (1, 2, 3):
+            ki = (1.0 * ks[i - 1][0] + 2.0 * p[i][0] + -2.0 * p[i - 1][0]
+                  + -1.0 * q[i][0] + 1.0 * q[i - 1][0])
+            assert np.array_equal(ik_solver._stage_guess(i, ks[:i], (p, q)), ki)
+
+    def test_series_backend_entry_gives_no_guess(self):
+        # the series backend computes no strip potential: its None entry
+        # leaves every stage without a guess at any depth
+        past = stage_results(None, 3, lambda n, i: None)
+        ks = [(None,)] * 3
+        assert all(ik_solver._stage_guess(i, ks[:i], past) is None for i in range(4))
+
+    def test_warm_start_keeps_guess_steps_of_stage_results(self):
+        # rk4_fields hands on this step's stage results and the newest
+        # GUESS_STEPS - 1 past ones: two steps on the IK side, three on the
+        # water-wave side
+        from iskak.waterwave import WwState
+        grid = PeriodicGrid(16)
+        for s in (rest_state(grid), WwState(zeros(grid), zeros(grid), 0.3)):
+            def rhs(state, guess):
+                return tuple(np.zeros(16) for _ in state.FIELDS) + (np.zeros(16),)
+            warm, depths = None, []
+            for _ in range(5):
+                s, warm = ik_solver.rk4_fields(s, 1e-3, rhs, warm)
+                depths.append(len(warm))
+            assert depths == [min(n, s.GUESS_STEPS) for n in range(1, 6)]
+
     def test_l1_applications_per_solve(self, monkeypatch):
         # guesses from the last two steps: 2.50 L1 applications per elliptic
         # solve (stages, records and reprojections) on this run, 3.79 with

@@ -568,20 +568,21 @@ def counted_strip_run(monkeypatch, t_end):
 
 class TestStageGuesses:
     def test_strip_applications_per_solve(self, monkeypatch):
-        # guesses from the last two steps: 2.77 operator applications per
-        # strip solve on this run, 3.74 with the RK4-tableau guesses of the
-        # last step alone
+        # guesses from the last three steps: 1.95 operator applications per
+        # strip solve on this run, 2.77 from the last two, 3.74 with the
+        # RK4-tableau guesses of the last step alone
         solves, applies = counted_strip_run(monkeypatch, 0.02)
         assert solves == 82
-        assert applies / solves <= 3.0
+        assert applies / solves <= 2.2
 
     def test_strip_applications_per_solve_on_simulate_run(self, monkeypatch):
-        # simulate's 200-step run: 2.46 applications per solve; 3.16 with a
-        # flat preconditioner that missed the Nyquist mode, whose outlier
-        # eigenvalue left a tail of solves at 5-9 applications
+        # simulate's 200-step run: 1.86 applications per solve with guesses
+        # from the last three steps, 2.46 from the last two, whose stage-2
+        # and stage-4 guesses started GMRES near 7e-9; 3.16 with a flat
+        # preconditioner that missed the Nyquist mode
         solves, applies = counted_strip_run(monkeypatch, 0.2)
         assert solves == 811
-        assert applies / solves <= 2.8
+        assert applies / solves <= 2.0
 
     def test_guesses_change_iteration_counts_only(self, monkeypatch):
         with_guess = ww_count_case()
