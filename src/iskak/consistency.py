@@ -26,7 +26,7 @@ import numpy as np
 
 from .ik_solver import time_derivatives
 from .operators import CG_TOL_DEFAULT, IkState, surface_potential
-from .spectral import RealField, dp, dx, l2_norm, lap
+from .spectral import RealField, dp, l2_norm, lap
 from .waterwave import DtnBackend, dtn_series
 
 __all__ = [
@@ -89,14 +89,12 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     d = time_derivatives(s, cg_tol)
     phi = surface_potential(s)
-    lam = backend.apply(s.eta, phi, s.delta)[0]
+    lam, _, (eta_x, phi_x) = backend.apply(s.eta, phi, s.delta)
 
     r1v = (d.eta_t - lam) * inv_d6
 
     # exact reconstruction of dt phi; gauge-free (no additive constant)
     phi_t = d.phi0_t + d2 * (2.0 * h * d.eta_t * s.phi1.values + h * h * d.phi1_t)
-    eta_x = dx(grid, s.eta.values)
-    phi_x = dx(grid, phi.values)
     flux = lam + eta_x * phi_x
     bernoulli = (
         phi_t
@@ -107,7 +105,7 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
     r2v = bernoulli * inv_d6
 
     # series tail computed against the same Lambda evaluation used in r1
-    r9 = (lam - dtn_series(s.eta, phi, s.delta, 2).values) * inv_d6
+    r9 = (lam - dtn_series(s.eta, phi, s.delta).values) * inv_d6
     r5 = remainders_R1_to_R5(s)[4].values
     gap = float(np.abs(r1v - (r5 - r9)).max())
 

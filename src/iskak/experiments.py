@@ -229,7 +229,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
 
     # the leg stops at its first aborted run, in the order reference, model, control
     results = []
-    for backend in (DtnBackend.parse(cfg.dtn, cfg.dtn_tol), None, DtnBackend.series(0)):
+    for backend in (DtnBackend.parse(cfg.dtn, cfg.dtn_tol), None, DtnBackend.series()):
         res = _stepped(backend, eta0, phi0, delta, sim)
         if res.diagnostics.aborted is not None:
             return _ConvLeg(delta, [], np.nan, np.nan, np.nan, res.diagnostics.aborted)

@@ -88,7 +88,8 @@ class SimConfig:
                 f"dt={self.dt:.3g} violates the CFL guard {limit:.3g} "
                 f"(CFL_FACTOR * spacing at unit wave speed)"
             )
-        n = int(round(self.t_end / self.dt))
+        steps = self.t_end / self.dt     # inf when the count overflows
+        n = int(round(steps)) if math.isfinite(steps) else 0
         if n < 1 or abs(n * self.dt - self.t_end) > 1e-9 * max(1.0, self.t_end):
             raise ValueError("t_end must be an integer number of steps, at least one")
         return n
@@ -175,15 +176,14 @@ def rk4_fields(s, dt, rhs, warm):
     (Ri - R(i-1)): binomial weights, polynomial extrapolation in t.
     P4 is evaluated at y' + dt P3, a midpoint-rule step that lands within
     O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth in t, so the
-    previous step's offset P1 - Q4 carries it over to O(dt^4).  Extrapolating
-    the offset further measured more operator applications per solve on both
-    models, not fewer: the carried offset already sits at the solver
-    tolerance, and larger weights only amplify the tolerance-level noise of
-    the entries.  A stage difference ki - k(i-1) is at most O(dt) and smooth
-    in t, so its extrapolation is O(dt^3) from the stage over two steps and
-    O(dt^4) over three.  The third step brings the water-wave guesses of
-    stages 2 and 4 to the strip tolerance (WwState.GUESS_STEPS = 3); on the IK
-    side it measured more L1 applications per solve (IkState.GUESS_STEPS = 2).
+    previous step's offset P1 - Q4 carries it over to O(dt^4).  The offset
+    is extrapolated no further: it already sits at the solver tolerance, and
+    larger weights only amplify the tolerance-level noise of the entries.  A
+    stage difference ki - k(i-1) is at most O(dt) and smooth in t, so its
+    extrapolation is O(dt^3) from the stage over two steps and O(dt^4) over
+    three.  The water-wave side uses three steps (WwState.GUESS_STEPS = 3),
+    which bring its stages 2 and 4 to the strip tolerance; the IK side two
+    (IkState.GUESS_STEPS = 2), as the three-step weights slow its PCG.
 
     The second step has only P, and takes the guesses the RK4 tableau fixes:
     k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each

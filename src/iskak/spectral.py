@@ -15,14 +15,13 @@ differentiation matrix for dx and lap (Trefethen, Spectral Methods in
 MATLAB, ch. 3).  Up to MATRIX_MAX_N points a Multiplier applies that matrix
 instead, built once: the circulant of the transform of e_0, so both forms
 are the same map up to rounding.  (Running the transform on every unit
-vector gives each row its own rounding, which mixes Fourier modes: the
-delta^-6-scaled identity gap of the consistency experiment grew 2-14x over
-the transform, against 0.8-4.3x for the circulant.)  On small grids a
-transform pair costs mostly call overhead, and a one-row product is
-cheaper.  Above MATRIX_MAX_N whole RK4 steps of both models run slower on
-matrices, and a matrix grows as N^2 (134 MB at N = 4096), so there the
-transform is the only path.  A Multiplier applies its matrix under two
-rules:
+vector would give each row its own rounding, which mixes Fourier modes and
+inflates the delta^-6-scaled identity gap of the consistency experiment.)
+On small grids a transform pair costs mostly call overhead, and a one-row
+product is cheaper.  Above MATRIX_MAX_N whole RK4 steps of both models run
+slower on matrices, and a matrix grows as N^2 (134 MB at N = 4096), so
+there the transform is the only path.  A Multiplier applies its matrix
+under two rules:
 
 * row-exact: every row of a stack goes through the same one-row product,
   so it gets exactly the values it would get alone;

@@ -23,9 +23,7 @@ depend on n_z alone and are cached per n_z.  For n_z = 8..64, theta is real
 and <= 0 and cond W <= 5.7, so every gain lies in (0, 1].  The dx symbol
 is zeroed at the Nyquist mode, so dx o dx applies 0 there and kappa is 0
 too: the preconditioner is then the exact inverse of the flat discrete
-operator at every mode.  Inverting -d^2 k^2 at the Nyquist mode instead
-left the preconditioned flat operator 2-4 % off the identity (N = 64..256),
-and that outlier eigenvalue stalled GMRES on a ~1e-12 plateau.
+operator at every mode, and no outlier eigenvalue stalls GMRES.
 
 GMRES reports the residual |r0 - sum_i y_i A v_i| / |b|, from the operator
 outputs A v_i it keeps, so a claimed convergence is confirmed by the
@@ -34,18 +32,18 @@ flux is then the vertical average of the horizontal velocity and
 
     Lambda phi = -div(H Vbar),
 
-a divergence form that conserves mass to rounding.  The shallow-water series
-backend applies Lambda^(0) + d^2 Lambda^(1) + d^4 Lambda^(2) truncated at a
-chosen order.
+a divergence form that conserves mass to rounding.  The series backend is
+the stepped runs' degraded control, the O(d^2) shallow-water map
+Lambda^(0).  dtn_series, the expansion Lambda^(0) + d^2 Lambda^(1) +
+d^4 Lambda^(2) through d^4, serves consistency alone, for its R9 tail.
 
 A solve makes few applications, about two on a simulate run, as a stage
 starts GMRES from a guess extrapolated over the last three steps, near
 the tolerance (ik_solver.rk4_fields).  So what is fixed for a solve is
 built once per solve or per workspace, never per application
-(_StripWorkspace).  GMRES keeps its Krylov vectors in lists and its
-Givens bookkeeping in floats: a preallocated (max_iter + 1) x n basis is
-slower, as every solve then touches a 2 MB array (N = 128) for its few
-vectors.
+(_StripWorkspace).  GMRES keeps its few Krylov vectors in lists and its
+Givens bookkeeping in floats, not in a preallocated basis that every solve
+would touch whole.
 """
 
 from __future__ import annotations
@@ -204,16 +202,10 @@ def lambda2(eta: RealField, psi: RealField) -> RealField:
     return RealField(grid, term)
 
 
-def dtn_series(eta: RealField, phi: RealField, delta: float, order: int) -> RealField:
-    """Sum of the expansion terms through delta^(2*order)."""
-    if order not in (0, 1, 2):
-        raise ValueError(f"series order must be 0, 1 or 2, got {order}")
-    out = lambda0(eta, phi).values
-    if order >= 1:
-        out = out + delta**2 * lambda1(eta, phi).values
-    if order >= 2:
-        out = out + delta**4 * lambda2(eta, phi).values
-    return RealField(phi.grid, out)
+def dtn_series(eta: RealField, phi: RealField, delta: float) -> RealField:
+    """The expansion through delta^4, Lambda^(0) + d^2 Lambda^(1) + d^4 Lambda^(2)."""
+    return RealField(phi.grid, lambda0(eta, phi).values + delta**2 * lambda1(eta, phi).values
+                     + delta**4 * lambda2(eta, phi).values)
 
 
 # ---------------------------------------------------------------------------
@@ -402,13 +394,13 @@ class _StripWorkspace:
 @dataclass
 class DtnBackend:
     """Either the exact strip solve (kind='exact', resolution n_z) or the
-    truncated shallow-water expansion (kind='series', order K).  The n_z and
-    order rules live here only; parse() reads the 'exact:16' / 'series:2'
-    spec of a configuration."""
+    degraded control Lambda^(0) (kind='series'), the O(d^2) shallow-water
+    map; the d^4 expansion dtn_series serves consistency only.  The n_z rule
+    lives here only; parse() reads the 'exact:N' / 'series:0' spec of a
+    configuration."""
 
     kind: str
     n_z: int = 16
-    order: int = 2
     tol: float = DTN_TOL_DEFAULT
 
     def __post_init__(self):
@@ -416,8 +408,6 @@ class DtnBackend:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "exact" and self.n_z < 8:
             raise ValueError("exact backend needs n_z >= 8")
-        if self.kind == "series" and self.order not in (0, 1, 2):
-            raise ValueError("series backend order must be 0, 1 or 2")
         self._workspaces: dict = {}
 
     @classmethod
@@ -425,25 +415,21 @@ class DtnBackend:
         return cls("exact", n_z=n_z, tol=tol)
 
     @classmethod
-    def series(cls, order: int) -> "DtnBackend":
-        return cls("series", order=order)
+    def series(cls) -> "DtnBackend":
+        return cls("series")
 
     @classmethod
     def parse(cls, spec: str, tol: float = DTN_TOL_DEFAULT) -> "DtnBackend":
-        """'exact:16' -> exact strip solve with n_z = 16; 'series:2' -> order-2 series."""
-        parts = spec.split(":")
-        if len(parts) != 2 or parts[0] not in ("exact", "series"):
-            raise ValueError(f"dtn spec must look like 'exact:16' or 'series:2', got {spec!r}")
-        try:
-            n = int(parts[1])
-        except ValueError as exc:
-            raise ValueError(f"bad dtn parameter in {spec!r}") from exc
-        if parts[0] == "exact":
-            return cls.exact(n, tol=tol)
-        return cls.series(n)
+        """'exact:16' -> exact strip solve with n_z = 16; 'series:0' -> Lambda^(0)."""
+        if spec == "series:0":
+            return cls.series()
+        kind, _, n_z = spec.partition(":")
+        if kind != "exact" or not n_z.isdecimal():
+            raise ValueError(f"dtn spec must be 'exact:N' (N >= 8) or 'series:0', got {spec!r}")
+        return cls.exact(int(n_z), tol=tol)
 
     def label(self) -> str:
-        return f"exact:{self.n_z}" if self.kind == "exact" else f"series:{self.order}"
+        return f"exact:{self.n_z}" if self.kind == "exact" else "series:0"
 
     def _workspace(self, grid: PeriodicGrid, delta: float) -> _StripWorkspace:
         key = (grid, self.n_z, delta)
@@ -464,7 +450,7 @@ class DtnBackend:
         (_StripWorkspace.solve)."""
         if self.kind == "series":
             eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
-            return dtn_series(eta, phi, delta, self.order).values, None, (eta_x, phi_x)
+            return lambda0(eta, phi).values, None, (eta_x, phi_x)
         ws = self._workspace(phi.grid, delta)
         w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(w), w - phi.values, (ws.fields.eta_x, ws.fields.phi_x)

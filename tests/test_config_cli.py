@@ -91,8 +91,8 @@ class TestConfigParsing:
     def test_dtn_spec(self):
         exact, series = DtnBackend.parse("exact:16"), DtnBackend.parse("series:0")
         assert (exact.kind, exact.n_z) == ("exact", 16)
-        assert (series.kind, series.order) == ("series", 0)
-        for bad in ("exact", "exact:4", "series:7", "magic:1"):
+        assert (series.kind, series.label()) == ("series", "series:0")
+        for bad in ("exact", "exact:4", "series:1", "series:2", "series:7", "magic:1"):
             with pytest.raises(ValueError):
                 DtnBackend.parse(bad)
 
@@ -261,7 +261,9 @@ class TestCli:
 
     @pytest.mark.parametrize("dt,t_end,message", [("0.1", "0.2", "CFL"),
                                                   ("1e-3", "0.0015", "integer number of steps"),
-                                                  ("1e-3", "1e-12", "at least one")])
+                                                  ("1e-3", "1e-12", "at least one"),
+                                                  # t_end / dt overflows to inf
+                                                  ("1e-320", "1", "integer number of steps")])
     def test_step_rules_are_config_errors(self, tmp_path, capsys, dt, t_end, message):
         code = main(["simulate", "--output-dir", str(tmp_path),
                      "--override", f"dt={dt}", "--override", f"t_end={t_end}"])
@@ -269,6 +271,17 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not (tmp_path / "simulate.csv").exists()
+
+    @pytest.mark.parametrize("spec", ["series:1", "series:2"])
+    def test_stepped_series_spec_is_series_0_only(self, tmp_path, capsys, monkeypatch, spec):
+        # the series backend steps Lambda^(0) alone; a higher order is refused
+        # before any run starts, with the spec named
+        monkeypatch.setattr(cli, "run_experiment", lambda cfg: pytest.fail("experiment ran"))
+        code = main(["simulate", "--output-dir", str(tmp_path), "--override", "model=ww",
+                     "--override", f"dtn={spec}"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "iskak: config error" in err and repr(spec) in err
 
     @pytest.mark.parametrize("experiment,override", [
         ("consistency", "n_points=63"),
@@ -296,6 +309,7 @@ class TestCli:
         ("simulate", "dtn=exact:x"),
         ("simulate", "dt"),             # an override without '='
         ("conservation", "t_end=1e-12"),  # shorter than one step
+        ("convergence", "t_end=1e308"),   # a step count that overflows
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
         # rejected before any run starts: no traceback, no substituted value,

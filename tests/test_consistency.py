@@ -86,7 +86,7 @@ class TestResiduals:
     def test_delta_floor_guard(self, grid64):
         s = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.01)
         with pytest.raises(ValueError):
-            residuals(s, DtnBackend.series(2))
+            residuals(s, DtnBackend.series())
 
 
 def test_symmetrized_form_equivalence(grid128):

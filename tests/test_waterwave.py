@@ -79,9 +79,9 @@ class TestExpansionTerms:
         eta = random_band_limited(rng, grid64, 4, 0.1)
         phi = random_band_limited(rng, grid64)
         delta = 0.3
-        k0 = dtn_series(eta, phi, delta, 0)
-        assert np.abs(k0.values - lambda0(eta, phi).values).max() == 0.0
-        k2 = dtn_series(eta, phi, delta, 2)
+        k0 = DtnBackend.series().apply(eta, phi, delta)[0]
+        assert np.abs(k0 - lambda0(eta, phi).values).max() == 0.0
+        k2 = dtn_series(eta, phi, delta)
         manual = (lambda0(eta, phi).values + delta**2 * lambda1(eta, phi).values
                   + delta**4 * lambda2(eta, phi).values)
         assert np.abs(k2.values - manual).max() <= 1e-12
@@ -89,13 +89,8 @@ class TestExpansionTerms:
     def test_series_flat_value(self, grid64):
         # flat symbols at k = 1, d = 0.3: 1 - 0.03 + 0.00108 = 0.97108
         phi = field_from_function(grid64, np.cos)
-        out = dtn_series(zeros(grid64), phi, 0.3, 2)
+        out = dtn_series(zeros(grid64), phi, 0.3)
         assert np.abs(out.values - 0.97108 * np.cos(grid64.nodes)).max() <= 1e-10
-
-    def test_series_order_validation(self, grid64):
-        phi = field_from_function(grid64, np.cos)
-        with pytest.raises(ValueError):
-            dtn_series(zeros(grid64), phi, 0.3, 3)
 
 
 class TestExactMap:
@@ -152,12 +147,14 @@ class TestExactMap:
 
     @pytest.mark.parametrize("order", [0, 1, 2])
     def test_expansion_error_order(self, grid64, order):
+        # the partial sum through delta^(2 order) misses the map by delta^(2 order + 2)
         eta = field_from_function(grid64, lambda x: 0.1 * np.cos(x))
         phi = field_from_function(grid64, np.cos)
         deltas = [0.4, 0.2, 0.1]
+        terms = [t(eta, phi).values for t in (lambda0, lambda1, lambda2)[:order + 1]]
         errs = [
             l2_norm(RealField(grid64, exact_map(eta, phi, d, 24).values
-                              - dtn_series(eta, phi, d, order).values))
+                              - sum(d**(2 * j) * t for j, t in enumerate(terms))))
             for d in deltas
         ]
         slope = np.polyfit(np.log(deltas), np.log(errs), 1)[0]
@@ -169,7 +166,7 @@ class TestExactMap:
         phi = field_from_function(grid64, np.cos)
         tails = []
         for d in (0.4, 0.2, 0.1):
-            diff = exact_map(eta, phi, d, 24).values - dtn_series(eta, phi, d, 2).values
+            diff = exact_map(eta, phi, d, 24).values - dtn_series(eta, phi, d).values
             tails.append(np.abs(diff).max() / d**6)
         assert max(tails) / min(tails) <= 3.0
 
@@ -338,7 +335,7 @@ class TestSurfaceEvolution:
     def test_rest_run_is_fixed_point(self, grid64):
         cfg = SimConfig(t_end=0.2, dt=2e-3, record_every=50)
         res = ww_run(WwState(zeros(grid64), zeros(grid64), 0.3), cfg,
-                     DtnBackend.series(2))
+                     DtnBackend.series())
         assert res.diagnostics.aborted is None
         assert np.abs(res.final.eta.values).max() == 0.0
         assert np.abs(res.final.phi.values).max() == 0.0
@@ -347,7 +344,7 @@ class TestSurfaceEvolution:
         # legal at t=0 but the strong flow drives the trough below the floor
         eta = field_from_function(grid64, lambda x: 0.4 * np.cos(x) - 0.45)
         s = WwState(eta, field_from_function(grid64, lambda x: 5.0 * np.sin(x)), 1.0)
-        res = ww_run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1), DtnBackend.series(0))
+        res = ww_run(s, SimConfig(t_end=2.0, dt=2e-2, record_every=1), DtnBackend.series())
         diag = res.diagnostics
         assert diag.aborted is not None and "below floor" in diag.aborted
         assert len(diag.times) >= 1
@@ -369,7 +366,7 @@ class TestSurfaceEvolution:
         monkeypatch.setattr(waterwave, "zcs_rhs", poisoned)
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
         res = ww_run(WwState(eta0, zeros(grid64), 0.3),
-                     SimConfig(t_end=0.1, dt=2e-3, record_every=1), DtnBackend.series(2))
+                     SimConfig(t_end=0.1, dt=2e-3, record_every=1), DtnBackend.series())
         assert "NaN" in res.diagnostics.aborted
         assert res.diagnostics.times == [0.0, 2e-3]
 
@@ -415,7 +412,7 @@ def test_both_models_share_the_record_contract(grid64):
     eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
     cfg = SimConfig(t_end=0.05, dt=5e-3, record_every=3)
     ik = ik_solver.run(ik_state_from_surface(eta0, zeros(grid64), 0.3), cfg)
-    ww = ww_run(WwState(eta0, zeros(grid64), 0.3), cfg, DtnBackend.series(2))
+    ww = ww_run(WwState(eta0, zeros(grid64), 0.3), cfg, DtnBackend.series())
     assert ik.diagnostics.aborted is None and ww.diagnostics.aborted is None
     assert ik.diagnostics.times == ww.diagnostics.times
     assert ww.diagnostics.times == pytest.approx([0.0, 0.015, 0.03, 0.045, 0.05])
@@ -433,13 +430,13 @@ class TestBackend:
         with pytest.raises(ValueError):
             DtnBackend("nope")
         with pytest.raises(ValueError):
-            DtnBackend.series(5)
+            DtnBackend.parse("series:2")
         with pytest.raises(ValueError):
             DtnBackend.exact(4)
 
     def test_labels(self):
         assert DtnBackend.exact(16).label() == "exact:16"
-        assert DtnBackend.series(1).label() == "series:1"
+        assert DtnBackend.series().label() == "series:0"
 
     def test_exact_backend_caches_workspace(self, grid64):
         be = DtnBackend.exact(16)

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the thirteen reference configurations on revision REV
+# Refactor oracle: run the fourteen reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -15,10 +15,12 @@
 # model=ww --override n_points=256 --override t_end=0.02`, whose strip
 # solve runs on transforms (above spectral.MATRIX_MAX_N), `simulate
 # --override k0=10 --override t_end=0.1`, whose IK constraint residual
-# outgrows its bound, which exercises the failing constraint check, and
+# outgrows its bound, which exercises the failing constraint check,
 # `simulate --config tools/oracle-simulate.cfg`, which exercises the
-# config-file reader.  That file is read from the working tree for both
-# runs, so REV may predate it.
+# config-file reader, and `simulate --override model=ww --override
+# dtn=series:0`, which steps the series backend's Lambda^(0) control on its
+# own.  The config file is read from the working tree for both runs, so
+# REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file.  A differing summary, stdout or exit code
 # also shows its whole diff, every hunk; a differing CSV the first lines of
@@ -59,6 +61,7 @@ configs=(
     "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
     "simulate-k10 simulate --override k0=10 --override t_end=0.1"
     "simulate-config simulate --config $top/tools/oracle-simulate.cfg"
+    "simulate-ww-series simulate --override model=ww --override dtn=series:0"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
