@@ -5,23 +5,13 @@
 Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 if every check passed,
 1 if one failed or a solver failed, 2 for a configuration error.  Those
-are found before any run starts, by ExperimentConfig: an unknown key or
-experiment; a dtn spec other than exact:N (N >= 8) or series:0; a float
-key (amplitude, phi_amplitude, t_end, dt, cg_tol, dtn_tol) that is NaN or
-infinite; n_points odd or < 8; delta (a comma list of the delta values
-the experiment runs) empty, with an entry outside (0, 1] or with a
-repeated entry; simulate or conservation with more than one delta;
-consistency or elliptic-suite with fewer than two; amplitude < 0; k0 < 1
-or k0 > n_points // 3 (above the resolved band, where the grid would run
-another mode); cg_tol or dtn_tol <= 0; seed < 0; consistency with
-phi_amplitude <= 0 or a delta entry below consistency.DELTA_FLOOR;
-conservation with amplitude <= 0 or reproject_every < 1; and, for the
-stepped experiments, record_every < 1, reproject_every < 0 or a dt that
-breaks the CFL guard, does not divide t_end into a finite whole number of
-steps or exceeds it (a run of no step).  An --output-dir that cannot be
+are found before any run starts: an unknown key, a value that does not
+parse, and every rule of ExperimentConfig.__post_init__, the one list of
+what a configuration needs to run.  An --output-dir that cannot be
 created, such as an existing file or a path under one, is a
 configuration error too; it is created before the run starts.  A
---config file must be valid on its own, before any --override applies.
+--config file must be valid on its own, before any --override applies,
+and may name no experiment other than the command line's.
 The CSV and summary contents do not depend on --output-dir, so reruns
 into different directories give byte-identical files.  The summary's
 params: block is the full resolved configuration, keys the experiment

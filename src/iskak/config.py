@@ -14,6 +14,7 @@ import numpy as np
 
 from .consistency import DELTA_FLOOR
 from .ik_solver import SimConfig
+from .operators import CG_TOL_DEFAULT
 from .spectral import PeriodicGrid
 from .waterwave import DtnBackend
 
@@ -52,13 +53,13 @@ class ExperimentConfig:
     dtn: str = "exact:16"
     seed: int = 0
     record_every: int = 40
-    reproject_every: int = 10
-    cg_tol: float = 1e-12
-    dtn_tol: float = 1e-12
+    cg_tol: float = CG_TOL_DEFAULT
     model: str = "ik"                # simulate: which solver to drive
 
     def __post_init__(self):
-        # the one owner of whether this configuration can run
+        # the one owner of whether this configuration can run, with the
+        # rules of PeriodicGrid (n_points), DtnBackend.parse (dtn) and
+        # SimConfig and its n_steps (dt, t_end, record_every) it calls
         if self.experiment not in EXPERIMENT_NAMES:
             raise ValueError(
                 f"unknown experiment {self.experiment!r}; pick one of {', '.join(EXPERIMENT_NAMES)}"
@@ -85,26 +86,28 @@ class ExperimentConfig:
             # above the 2/3-rule band the grid aliases k0 to another mode
             raise ValueError(f"k0 must be in [1, n_points // 3 = {self.n_points // 3}], "
                              f"got {self.k0}")
-        if not (self.cg_tol > 0.0 and self.dtn_tol > 0.0):
-            raise ValueError("cg_tol and dtn_tol must be > 0")
+        if not self.cg_tol > 0.0:
+            raise ValueError("cg_tol must be > 0")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
         DtnBackend.parse(self.dtn)  # validates the backend spec
+        if self.dtn == "series:0" and self.experiment != "simulate":
+            # convergence, consistency and conservation measure against cfg.dtn
+            raise ValueError(f"dtn 'series:0' is the degraded control, which only simulate "
+                             f"may step; set exact:N for {self.experiment}")
         if self.experiment == "consistency" and not self.phi_amplitude > 0.0:
             raise ValueError("consistency needs phi_amplitude > 0")
         if self.experiment == "consistency" and min(self.delta) < DELTA_FLOOR:
             raise ValueError(f"consistency needs delta entries >= {DELTA_FLOOR} "
                              f"(the delta^-6 normalization), got {self.delta}")
-        if self.experiment == "conservation" and (self.amplitude <= 0.0
-                                                  or self.reproject_every < 1):
-            raise ValueError("conservation needs amplitude > 0 and reproject_every >= 1")
+        if self.experiment == "conservation" and self.amplitude <= 0.0:
+            raise ValueError("conservation needs amplitude > 0")
         if self.experiment in ("convergence", "conservation", "simulate"):
             # the run's cadence, CFL and whole-step rules (conservation also
             # steps dt/2, which passes whenever dt does)
-            SimConfig(self.t_end, self.dt, self.reproject_every,
-                      record_every=self.record_every).n_steps(grid.spacing)
+            SimConfig(self.t_end, self.dt, record_every=self.record_every).n_steps(grid.spacing)
 
 
 # one parser per field: the type of its default, delta a comma list,
@@ -185,10 +188,10 @@ def config_items(cfg: ExperimentConfig) -> list[tuple[str, str]]:
 
     The pairs are every field in declaration order, the full resolved
     configuration, including keys the chosen experiment or model does not
-    read (simulate model=ww records reproject_every and cg_tol, dispersion
-    delta), with delta as a comma list.  ``key = value`` lines of them parse
-    back through parse_config_text into the same configuration, so a
-    summary's params: block reruns the experiment.
+    read (simulate model=ww records cg_tol, dispersion delta), with delta as
+    a comma list.  ``key = value`` lines of them parse back through
+    parse_config_text into the same configuration, so a summary's params:
+    block reruns the experiment.
     """
     out = []
     for f in fields(cfg):

@@ -7,7 +7,8 @@ class DepthTooSmallError(ValueError):
     def __init__(self, min_depth: float, floor: float):
         self.min_depth = min_depth
         self.floor = floor
-        super().__init__(f"min depth {min_depth:.6g} below floor {floor:.6g}")
+        # shortest round-trip digits: 0.09999999999999998 must not print as the floor 0.1
+        super().__init__(f"min depth {min_depth!r} below floor {floor!r}")
 
 
 class NonConvergenceError(RuntimeError):

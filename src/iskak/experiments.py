@@ -44,6 +44,8 @@ __all__ = [
 GAP_AT_ONE = 3.106059489970166e-04
 # convergence errors within 10x of this are rounding and left out of the fits
 NOISE_FLOOR = 1e-12
+# steps between the reprojections of simulate's IK runs and conservation's reprojection leg
+REPROJECT_EVERY = 10
 
 
 @dataclass
@@ -229,7 +231,7 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
 
     # the leg stops at its first aborted run, in the order reference, model, control
     results = []
-    for backend in (DtnBackend.parse(cfg.dtn, cfg.dtn_tol), None, DtnBackend.series()):
+    for backend in (DtnBackend.parse(cfg.dtn), None, DtnBackend.series()):
         res = _stepped(backend, eta0, phi0, delta, sim)
         if res.diagnostics.aborted is not None:
             return _ConvLeg(delta, [], np.nan, np.nan, np.nan, res.diagnostics.aborted)
@@ -340,7 +342,7 @@ def run_consistency(cfg: ExperimentConfig) -> ExperimentReport:
     grid = PeriodicGrid(cfg.n_points)
     eta_p = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi_p = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
-    backend = DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
+    backend = DtnBackend.parse(cfg.dtn)
 
     reports = [residuals(ik_state_from_surface(eta_p, phi_p, delta, cg_tol=cfg.cg_tol),
                          backend, cg_tol=cfg.cg_tol)
@@ -432,7 +434,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     # reprojection keeps the constraint at solver level
     proj = leg("reproject", grid0, 0.1, 1, 0.2,
-               SimConfig(t_end=1.0, dt=1e-3, reproject_every=cfg.reproject_every,
+               SimConfig(t_end=1.0, dt=1e-3, reproject_every=REPROJECT_EVERY,
                          record_every=100, cg_tol=cfg.cg_tol))
     cmax = max(proj.constraint_max, default=np.nan)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
@@ -442,7 +444,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     # reference solver: mass and surrogate-energy behavior
     ww = leg("reference", grid0, 0.05, 1, 0.2, SimConfig(t_end=1.0, dt=1e-3, record_every=200),
-             DtnBackend.exact(16, tol=cfg.dtn_tol))
+             DtnBackend.parse(cfg.dtn))
     e = _rel_drift(ww.energy)
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
                         _drift(ww.mass) <= 1e-11 and e <= 1e-6,
@@ -578,11 +580,11 @@ def run_elliptic_suite(cfg: ExperimentConfig) -> ExperimentReport:
 
 def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     grid = PeriodicGrid(cfg.n_points)
-    sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, reproject_every=cfg.reproject_every,
+    sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, reproject_every=REPROJECT_EVERY,
                     cg_tol=cfg.cg_tol, record_every=cfg.record_every)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
-    backend = None if cfg.model == "ik" else DtnBackend.parse(cfg.dtn, cfg.dtn_tol)
+    backend = None if cfg.model == "ik" else DtnBackend.parse(cfg.dtn)
     res = _stepped(backend, eta0, phi, cfg.delta[0], sim)
     diag = res.diagnostics
     names = res.final.FIELDS

@@ -72,7 +72,7 @@ __all__ = [
     "hamiltonian",
 ]
 
-DTN_TOL_DEFAULT = 1e-12
+DTN_TOL_DEFAULT = 1e-12    # of every strip solve of DtnBackend.apply, read at each call
 DTN_MAX_ITER = 120
 GIVENS_FLOOR = 1e-14     # a Givens denominator below this share of its column is zero
 
@@ -401,7 +401,6 @@ class DtnBackend:
 
     kind: str
     n_z: int = 16
-    tol: float = DTN_TOL_DEFAULT
 
     def __post_init__(self):
         if self.kind not in ("exact", "series"):
@@ -411,22 +410,22 @@ class DtnBackend:
         self._workspaces: dict = {}
 
     @classmethod
-    def exact(cls, n_z: int = 16, tol: float = DTN_TOL_DEFAULT) -> "DtnBackend":
-        return cls("exact", n_z=n_z, tol=tol)
+    def exact(cls, n_z: int = 16) -> "DtnBackend":
+        return cls("exact", n_z=n_z)
 
     @classmethod
     def series(cls) -> "DtnBackend":
         return cls("series")
 
     @classmethod
-    def parse(cls, spec: str, tol: float = DTN_TOL_DEFAULT) -> "DtnBackend":
+    def parse(cls, spec: str) -> "DtnBackend":
         """'exact:16' -> exact strip solve with n_z = 16; 'series:0' -> Lambda^(0)."""
         if spec == "series:0":
             return cls.series()
         kind, _, n_z = spec.partition(":")
         if kind != "exact" or not n_z.isdecimal():
             raise ValueError(f"dtn spec must be 'exact:N' (N >= 8) or 'series:0', got {spec!r}")
-        return cls.exact(int(n_z), tol=tol)
+        return cls.exact(int(n_z))
 
     def label(self) -> str:
         return f"exact:{self.n_z}" if self.kind == "exact" else "series:0"
@@ -452,7 +451,7 @@ class DtnBackend:
             eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
             return lambda0(eta, phi).values, None, (eta_x, phi_x)
         ws = self._workspace(phi.grid, delta)
-        w = ws.solve(eta, phi, self.tol, H_MIN_DEFAULT, warm_start=True, guess=guess)
+        w = ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(w), w - phi.values, (ws.fields.eta_x, ws.fields.phi_x)
 
 

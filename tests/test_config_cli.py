@@ -77,16 +77,30 @@ class TestConfigParsing:
         with pytest.raises(ValueError, match=r"^override 'n_points=many': bad value for n_points"):
             apply_overrides(default_config("dispersion"), ["n_points=many"])
 
-    def test_removed_keys_are_unknown(self):
+    def test_removed_keys_are_unknown(self, tmp_path, capsys):
         # a summary written before these keys left the configuration names
-        # them, and no longer parses back; delta_list is now delta, and name
-        # was another spelling of experiment
+        # them, and no longer parses back; delta_list is now delta, name was
+        # another spelling of experiment, and the strip tolerance and the
+        # reprojection cadence are constants of the code that uses them
         text = ("length = 1.0\nnoise_floor = 0\ntrials = 5\noutput_dir = out\n"
-                "delta_list = 0.4,0.2\nname = convergence\n")
+                "delta_list = 0.4,0.2\nname = convergence\ndtn_tol = 1e-12\n"
+                "reproject_every = 10\n")
         with pytest.raises(ValueError, match=r"^unknown config keys: length \(line 1\), "
                            r"noise_floor \(line 2\), trials \(line 3\), output_dir \(line 4\), "
-                           r"delta_list \(line 5\), name \(line 6\);"):
+                           r"delta_list \(line 5\), name \(line 6\), dtn_tol \(line 7\), "
+                           r"reproject_every \(line 8\);"):
             parse_config_text(text, default_config("convergence"))
+        # on the command line, the values once refused by a rule are refused
+        # as unknown keys, before any run starts
+        for experiment, override in (("consistency", "dtn_tol=0"),
+                                     ("simulate", "reproject_every=-1"),
+                                     ("conservation", "reproject_every=0")):
+            assert main([experiment, "--output-dir", str(tmp_path),
+                         "--override", override]) == 2
+            key = override.split("=")[0]
+            assert (f"iskak: config error: unknown config keys: {key} (override {override!r})"
+                    in capsys.readouterr().err)
+        assert not any(tmp_path.iterdir())
 
     def test_dtn_spec(self):
         exact, series = DtnBackend.parse("exact:16"), DtnBackend.parse("series:0")
@@ -288,14 +302,12 @@ class TestCli:
         ("simulate", "delta=0"),
         ("simulate", "delta=1.5"),
         ("simulate", "record_every=0"),
-        ("simulate", "reproject_every=-1"),
         ("consistency", "k0=0"),
         ("simulate", "k0=100"),         # N = 128 would alias it to mode 28
         ("consistency", "phi_amplitude=0"),
         ("consistency", "delta=0.01,0.3"),
         ("consistency", "delta=0.3"),   # a band over one delta is 1 by construction
         ("conservation", "amplitude=0"),
-        ("conservation", "reproject_every=0"),
         ("convergence", "delta=0.2,0.2,0.2"),
         ("simulate", "delta=0.2,0.3"),
         ("conservation", "delta=0.5,0.4"),
@@ -303,10 +315,13 @@ class TestCli:
         ("simulate", "t_end=inf"),
         ("simulate", "amplitude=nan"),
         ("simulate", "cg_tol=0"),
-        ("consistency", "dtn_tol=0"),
         ("elliptic-suite", "seed=-1"),
         ("simulate", "dt=0"),
         ("simulate", "dtn=exact:x"),
+        # the degraded control as the map a model is measured against
+        ("consistency", "dtn=series:0"),
+        ("convergence", "dtn=series:0"),
+        ("conservation", "dtn=series:0"),
         ("simulate", "dt"),             # an override without '='
         ("conservation", "t_end=1e-12"),  # shorter than one step
         ("convergence", "t_end=1e308"),   # a step count that overflows
@@ -347,6 +362,14 @@ class TestCli:
         cfgfile.write_text("experiment = convergence\n")
         assert main(["dispersion", "--config", str(cfgfile)]) == 2
 
+    def test_depth_error_reads_below_the_floor(self, tmp_path, capsys):
+        # amplitude 0.9 puts the trough at 1 - 0.9 = 0.09999999999999998,
+        # which six significant digits would print as the floor itself
+        assert main(["simulate", "--output-dir", str(tmp_path),
+                     "--override", "amplitude=0.9"]) == 1
+        assert capsys.readouterr().err == ("iskak: experiment failed: min depth "
+                                           "0.09999999999999998 below floor 0.1\n")
+
     def test_solver_failure_exit_code(self, tmp_path, capsys):
         # legal config, but the initial trough sits below the depth floor
         code = main(["simulate", "--output-dir", str(tmp_path),
@@ -354,12 +377,12 @@ class TestCli:
         assert code == 1
         assert "experiment failed" in capsys.readouterr().err
 
-    def test_failed_first_record_is_a_clean_abort(self, tmp_path, capsys):
-        # the strip solve of the t = 0 record cannot reach dtn_tol: the run
-        # aborts with no record, and the report is still written
+    def test_failed_first_record_is_a_clean_abort(self, tmp_path, capsys, monkeypatch):
+        # the strip solve of the t = 0 record cannot reach a tolerance of
+        # 1e-17: the run aborts with no record, and the report is still written
+        monkeypatch.setattr(waterwave, "DTN_TOL_DEFAULT", 1e-17)
         code = main(["simulate", "--output-dir", str(tmp_path), "--override", "model=ww",
-                     "--override", "dtn_tol=1e-17", "--override", "phi_amplitude=0.1",
-                     "--override", "t_end=0.01"])
+                     "--override", "phi_amplitude=0.1", "--override", "t_end=0.01"])
         assert code == 1
         assert "experiment failed" not in capsys.readouterr().err
         csv = (tmp_path / "simulate.csv").read_text().splitlines()
@@ -525,9 +548,9 @@ class TestCli:
 
         for name in ("run", "ww_run"):
             monkeypatch.setattr(experiments, name, counted(name))
+        monkeypatch.setattr(waterwave, "DTN_TOL_DEFAULT", 1e-17)
         code = main(["convergence", "--output-dir", str(tmp_path), "--override", "n_points=32",
-                     "--override", "phi_amplitude=0.1", "--override", "dtn_tol=1e-17",
-                     "--override", "t_end=0.01"])
+                     "--override", "phi_amplitude=0.1", "--override", "t_end=0.01"])
         assert code == 1
         assert started == ["ww_run"] * 5
         summary = (tmp_path / "convergence.summary.txt").read_text()

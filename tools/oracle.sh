@@ -8,8 +8,9 @@
 # tree is run as it stands, uncommitted edits included.  The configurations
 # are the six experiments at their default config, `simulate --override
 # model=ww`, `simulate --override n_points=512 --override t_end=0.02`, a
-# `convergence` sweep whose every reference aborts at its t = 0 record
-# (`dtn_tol=1e-17`), which exercises the abort path, `conservation
+# `convergence` sweep on steep data (`amplitude=0.5 k0=20 t_end=0.05`)
+# whose delta = 0.4 and 0.3 legs abort on depth collapse, which exercises
+# the abort path, `conservation
 # --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
 # which exercises the failing halving check, and `simulate --override
 # model=ww --override n_points=256 --override t_end=0.02`, whose strip
@@ -56,7 +57,7 @@ configs=(
     "convergence convergence"
     "simulate-ww simulate --override model=ww"
     "simulate-n512 simulate --override n_points=512 --override t_end=0.02"
-    "convergence-abort convergence --override dtn_tol=1e-17 --override phi_amplitude=0.1 --override t_end=0.2"
+    "convergence-abort convergence --override amplitude=0.5 --override k0=20 --override t_end=0.05"
     "conservation-halving conservation --override t_end=2e-3"
     "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
     "simulate-k10 simulate --override k0=10 --override t_end=0.1"
