@@ -302,12 +302,14 @@ class TestCli:
         ("simulate", "delta=0"),
         ("simulate", "delta=1.5"),
         ("simulate", "record_every=0"),
+        ("simulate", "reproject_every=-1"),  # a removed key is an unknown key
         ("consistency", "k0=0"),
         ("simulate", "k0=100"),         # N = 128 would alias it to mode 28
         ("consistency", "phi_amplitude=0"),
         ("consistency", "delta=0.01,0.3"),
         ("consistency", "delta=0.3"),   # a band over one delta is 1 by construction
         ("conservation", "amplitude=0"),
+        ("conservation", "reproject_every=0"),
         ("convergence", "delta=0.2,0.2,0.2"),
         ("simulate", "delta=0.2,0.3"),
         ("conservation", "delta=0.5,0.4"),
@@ -315,6 +317,7 @@ class TestCli:
         ("simulate", "t_end=inf"),
         ("simulate", "amplitude=nan"),
         ("simulate", "cg_tol=0"),
+        ("consistency", "dtn_tol=0"),
         ("elliptic-suite", "seed=-1"),
         ("simulate", "dt=0"),
         ("simulate", "dtn=exact:x"),
