@@ -9,6 +9,7 @@ named pass/fail checks with pinned thresholds.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -89,7 +90,36 @@ class ExperimentReport:
         return all(c.passed for c in self.checks)
 
 
+def _t_quantile_975(dof: int) -> float:
+    """The 97.5 % Student-t quantile for integer dof >= 1: the two-sided CDF
+    in theta = atan(t / sqrt(dof)), Abramowitz & Stegun 26.7.3 (odd dof) and
+    26.7.4 (even dof), inverted at 0.95 by bisection in theta."""
+    odd = dof % 2
+
+    def two_sided(theta: float) -> float:
+        c, s = math.cos(theta), math.sin(theta)
+        total, term = 0.0, 1.0
+        for k in range(dof // 2):
+            total += term
+            term *= c * c * (2 * k + 1 + odd) / (2 * k + 2 + odd)
+        return 2.0 / math.pi * (theta + s * c * total) if odd else s * total
+
+    lo, hi = 0.0, 0.5 * math.pi
+    while True:
+        mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):
+            return math.sqrt(dof) * math.tan(mid)
+        if two_sided(mid) < 0.95:
+            lo = mid
+        else:
+            hi = mid
+
+
 def fit_loglog(xs, errs, noise_floor: float, metric: str) -> SlopeFit:
+    """Least-squares slope of log(errs) on log(xs).  Points that are not
+    finite or lie within 10x noise_floor are left out; with fewer than 3
+    left the slope is undefined.  dof = n_used - 2, and ci95 is the 97.5 %
+    Student-t quantile at dof times the slope's standard error."""
     xs = np.asarray(xs, dtype=float)
     errs = np.asarray(errs, dtype=float)
     keep = np.isfinite(errs) & (errs > 10.0 * noise_floor)
@@ -102,11 +132,7 @@ def fit_loglog(xs, errs, noise_floor: float, metric: str) -> SlopeFit:
     resid = le - (slope * lx + intercept)
     dof = n_used - 2
     se = float(np.sqrt(resid @ resid / dof / np.sum((lx - lx.mean()) ** 2)))
-    # the Student-t quantile that scipy.stats.t.ppf computes.  Imported here,
-    # not at module level: only the fitting experiments need scipy, and they
-    # fit after their last step, so every other run starts on numpy alone.
-    from scipy.special import stdtrit
-    ci = float(stdtrit(dof, 0.975) * se)
+    ci = _t_quantile_975(dof) * se
     return SlopeFit(metric, float(slope), ci, n_used, n_disc, noise_floor)
 
 

@@ -76,8 +76,10 @@ class SimConfig:
     def __post_init__(self):
         if self.dt <= 0.0 or self.t_end <= 0.0:
             raise ValueError("dt and t_end must be positive")
-        if self.reproject_every < 0 or self.record_every < 1:
-            raise ValueError("record_every must be >= 1 and reproject_every >= 0")
+        if self.record_every < 1:
+            raise ValueError("record_every must be >= 1")
+        if self.reproject_every < 0:
+            raise ValueError("reproject_every must be >= 0")
 
     def n_steps(self, spacing: float) -> int:
         """Number of steps to t_end on a grid of this spacing; ValueError if

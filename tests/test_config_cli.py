@@ -2,6 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from scipy.special import stdtrit
 
 from iskak import cli, experiments, ik_solver, waterwave
 from iskak.cli import main
@@ -180,6 +181,12 @@ class TestSlopeFit:
         sf = fit_loglog(deltas, errs, 1e-12, "m")
         assert sf.ci95 == pytest.approx(quantile * se, rel=1e-12, abs=0.0)
 
+    @pytest.mark.parametrize("dof", [*range(1, 61), 100, 500])
+    def test_quantile_matches_scipy(self, dof):
+        # scipy is the oracle here only; the fits themselves run without it
+        assert experiments._t_quantile_975(dof) == pytest.approx(
+            float(stdtrit(dof, 0.975)), rel=1e-13, abs=0.0)
+
     def test_nan_rows_ignored(self):
         deltas = np.array([0.4, 0.3, 0.2, 0.1])
         errs = np.array([1e-2, np.nan, 1e-4, 1e-5])
@@ -285,6 +292,15 @@ class TestCli:
         err = capsys.readouterr().err
         assert "config error" in err and message in err
         assert not (tmp_path / "simulate.csv").exists()
+
+    def test_record_every_error_names_its_own_rule(self, tmp_path, capsys):
+        # reproject_every is no config key, so the message names only record_every
+        code = main(["simulate", "--output-dir", str(tmp_path),
+                     "--override", "record_every=0"])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "config error" in err and "record_every must be >= 1" in err
+        assert "reproject_every" not in err
 
     @pytest.mark.parametrize("spec", ["series:1", "series:2"])
     def test_stepped_series_spec_is_series_0_only(self, tmp_path, capsys, monkeypatch, spec):

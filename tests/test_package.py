@@ -3,6 +3,7 @@ import importlib
 import os
 import pathlib
 import pkgutil
+import re
 import subprocess
 import sys
 
@@ -49,6 +50,25 @@ def test_no_module_reads_the_environment():
     assert not found
 
 
+def test_runtime_dependencies_match_src_imports():
+    # pyproject.toml lists exactly the third-party packages that src imports,
+    # imports inside functions included
+    import tomllib    # Python >= 3.11; the other tests here run on 3.10 too
+    root = pathlib.Path(__file__).resolve().parents[1]
+    with open(root / "pyproject.toml", "rb") as fh:
+        declared = {re.match(r"[A-Za-z0-9_.-]+", d).group()
+                    for d in tomllib.load(fh)["project"]["dependencies"]}
+    imported = set()
+    for path in sorted(pathlib.Path(iskak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                imported |= {a.name.partition(".")[0] for a in node.names}
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                imported.add(node.module.partition(".")[0])
+    third_party = imported - set(sys.stdlib_module_names) - {"iskak"}
+    assert third_party == declared == {"numpy"}
+
+
 def test_benchmark_span_points_resolve():
     # the benchmark spans the layers by replacing names in src (SPAN_POINTS
     # of benchmarks/tracing.py); a rename in src must fail here, not only in
@@ -69,7 +89,7 @@ def test_benchmark_span_points_resolve():
     assert not missing
 
 
-RUNS_WITHOUT_FITS = """
+EVERY_KIND_OF_RUN = """
 import sys
 import iskak.cli
 from iskak.config import apply_overrides, default_config
@@ -77,17 +97,24 @@ from iskak.experiments import run_experiment
 short = ["n_points=64", "t_end=0.05", "dt=0.005", "record_every=5"]
 for name, overrides in (("simulate", short), ("simulate", short + ["model=ww"]),
                         ("consistency", ["n_points=64"]),
-                        ("elliptic-suite", ["n_points=64"])):
-    run_experiment(apply_overrides(default_config(name), overrides))
+                        ("elliptic-suite", ["n_points=64"]),
+                        ("dispersion", []),
+                        ("convergence", ["n_points=32", "t_end=0.05", "dt=0.005",
+                                         "record_every=2", "amplitude=0.2"]),
+                        ("conservation", ["n_points=64", "t_end=0.02", "dt=0.005"])):
+    report = run_experiment(apply_overrides(default_config(name), overrides))
+    if name == "convergence":
+        # all three slopes fitted, at 1, 2 and 3 degrees of freedom
+        assert sorted(s.n_used for s in report.slopes) == [3, 4, 5], report.slopes
 print(" ".join(sorted(m for m in sys.modules if m.partition(".")[0] == "scipy")))
 """
 
 
-def test_runs_without_fits_load_no_scipy():
-    # every CLI run pays its imports before the first step; only the slope
-    # fits of dispersion and convergence need scipy, after their last step
+def test_no_run_loads_scipy():
+    # every experiment, slope fits included, runs on numpy and the standard
+    # library alone; scipy is an oracle of the tests only
     env = dict(os.environ, PYTHONPATH=str(pathlib.Path(iskak.__file__).parents[1]))
-    out = subprocess.run([sys.executable, "-c", RUNS_WITHOUT_FITS], env=env,
+    out = subprocess.run([sys.executable, "-c", EVERY_KIND_OF_RUN], env=env,
                          capture_output=True, text=True)
     assert out.returncode == 0, out.stderr
     assert out.stdout.split() == []

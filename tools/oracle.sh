@@ -27,9 +27,12 @@
 # also shows its whole diff, every hunk; a differing CSV the first lines of
 # its diff and, with the same header and row count, the largest absolute and
 # relative cell move of each numeric column that moved, relative to REV's
-# cell.  Exits 0 if every file is identical, 1 if any differs or is missing
-# on one side, 2 on a usage error.  The two trees run side by side, one
-# process each.
+# cell.  Each run's peak resident set (the child's ru_maxrss, read by a
+# python3 wrapper) is kept in peak_rss_mb.txt, which, like stderr.txt, is
+# not compared; a `peak RSS rev -> tree` table in MB follows the verdicts
+# and leaves the exit status alone.  Exits 0 if every file is identical, 1
+# if any differs or is missing on one side, 2 on a usage error.  The two
+# trees run side by side, one process each.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -96,6 +99,21 @@ for j, name in enumerate(a[0]):
 PY
 }
 
+# peak_rss FILE CMD...: run CMD, write its peak resident set in MB (the
+# child's ru_maxrss) to FILE, and exit with CMD's status.
+peak_rss() {
+    python3 -c '
+import resource
+import subprocess
+import sys
+
+code = subprocess.call(sys.argv[2:])
+with open(sys.argv[1], "w") as fh:
+    fh.write(f"{resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024:.1f}\n")
+sys.exit(code if code >= 0 else 128 - code)
+' "$@"
+}
+
 # run_tree TREE OUT: every configuration on TREE's sources, outputs under OUT.
 # stderr is kept but not compared: warnings name source paths, which differ.
 run_tree() {
@@ -105,7 +123,8 @@ run_tree() {
         name=$1
         shift
         mkdir -p "$out/$name"
-        PYTHONPATH="$tree/src" python3 -m iskak.cli "$@" --output-dir "$out/$name" \
+        PYTHONPATH="$tree/src" peak_rss "$out/$name/peak_rss_mb.txt" \
+            python3 -m iskak.cli "$@" --output-dir "$out/$name" \
             >"$out/$name/stdout.txt" 2>"$out/$name/stderr.txt"
         echo "$?" >"$out/$name/exit_code"
     done
@@ -117,7 +136,7 @@ run_tree "$top" "$work/out-tree"
 wait
 
 for dir in "$work/out-rev" "$work/out-tree"; do
-    (cd "$dir" && find . -type f ! -name stderr.txt)
+    (cd "$dir" && find . -type f ! -name stderr.txt ! -name peak_rss_mb.txt)
 done | sort -u | while read -r rel; do
     rel=${rel#./}
     a="$work/out-rev/$rel"
@@ -136,6 +155,15 @@ done | sort -u | while read -r rel; do
         esac
     fi
 done | tee "$work/verdicts"
+
+printf '%-22s %s\n' "peak RSS (MB)" "rev -> tree"
+for entry in "${configs[@]}"; do
+    name=${entry%% *}
+    printf '%-22s %s -> %s\n' "$name" \
+        "$(cat "$work/out-rev/$name/peak_rss_mb.txt" 2>/dev/null || echo '?')" \
+        "$(cat "$work/out-tree/$name/peak_rss_mb.txt" 2>/dev/null || echo '?')"
+done
+
 if grep -qv '^identical' "$work/verdicts"; then
     echo "oracle: outputs differ from $rev"
     exit 1
