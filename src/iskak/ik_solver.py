@@ -30,10 +30,8 @@ from .operators import (
     coef_a,
     constraint_residual,
     energy,
-    ik_state_from_surface,
     solve_elliptic_pair,
     stage_sources,
-    surface_potential,
 )
 from .spectral import RealField, integrate
 
@@ -229,8 +227,13 @@ def rk4_step(s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
 
 def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     """Restore the constraint: re-split phi0 + d^2 H^2 phi1 through the
-    initial-data solve, leaving eta and the reconstructed potential unchanged."""
-    return ik_state_from_surface(s.eta, surface_potential(s), s.delta, cg_tol)
+    initial-data solve, leaving eta and the reconstructed potential unchanged.
+    The solve starts from the state's own phi1 at the same tolerance cg_tol,
+    so a state that still meets the constraint costs one L1 application."""
+    dc, d2 = s.depth(), s.delta * s.delta
+    phi0, phi1 = solve_elliptic_pair(s.delta, dc, s.phi0.values + d2 * dc.H2 * s.phi1.values,
+                                     cg_tol=cg_tol, psi1_guess=s.phi1.values)
+    return IkState(s.eta.copy(), RealField(s.grid, phi0), RealField(s.grid, phi1), s.delta)
 
 
 def _record(s: IkState, cg_tol: float) -> tuple:

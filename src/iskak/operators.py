@@ -17,8 +17,9 @@ is symmetric positive definite.  By linearity its four fluxes fold into two,
     L1 v = d^2 [H^2 dx(-H g' + (1/3) H^3 v') + dx((1/3) H^3 g' - (1/5) H^5 v')]
            + (4/3) H^3 v,    g = H^2 v,  ' = dx,
 
-which _l1_v applies as two 2-row dx applications over a coefficient stack
-that DepthCoefs builds once per depth.  The coupled system
+which _l1_v applies as two whole-stack products of the 2-row dx
+(spectral.Multiplier.whole) over a coefficient stack that DepthCoefs builds
+once per depth.  The coupled system
 
     psi0 + d^2 H^2 psi1 = f1
     H^2 (L11 psi0 + d^2 L12 psi1) = L12 psi0 + L22 psi1 + f2 + div f3
@@ -156,10 +157,12 @@ class IkState:
 # the L operators
 
 def _l1_v(grid: PeriodicGrid, delta: float, dc: DepthCoefs, v: np.ndarray) -> np.ndarray:
-    # the fused form of the module docstring: two fluxes, two 2-row dx calls
-    dg, dv = dx(grid, np.array((dc.H2 * v, v)))
+    # the fused form of the module docstring: two fluxes, two 2-row
+    # whole-stack dx products (no caller needs row-exactness here)
+    d = kernels(grid).dx
+    dg, dv = d.whole(np.array((dc.H2 * v, v)))
     c = dc.l1_flux
-    f = dx(grid, c[:, 0] * dg + c[:, 1] * dv)
+    f = d.whole(c[:, 0] * dg + c[:, 1] * dv)
     return (delta * delta) * (dc.H2 * f[0] + f[1]) + (4.0 / 3.0) * dc.H3 * v
 
 
@@ -229,7 +232,8 @@ def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, n
     g *= keep
     g[0] *= -ik
     div, q00, q01, q11, qpp = np.fft.irfft(g, n=n, axis=-1)    # div: truncated dt eta
-    c01, c11, cpp, m = dealias(grid, np.array((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
+    c01, c11, cpp, m = kernels(grid).dealias.whole(
+        np.array((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
     f1 = s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
     f2 = (4.0 / 15.0) * d2 * dealias(grid, h4 * m)
     return div, f1, f2

@@ -31,8 +31,15 @@ under two rules:
 
 Multiplier.whole is the plain product over a whole array at once, w @
 matrix up to MATRIX_MAX_N points and the transform above, under neither
-rule: for the (n_z + 1, N) strip arrays of the water-wave solve one
-product is cheaper than one per row.  The size rule lives here alone.
+rule: one product is cheaper than one per row, and its rows differ from
+the row-exact ones at rounding level (above MATRIX_MAX_N both forms are
+the transform, bit for bit).  Stacks that no caller compares with one-row
+calls use it: the strip arrays of the water-wave solve, the dx products
+of operators._l1_v and the truncations of operators.stage_sources and
+waterwave.zcs_rhs.  Calls stay row-exact where a caller compares them with
+one-row results: operators.coef_a, which equals the dp chains bit for bit,
+and the slopes (dx eta, dx phi) of DtnBackend.apply, which
+consistency.residuals reuses.  The size rule lives here alone.
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction and whose values can be checked finite.

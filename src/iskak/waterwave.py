@@ -58,7 +58,7 @@ import numpy as np
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
 from .operators import H_MIN_DEFAULT, check_state
-from .spectral import PeriodicGrid, RealField, dealias, dp, dx, kernels, lap
+from .spectral import PeriodicGrid, RealField, dp, dx, kernels, lap
 
 __all__ = [
     "WwState",
@@ -227,7 +227,7 @@ def _cheb_lobatto(n: int) -> tuple[np.ndarray, np.ndarray]:
 def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     """Quadrature weights exact for polynomials of degree n on the given nodes."""
     n = len(xi) - 1
-    vand = np.polynomial.chebyshev.chebvander(xi, n)  # (n+1, n+1): T_m(xi_j)
+    vand = np.cos(np.arccos(xi)[:, None] * np.arange(n + 1))   # T_m(xi_j)
     m = np.arange(n + 1)
     moments = np.where(m % 2 == 0, 2.0 / (1.0 - m**2 + (m % 2)), 0.0)
     return np.linalg.solve(vand.T.copy(), moments)
@@ -466,10 +466,11 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
     grid = s.grid
     d2 = s.delta**2
     lam, strip, (eta_x, phi_x) = backend.apply(s.eta, s.phi, s.delta, guess)
-    etx, phx, lamt = dealias(grid, np.array((eta_x, phi_x, lam)))
-    sq_phx, cross = dealias(grid, np.array((phx * phx, etx * phx)))
+    trunc = kernels(grid).dealias.whole    # no caller needs row-exactness here
+    etx, phx, lamt = trunc(np.array((eta_x, phi_x, lam)))
+    sq_phx, cross = trunc(np.array((phx * phx, etx * phx)))
     num = lamt + cross
-    num2 = dealias(grid, num * num)
+    num2 = trunc(num * num)
     denom = 1.0 + d2 * eta_x * eta_x
     phi_t = -s.eta.values - 0.5 * sq_phx + 0.5 * d2 * num2 / denom
     return lam, phi_t, strip

@@ -167,6 +167,50 @@ class TestReproject:
         assert np.abs(surface_potential(fixed).values - phi_before.values).max() <= 1e-10
 
 
+    @staticmethod
+    def stepped_state():
+        # ten steps of simulate's IK wave: the constraint holds to rounding
+        s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+        return run(s, SimConfig(t_end=0.01, dt=1e-3, record_every=10**9)).final
+
+    @staticmethod
+    def counted_reproject(s, monkeypatch):
+        clean, calls = operators._l1_v, []
+
+        def counted(*args):
+            calls.append(1)
+            return clean(*args)
+
+        monkeypatch.setattr(operators, "_l1_v", counted)
+        out = reproject(s)
+        monkeypatch.undo()
+        return out, len(calls)
+
+    def test_warm_start_on_a_stepped_state(self, monkeypatch):
+        # the solve starts from the state's own phi1: one L1 application
+        # measures that it already meets the tolerance (8 from a cold start)
+        s = self.stepped_state()
+        out, calls = self.counted_reproject(s, monkeypatch)
+        assert calls == 1
+        cold = ik_state_from_surface(s.eta, surface_potential(s), s.delta)
+        for n in ("phi0", "phi1"):
+            a, b = getattr(out, n).values, getattr(cold, n).values
+            assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
+
+    def test_warm_start_off_the_constraint(self, monkeypatch):
+        # a warm start keeps the tolerance: the result holds the constraint
+        # as the cold split does
+        s = self.stepped_state()
+        bad = IkState(s.eta.copy(), s.phi0.copy(),
+                      RealField(s.grid, s.phi1.values * (1.0 + 1e-6)), s.delta)
+        assert np.abs(constraint_residual(bad).values).max() > 1e-10
+        out, calls = self.counted_reproject(bad, monkeypatch)
+        assert calls > 1
+        cold = ik_state_from_surface(bad.eta, surface_potential(bad), bad.delta)
+        for state in (out, cold):
+            assert np.abs(constraint_residual(state).values).max() <= 1e-12
+
+
 class TestRun:
     def test_rest_run_flat_diagnostics(self, grid64):
         res = run(rest_state(grid64), SimConfig(t_end=0.5, dt=2e-3, record_every=50))
@@ -355,10 +399,10 @@ class TestStageGuesses:
             assert depths == [min(n, s.GUESS_STEPS) for n in range(1, 6)]
 
     def test_l1_applications_per_solve(self, monkeypatch):
-        # guesses from the last two steps: 2.50 L1 applications per elliptic
-        # solve (stages, records and reprojections) on this run, 3.79 with
+        # guesses from the last two steps: 2.23 L1 applications per elliptic
+        # solve (stages, records and reprojections) on this run, 3.57 with
         # the RK4-tableau guesses of the last step alone; stages k2-k4 take
-        # 2.2 each, against 4.0
+        # 2.2 each, against 4.0; each warm-started reprojection takes 1
         s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
         counts = {"l1": 0, "solve": 0}
         stages = ([], [], [], [])

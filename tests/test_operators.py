@@ -370,6 +370,29 @@ class TestEllipticSolve:
             assert np.array_equal(q0, p0)
 
 
+class TestL1Products:
+    @pytest.mark.parametrize("n", [64, MATRIX_MAX_N, 2 * MATRIX_MAX_N])
+    def test_whole_stack_products_are_the_row_exact_composition(self, n):
+        # _l1_v takes whole-stack dx products; the row-exact dx calls give
+        # the same map to rounding, and above MATRIX_MAX_N both forms are
+        # the transform, so they agree bit for bit
+        g = PeriodicGrid(n)
+        rng = np.random.default_rng(n)
+        for _ in range(5):
+            dc = DepthCoefs.from_eta(random_depth(rng, g))
+            v = random_band_limited(rng, g).values
+            delta = rng.uniform(0.05, 1.0)
+            dg, dv = dx(g, np.array((dc.H2 * v, v)))
+            c = dc.l1_flux
+            f = dx(g, c[:, 0] * dg + c[:, 1] * dv)
+            want = delta**2 * (dc.H2 * f[0] + f[1]) + (4.0 / 3.0) * dc.H3 * v
+            got = operators._l1_v(g, delta, dc, v)
+            if n > MATRIX_MAX_N:
+                assert np.array_equal(got, want)
+            else:
+                assert np.abs(got - want).max() <= 1e-13 * np.abs(want).max()
+
+
 class TestInitialData:
     def test_constant_potential(self, grid64):
         phi = RealField(grid64, np.full(64, 1.7))

@@ -178,6 +178,18 @@ class TestExactMap:
 
 
 class TestStripSolution:
+    @pytest.mark.parametrize("n_z", [8, 16, 32, 64])
+    def test_clenshaw_curtis_weights_integrate_chebyshev_polynomials(self, n_z):
+        # exact on every T_m, m <= n_z: the integral over [-1, 1] is
+        # 2 / (1 - m^2) for even m and 0 for odd m
+        xi = waterwave._cheb_lobatto(n_z)[0]
+        w = waterwave._clenshaw_curtis_weights(xi)
+        m = np.arange(n_z + 1)
+        moments = np.where(m % 2 == 0, 2.0 / (1.0 - m**2 + (m % 2)), 0.0)
+        got = w @ np.polynomial.chebyshev.chebvander(xi, n_z)
+        assert np.abs(got - moments).max() <= 1e-14
+        assert abs(w.sum() - 2.0) <= 1e-14
+
     def test_boundary_conditions(self, grid64):
         rng = np.random.default_rng(9)
         eta = random_band_limited(rng, grid64, 4, 0.1)

@@ -27,12 +27,16 @@
 # also shows its whole diff, every hunk; a differing CSV the first lines of
 # its diff and, with the same header and row count, the largest absolute and
 # relative cell move of each numeric column that moved, relative to REV's
-# cell.  Each run's peak resident set (the child's ru_maxrss, read by a
-# python3 wrapper) is kept in peak_rss_mb.txt, which, like stderr.txt, is
-# not compared; a `peak RSS rev -> tree` table in MB follows the verdicts
-# and leaves the exit status alone.  Exits 0 if every file is identical, 1
-# if any differs or is missing on one side, 2 on a usage error.  The two
-# trees run side by side, one process each.
+# cell.  A differing summary also gets one line that pairs its PASS/FAIL
+# check lines in order, e.g. `verdicts: 6 checks, 0 flipped PASS<->FAIL`,
+# so a change that moves outputs at rounding level shows in one line that
+# no verdict flipped; the line leaves the exit status alone.  Each run's
+# peak resident set (the child's ru_maxrss, read by a python3 wrapper) is
+# kept in peak_rss_mb.txt, which, like stderr.txt, is not compared; a
+# `peak RSS rev -> tree` table in MB follows the verdicts and leaves the
+# exit status alone.  Exits 0 if every file is identical, 1 if any differs
+# or is missing on one side, 2 on a usage error.  The two trees run side by
+# side, one process each.
 set -u
 
 if [ $# -ne 1 ]; then
@@ -99,6 +103,28 @@ for j, name in enumerate(a[0]):
 PY
 }
 
+# verdict_flips A B: pair the PASS/FAIL check lines of two summaries in
+# order and count those whose verdict differs.
+verdict_flips() {
+    python3 - "$1" "$2" <<'PY'
+import sys
+
+
+def verdicts(path):
+    with open(path) as fh:
+        return [line.split()[0] for line in fh if line.split()[:1] in (["PASS"], ["FAIL"])]
+
+
+a, b = verdicts(sys.argv[1]), verdicts(sys.argv[2])
+flipped = sum(x != y for x, y in zip(a, b))
+if len(a) == len(b):
+    print(f"verdicts: {len(a)} checks, {flipped} flipped PASS<->FAIL")
+else:
+    print(f"verdicts: {len(a)} checks -> {len(b)}, {flipped} of the first "
+          f"{min(len(a), len(b))} flipped PASS<->FAIL")
+PY
+}
+
 # peak_rss FILE CMD...: run CMD, write its peak resident set in MB (the
 # child's ru_maxrss) to FILE, and exit with CMD's status.
 peak_rss() {
@@ -151,6 +177,9 @@ done | sort -u | while read -r rel; do
             *.csv)
                 diff "$a" "$b" | head -n 6 | sed 's/^/    /'
                 column_moves "$a" "$b" 2>&1 | sed 's/^/    /' ;;
+            *.summary.txt)
+                verdict_flips "$a" "$b" 2>&1 | sed 's/^/    /'
+                diff "$a" "$b" | sed 's/^/    /' ;;
             *) diff "$a" "$b" | sed 's/^/    /' ;;
         esac
     fi
