@@ -128,34 +128,30 @@ def time_derivatives(
                                                     psi1_guess=guess))
 
 
-def _extrapolate(*terms):
-    """sum of w * k[-1] over the (w, k) terms: the solver guess of a stage,
-    from the last entry of earlier stage results; None if any entry is."""
-    entries = [k[-1] for _, k in terms]
-    if any(e is None for e in entries):
+def _extrapolate(past):
+    """(E1, E), a step's guess offsets with E stacking E2..E4 (rk4_fields), from
+    the past entries, newest first; None before two past steps or without solver entries."""
+    if len(past) < 2 or any(d is None for *_, d in past):
         return None
-    return sum(w * e for (w, _), e in zip(terms, entries))
+    (p1, p4, _), (_, q4, _) = past[:2]
+    e = sum(float((-1) ** j * math.comb(len(past), j + 1)) * d for j, (*_, d) in enumerate(past))
+    return p4 + (p1 - q4), e
 
 
-def _stage_guess(i, ks, past):
-    """The guess of stage i (0-based) from this step's earlier stage results
-    ks and the stage results of the past steps, newest first (rk4_fields)."""
-    p = past[0] if past else None
-    if len(past) > 1:
-        if i == 0:
-            return _extrapolate((1.0, p[3]), (1.0, p[0]), (-1.0, past[1][3]))
-        terms = [(1.0, ks[i - 1])]
-        for j, r in enumerate(past):   # binomial weights (2, -1), (3, -3, 1)
-            w = float((-1) ** j * math.comb(len(past), j + 1))
-            terms += [(w, r[i]), (-w, r[i - 1])]
-        return _extrapolate(*terms)
+def _stage_guess(i, ks, past, e):
+    """Stage i's guess (0-based) from this step's stage results ks, the past
+    entries and the offsets e (_extrapolate); the RK4 tableau's if e is None."""
+    prev = ks[i - 1][-1] if i else None
+    if e is not None:
+        return e[0] if i == 0 else prev + e[1][i - 1]
+    p1, p4, _ = past[0] if past else (None, None, None)
     if i == 0:
-        return None if p is None else _extrapolate((1.0, p[3]))
-    if i == 1 and p is not None:
-        return _extrapolate((1.0, ks[0]), (0.5, p[3]), (-0.5, p[0]))
-    if i == 3:
-        return _extrapolate((2.0, ks[2]), (-1.0, ks[0]))
-    return _extrapolate((1.0, ks[i - 1]))
+        return p4
+    if prev is None:
+        return None
+    if i == 1 and past:
+        return prev + 0.5 * (p4 - p1)
+    return 2.0 * prev - ks[0][-1] if i == 3 else prev
 
 
 def rk4_fields(s, dt, rhs, warm):
@@ -166,14 +162,15 @@ def rk4_fields(s, dt, rhs, warm):
     Its last entry is what the stage's solver computes (phi1_t on the IK
     side, the strip potential on the water-wave side), and guess, an array
     or None, estimates it.  warm is None on a run's first step and otherwise
-    the stage results (P1, .., P4) of up to s.GUESS_STEPS past steps, newest
-    first: P, then Q, then R.  With at least two, the guesses are
+    the entries of up to s.GUESS_STEPS past steps, newest first: P, then Q,
+    then R.  An entry holds P1 and P4 of a step's solver entries (P1, .., P4)
+    and their differences dPi = Pi - P(i-1), formed once as the step ends.
+    With at least two past steps, a step forms its offsets once (_extrapolate),
 
-        k1 <- P4 + (P1 - Q4),
-        ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1))    for i = 2, 3, 4,
+        E1 = P4 + (P1 - Q4),    Ei = 2 dPi - dQi    for i = 2, 3, 4,
 
-    and over three steps ki <- k(i-1) + 3 (Pi - P(i-1)) - 3 (Qi - Q(i-1)) +
-    (Ri - R(i-1)): binomial weights, polynomial extrapolation in t.
+    or over three steps Ei = 3 dPi - 3 dQi + dRi (binomial weights,
+    polynomial extrapolation in t), and guesses k1 <- E1, ki <- k(i-1) + Ei.
     P4 is evaluated at y' + dt P3, a midpoint-rule step that lands within
     O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth in t, so the
     previous step's offset P1 - Q4 carries it over to O(dt^4).  The offset
@@ -182,19 +179,20 @@ def rk4_fields(s, dt, rhs, warm):
     stage difference ki - k(i-1) is at most O(dt) and smooth in t, so its
     extrapolation is O(dt^3) from the stage over two steps and O(dt^4) over
     three.  The water-wave side uses three steps (WwState.GUESS_STEPS = 3),
-    which bring its stages 2 and 4 to the strip tolerance; the IK side two
-    (IkState.GUESS_STEPS = 2), as the three-step weights slow its PCG.
+    the IK side two (IkState.GUESS_STEPS = 2), as the three-step weights
+    slow its PCG.  The rule fixes a guess's order in dt, not how near the
+    solver's tolerance it starts.
 
     The second step has only P, and takes the guesses the RK4 tableau fixes:
     k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each
     O(dt^2) from its stage.  The first step has none: k1 gets no guess and
     the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  A run with
-    fewer past steps than GUESS_STEPS uses those it has.  The guesses
-    change iteration counts only.
+    fewer past steps than GUESS_STEPS uses those it has; a None solver entry
+    (the series backend) gives no guess.  Guesses change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
     the m fields.  Returns the new state and the warm start of the next
-    step, (k1, .., k4) and then the newest GUESS_STEPS - 1 past entries.
+    step, this step's entry and then the newest GUESS_STEPS - 1 past ones.
     The state constructors reject NaN/Inf and depth collapse in every stage
     state and in the result; the max-norm blow-up guard is run_loop's.
     """
@@ -206,12 +204,15 @@ def rk4_fields(s, dt, rhs, warm):
         # the state class takes its FIELDS, then delta
         return type(s)(*(RealField(grid, row) for row in v), delta)
 
-    ks = [rhs(s, _stage_guess(0, [], past))]
+    e = _extrapolate(past)
+    ks = [rhs(s, _stage_guess(0, [], past, e))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past)))
+        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past, e)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
+    x = tuple(k[-1] for k in ks)
+    d = None if any(v is None for v in x) else np.diff(x, axis=0)
     return (state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
-            (tuple(ks),) + past[:s.GUESS_STEPS - 1])
+            ((x[0], x[3], d),) + past[:s.GUESS_STEPS - 1])
 
 
 def _rk4_stages(s, dt, cg_tol, warm):

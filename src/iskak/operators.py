@@ -192,10 +192,10 @@ def op_l1(delta: float, coefs: DepthCoefs, psi: RealField) -> RealField:
 def constraint_residual(s: IkState) -> RealField:
     """(2/3) lap phi0 + (2/15) d^2 H^2 lap phi1 + (4/3) phi1."""
     grid = s.grid
-    dc = s.depth()
+    h = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
     res = (
         (2.0 / 3.0) * lap(grid, s.phi0.values)
-        + (2.0 / 15.0) * s.delta**2 * dc.H2 * lap(grid, s.phi1.values)
+        + (2.0 / 15.0) * s.delta**2 * (h * h) * lap(grid, s.phi1.values)
         + (4.0 / 3.0) * s.phi1.values
     )
     return RealField(grid, res)
@@ -248,10 +248,11 @@ def coef_a(s: IkState, phi1_t: np.ndarray) -> np.ndarray:
     this equals the dp chains bit for bit.
     """
     grid = s.grid
-    dc = s.depth()
+    depth = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
     d2 = s.delta**2
     u0, u1 = dx(grid, np.array((s.phi0.values, s.phi1.values)))
-    h, pt, v0, v1, p1, h3 = dealias(grid, np.array((dc.H, phi1_t, u0, u1, s.phi1.values, dc.H3)))
+    h, pt, v0, v1, p1, h3 = dealias(grid, np.array((depth, phi1_t, u0, u1, s.phi1.values,
+                                                    depth * depth * depth)))
     q = dealias(grid, dealias(grid, np.array((v0 * v1, v1 * v1, p1 * p1))))
     o = dealias(grid, np.array((h * pt, h * q[0], h3 * q[1], h * q[2])))
     return 1.0 + 2.0 * d2 * o[0] + 2.0 * d2 * o[1] + 2.0 * d2 * d2 * o[2] + 4.0 * d2 * o[3]
@@ -264,16 +265,17 @@ def energy(s: IkState) -> float:
     """Physical energy: (1/2)||eta||^2 plus half the kinetic quadratic form,
     the vertical integral of the squared scaled gradient of the potential ansatz."""
     grid = s.grid
-    dc = s.depth()
+    h = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
+    h2 = h * h
     d2 = s.delta * s.delta
     p1 = s.phi1.values
     u0 = dx(grid, s.phi0.values)
     u1 = dx(grid, p1)
     kinetic = (
-        dc.H * u0 * u0
-        + (2.0 / 3.0) * d2 * dc.H3 * u0 * u1
-        + (1.0 / 5.0) * d2 * d2 * dc.H5 * u1 * u1
-        + (4.0 / 3.0) * d2 * dc.H3 * p1 * p1
+        h * u0 * u0
+        + (2.0 / 3.0) * d2 * (h2 * h) * u0 * u1
+        + (1.0 / 5.0) * d2 * d2 * (h2 * h2 * h) * u1 * u1
+        + (4.0 / 3.0) * d2 * (h2 * h) * p1 * p1
     )
     dens = s.eta.values**2 + kinetic
     return 0.5 * float(grid.spacing * dens.sum())

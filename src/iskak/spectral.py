@@ -29,13 +29,13 @@ under two rules:
   m(0) v0 added back, m(0) = symbol[0] the multiplier at wavenumber 0 (0
   for the derivatives, 1 for dealias), so a constant maps exactly.
 
-Multiplier.whole is the plain product over a whole array at once, w @
-matrix up to MATRIX_MAX_N points and the transform above, under neither
-rule: one product is cheaper than one per row, and its rows differ from
-the row-exact ones at rounding level (above MATRIX_MAX_N both forms are
-the transform, bit for bit).  Stacks that no caller compares with one-row
-calls use it: the strip arrays of the water-wave solve, the dx products
-of operators._l1_v and the truncations of operators.stage_sources and
+Multiplier.whole is the plain product over a whole array at once, w @ matrix
+up to MATRIX_MAX_N points and the transform above, under neither rule: one
+product is cheaper than one per row, and its rows differ from the row-exact
+ones at rounding level (above MATRIX_MAX_N both forms are the transform, bit
+for bit).  Stacks that no caller compares with one-row calls use it: the
+strip arrays, lift and flux of the water-wave solve, the dx products of
+operators._l1_v and the truncations of operators.stage_sources and
 waterwave.zcs_rhs.  Calls stay row-exact where a caller compares them with
 one-row results: operators.coef_a, which equals the dp chains bit for bit,
 and the slopes (dx eta, dx phi) of DtnBackend.apply, which

@@ -27,8 +27,10 @@ operator at every mode, and no outlier eigenvalue stalls GMRES.
 
 GMRES reports the residual |r0 - sum_i y_i A v_i| / |b|, from the operator
 outputs A v_i it keeps, so a claimed convergence is confirmed by the
-operator itself, not by the Givens estimate, at no extra application.  The
-flux is then the vertical average of the horizontal velocity and
+operator itself, not by the Givens estimate, at no extra application.  A
+warm start forms its r0 = P(rhs - A x0) in one transform pair and |b| by
+Parseval, never b itself (_StripWorkspace).  The flux is then the vertical
+average of the horizontal velocity and
 
     Lambda phi = -div(H Vbar),
 
@@ -82,7 +84,7 @@ def _norm(v: np.ndarray) -> float:
     return math.sqrt(float(np.dot(v, v)))
 
 
-def _gmres(apply_op, b, tol, max_iter, x0=None):
+def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
     """Full GMRES with Givens rotations; returns (x, relative residual).
 
     Used on the left-preconditioned strip system, which is O(1) conditioned,
@@ -90,21 +92,19 @@ def _gmres(apply_op, b, tol, max_iter, x0=None):
     operator (a Givens denominator negligible next to its column) raises SingularSystemError.
     The Givens estimate only decides when to stop.  The returned residual is
     |r0 - sum_i y_i A v_i| / |b|, built from the raw operator outputs A v_i
-    kept along the way (r0 = b - A x0).  Without a further application it
-    equals |b - A x| / |b| up to the rounding of x, of order
-    eps |A| |x| / |b|, which is negligible on the strip system; so a Givens
-    estimate that has drifted from the truth cannot pass for convergence.
-    The triangular factor is solved by back substitution.
+    kept along the way (r0 = b - A x0, or r0 and |b| from residual(x0) when
+    both are given, and b may then be None).  Without a further application
+    it equals |b - A x| / |b| up to the rounding of x, of order eps |A| |x| /
+    |b|, negligible on the strip system; so a Givens estimate that has
+    drifted from the truth cannot pass for convergence.
     """
-    bnorm = _norm(b)
-    if bnorm == 0.0:
-        return np.zeros_like(b), 0.0
     if x0 is None:
-        x = np.zeros_like(b)
-        r = b.copy()
+        x, r, bnorm = np.zeros_like(b), b.copy(), _norm(b)
     else:
         x = x0.copy()
-        r = b - apply_op(x)
+        r, bnorm = (b - apply_op(x), _norm(b)) if residual is None else residual(x)
+    if bnorm == 0.0:
+        return np.zeros_like(x), 0.0
     beta = _norm(r)
     if beta <= tol * bnorm:
         return x, beta / bnorm
@@ -238,7 +238,7 @@ class _StripGeometry(NamedTuple):
     z-reductions and the fast diagonalization of the flat mode operators."""
 
     dz: np.ndarray       # d/dz on z in [-1, 0], row 0 = surface
-    dzz: np.ndarray
+    dzs: np.ndarray      # (dz; dz @ dz), stacked for one product in _apply
     zp1: np.ndarray      # z + 1
     reduce: np.ndarray   # (2, n_z + 1): wq and (wq (z + 1)) @ dz
     vecs: np.ndarray     # W
@@ -253,10 +253,10 @@ def _strip_geometry(n_z: int) -> _StripGeometry:
     arrays are shared by every workspace of this n_z and never written."""
     xi, d_xi = _cheb_lobatto(n_z)
     dz = 2.0 * d_xi
-    dzz = dz @ dz
+    dzs = np.vstack((dz, dz @ dz))
     zp1 = (xi - 1.0) / 2.0 + 1.0       # z + 1, z in [-1, 0]
     wq = _clenshaw_curtis_weights(xi) / 2.0
-    a = dzz.copy()
+    a = dzs[n_z + 1:].copy()
     a[0, :] = np.eye(n_z + 1)[0]           # surface Dirichlet row
     a[-1, :] = dz[-1, :]                   # bottom Neumann row
     try:
@@ -270,7 +270,7 @@ def _strip_geometry(n_z: int) -> _StripGeometry:
     if np.iscomplexobj(theta) or theta.max() > 0.0:
         raise SingularSystemError(f"flat strip modes: n_z = {n_z} has eigenvalues off the "
                                   "nonpositive real axis")
-    return _StripGeometry(dz, dzz, zp1, np.array((wq, (wq * zp1) @ dz)), vecs, theta, zmap)
+    return _StripGeometry(dz, dzs, zp1, np.array((wq, (wq * zp1) @ dz)), vecs, theta, zmap)
 
 
 class _StripFields(NamedTuple):
@@ -291,12 +291,15 @@ class _StripWorkspace:
     What is fixed for a whole solve is built once: the n_z geometry
     (_strip_geometry) per n_z, the mode gains and the preconditioned lift
     column here, the depth fields (_StripFields) at the start of each solve.
-    The right side of the strip system is -lift_res on every interior row and
-    0 on the two boundary rows, so per Fourier mode k its preconditioned form
-    is lift_column[:, k] times the mode k of -lift_res, with lift_column[:, k]
-    = M_k^-1 (0, 1, ..., 1, 0): one 1-row transform pair in place of a whole
-    strip array's.  The fields of the last solve stay in fields, where
-    flux_divergence reads them.
+    The right side rhs of the strip system is -lift_res on every interior row
+    and 0 on the two boundary rows, so per Fourier mode k its preconditioned
+    form b_p is lift_column[:, k] = M_k^-1 (0, 1, ..., 1, 0) = W lift_gain[:, k]
+    times the mode k of -lift_res: one 1-row transform pair, made by cold
+    solves alone.  A warm solve transforms lift_res as one more row of
+    W^-1 A^-1 A x0 for its P(rhs - A x0), and takes |b_p|^2 = sum_k
+    lift_weight[k] |rfft(lift_res)_k|^2 (Parseval: lift_weight[k] = w_k
+    sum_j lift_column[j, k]^2 / N, w_k = 1 at k = 0 and Nyquist, else 2).
+    The fields of the last solve stay in fields, where flux_divergence reads them.
     """
 
     def __init__(self, grid: PeriodicGrid, n_z: int, delta: float):
@@ -304,7 +307,7 @@ class _StripWorkspace:
         self.n_z = n_z
         self.delta = delta
         geo = _strip_geometry(n_z)
-        self.dz, self.dzz, self.zp1 = geo.dz, geo.dzz, geo.zp1
+        self.dz, self.dzs, self.zp1 = geo.dz, geo.dzs, geo.zp1
         self.reduce, self.vecs, self.zmap = geo.reduce, geo.vecs, geo.zmap
         self.dx = kernels(grid).dx          # applied with .whole (module docstring)
         # kappa_k = -delta^2 (dx symbol)^2: the symbol dx o dx applies, 0 at Nyquist
@@ -312,7 +315,10 @@ class _StripWorkspace:
         self.gain = 1.0 / (1.0 - geo.theta[:, None] * kappa)
         interior = np.ones(n_z + 1)
         interior[[0, -1]] = 0.0
-        self.lift_column = self.vecs @ (self.gain * (self.zmap @ interior)[:, None])
+        self.lift_gain = self.gain * (self.zmap @ interior)[:, None]
+        self.lift_column = self.vecs @ self.lift_gain
+        twice = np.arange(self.gain.shape[1]) % (grid.n_points // 2) > 0   # not 0, Nyquist
+        self.lift_weight = (1.0 + twice) * (self.lift_column**2).sum(axis=0) / grid.n_points
         self.last_solution: np.ndarray | None = None
         self.fields: _StripFields | None = None
 
@@ -323,11 +329,11 @@ class _StripWorkspace:
 
     def _apply(self, w: np.ndarray, f: _StripFields) -> np.ndarray:
         """Depth-scaled transformed Laplacian with BC rows substituted."""
-        wz = self.dz @ w
+        wz, wzz = (self.dzs @ w).reshape(2, *w.shape)
         wx = self.dx.whole(w)
         p = f.h * wx + f.c1 * wz
         q = f.c1 * wx + f.c2 * wz
-        out = self.dzz @ w + f.hd2 * (self.dx.whole(p) + self.dz @ q)
+        out = wzz + f.hd2 * (self.dx.whole(p) + self.dz @ q)
         out[0, :] = w[0, :]
         out[-1, :] = wz[-1, :]
         return out
@@ -354,7 +360,7 @@ class _StripWorkspace:
         shape = (self.n_z + 1, grid.n_points)
 
         # lifting by the z-independent surface data; residual is z-independent too
-        lift_res = f.hd2 * (dx(grid, h * phi_x) - eta_x * phi_x)
+        lift_res = f.hd2 * (self.dx.whole(h * phi_x) - eta_x * phi_x)
 
         # iterate on the left-preconditioned system: the flat inverse is O(1)
         # conditioned, so the residual tracks the solution error rather than
@@ -362,14 +368,20 @@ class _StripWorkspace:
         def apply_pa(v):
             return self._precondition(self._apply(v.reshape(shape), f)).ravel()
 
-        b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points,
-                           axis=1).ravel()
-        sol = None
+        def residual(x0):
+            # P(rhs - A x0) and |b_p| from one transform of (W^-1 A^-1 A x0; lift_res)
+            m = np.fft.rfft(np.vstack((self.zmap @ self._apply(x0.reshape(shape), f), lift_res)))
+            r = np.fft.irfft(-(self.lift_gain * m[-1] + self.gain * m[:-1]), n=grid.n_points)
+            return (self.vecs @ r).ravel(), math.sqrt(float(self.lift_weight @ abs(m[-1])**2))
+
+        sol = b_p = None
         if guess is not None:
             sol = guess.ravel()
         elif warm_start and self.last_solution is not None:
             sol = self.last_solution.ravel()
-        sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol)
+        else:
+            b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points).ravel()
+        sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol, residual)
         if not res <= tol:   # _gmres returns the true residual; NaN fails too
             raise NonConvergenceError("strip potential solve", DTN_MAX_ITER, res, tol)
         w = sol.reshape(shape)
@@ -387,8 +399,8 @@ class _StripWorkspace:
         whole-strip products."""
         f = self.fields
         mean, tilt = self.reduce @ w
-        vbar = dx(self.grid, mean) - (f.eta_x / f.h) * tilt
-        return -dx(self.grid, f.h * vbar)
+        vbar = self.dx.whole(mean) - (f.eta_x / f.h) * tilt
+        return -self.dx.whole(f.h * vbar)
 
 
 @dataclass

@@ -11,8 +11,11 @@ from iskak.ik_solver import (
     time_derivatives,
 )
 from iskak.operators import (
+    DepthCoefs,
     IkState,
+    coef_a,
     constraint_residual,
+    energy,
     ik_state_from_surface,
     stage_sources,
     surface_potential,
@@ -29,6 +32,19 @@ def rest_state(grid, delta=0.3):
 def cosine_state(grid, amplitude, delta, cg_tol=1e-12):
     eta0 = field_from_function(grid, lambda x: amplitude * np.cos(x))
     return ik_state_from_surface(eta0, zeros(grid), delta, cg_tol=cg_tol)
+
+
+def l1_applications(monkeypatch, fn):
+    """fn() and the number of L1 applications it made."""
+    clean, calls = operators._l1_v, []
+
+    def counted(*args):
+        calls.append(1)
+        return clean(*args)
+
+    with monkeypatch.context() as m:
+        m.setattr(operators, "_l1_v", counted)
+        return fn(), len(calls)
 
 
 @pytest.fixture(scope="module")
@@ -126,11 +142,13 @@ class TestRk4Step:
         assert abs(integrate(out.eta) - integrate(s.eta)) <= 1e-12
 
     def test_backward_step_is_guess_independent(self, monkeypatch):
-        # the reversibility path (dt < 0) takes the same stage guesses
+        # the reversibility path (dt < 0) takes the same stage guesses; with
+        # every guess off it lands on the same state in more L1 applications
         s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
-        with_guess = rk4_step(s, -1e-3)
-        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
-        without = rk4_step(s, -1e-3)
+        with_guess, guessed = l1_applications(monkeypatch, lambda: rk4_step(s, -1e-3))
+        monkeypatch.setattr(ik_solver, "_stage_guess", lambda *args: None)
+        without, unguessed = l1_applications(monkeypatch, lambda: rk4_step(s, -1e-3))
+        assert unguessed > guessed
         for n in IkState.FIELDS:
             a, b = getattr(with_guess, n).values, getattr(without, n).values
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
@@ -175,16 +193,7 @@ class TestReproject:
 
     @staticmethod
     def counted_reproject(s, monkeypatch):
-        clean, calls = operators._l1_v, []
-
-        def counted(*args):
-            calls.append(1)
-            return clean(*args)
-
-        monkeypatch.setattr(operators, "_l1_v", counted)
-        out = reproject(s)
-        monkeypatch.undo()
-        return out, len(calls)
+        return l1_applications(monkeypatch, lambda: reproject(s))
 
     def test_warm_start_on_a_stepped_state(self, monkeypatch):
         # the solve starts from the state's own phi1: one L1 application
@@ -209,6 +218,26 @@ class TestReproject:
         cold = ik_state_from_surface(bad.eta, surface_potential(bad), bad.delta)
         for state in (out, cold):
             assert np.abs(constraint_residual(state).values).max() <= 1e-12
+
+
+class TestRecord:
+    def test_one_depth_per_record(self, monkeypatch):
+        # the derivative, coef_a, the energy and the constraint residual of
+        # a record share one DepthCoefs, and give what the public calls give
+        s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
+        clean, builds = DepthCoefs.from_eta, []
+
+        def counted(eta):
+            builds.append(1)
+            return clean(eta)
+
+        with monkeypatch.context() as m:
+            m.setattr(DepthCoefs, "from_eta", counted)
+            got = ik_solver._record(s, 1e-12)
+        assert len(builds) == 1
+        a = coef_a(s, time_derivatives(s, 1e-12).phi1_t)
+        assert got == (energy(s), float(np.abs(constraint_residual(s).values).max()),
+                       float(a.min()))
 
 
 class TestRun:
@@ -336,55 +365,93 @@ def ik_count_case(s):
     return run(s, SimConfig(t_end=0.02, dt=1e-3, reproject_every=10, record_every=20))
 
 
-def stage_results(rng, steps, entry=None):
-    """steps past steps of four synthetic stage results each, newest first;
-    entry(n, i) gives the solver entry of stage i of step n (default random)."""
-    if entry is None:
-        return tuple(tuple((rng.standard_normal(16),) for _ in range(4)) for _ in range(steps))
-    return tuple(tuple((entry(-n, i),) for i in range(4)) for n in range(1, steps + 1))
+def stage_guesses(s, entry, steps):
+    """The guesses rk4_fields hands the four stages of each of steps steps
+    from s, whose stage results carry zero derivatives, so s stays put, and
+    the solver entry entry(n, i) at stage i of step n = 1 - steps, .., 0."""
+    guesses, warm = [], None
+    for n in range(1 - steps, 1):
+        seen, stage = [], iter(range(4))
+
+        def rhs(state, guess):
+            seen.append(guess)
+            return tuple(np.zeros(16) for _ in state.FIELDS) + (entry(n, next(stage)),)
+        s, warm = ik_solver.rk4_fields(s, 1e-3, rhs, warm)
+        guesses.append(seen)
+    return guesses
 
 
 class TestStageGuesses:
+    @staticmethod
+    def states():
+        from iskak.waterwave import WwState
+        grid = PeriodicGrid(16)
+        return rest_state(grid), WwState(zeros(grid), zeros(grid), 0.3)
+
     def test_three_step_guess_is_exact_for_quadratic_stage_series(self):
         # stage results quadratic in the step index n: extrapolating the
-        # stage differences over three steps reproduces the stage, over two
-        # it misses by the curvature
+        # stage differences over three steps (the water-wave state's depth)
+        # reproduces the stage, over two (the IK state's) it misses by the
+        # curvature
         rng = np.random.default_rng(7)
         a, b, c = (rng.standard_normal((4, 16)) for _ in range(3))
+
         def entry(n, i):
             return a[i] + b[i] * n + c[i] * n * n
-        past = stage_results(rng, 3, entry)
-        ks = [(entry(0, i),) for i in range(4)]
+        ik, ww = self.states()
+        three, two = stage_guesses(ww, entry, 4)[-1], stage_guesses(ik, entry, 4)[-1]
         for i in (1, 2, 3):
             exact = entry(0, i)
-            three = ik_solver._stage_guess(i, ks[:i], past)
-            two = ik_solver._stage_guess(i, ks[:i], past[:2])
-            assert np.abs(three - exact).max() <= 1e-12 * np.abs(exact).max()
-            assert np.abs(two - exact).max() > 1e-3 * np.abs(exact).max()
+            assert np.abs(three[i] - exact).max() <= 1e-12 * np.abs(exact).max()
+            assert np.abs(two[i] - exact).max() > 1e-3 * np.abs(exact).max()
 
     def test_two_step_guess_is_the_explicit_formula(self):
-        # bit for bit the rule before the guess depth was per model:
-        # k1 <- P4 + (P1 - Q4) and ki <- k(i-1) + 2 (Pi - P(i-1)) - (Qi - Q(i-1)),
-        # and the three-step k1 carries the same offset
+        # bit for bit: k1 <- P4 + (P1 - Q4) and ki <- k(i-1) + E_i with
+        # E_i = 2 dPi - dQi over two past steps, 3 dPi - 3 dQi + dRi over
+        # three, the stage differences dPi = Pi - P(i-1) formed once per step
         rng = np.random.default_rng(8)
-        (p, q, r), ks = stage_results(rng, 3), stage_results(rng, 1)[0]
-        k1 = 1.0 * p[3][0] + 1.0 * p[0][0] + -1.0 * q[3][0]
-        assert np.array_equal(ik_solver._stage_guess(0, [], (p, q)), k1)
-        assert np.array_equal(ik_solver._stage_guess(0, [], (p, q, r)), k1)
-        for i in (1, 2, 3):
-            ki = (1.0 * ks[i - 1][0] + 2.0 * p[i][0] + -2.0 * p[i - 1][0]
-                  + -1.0 * q[i][0] + 1.0 * q[i - 1][0])
-            assert np.array_equal(ik_solver._stage_guess(i, ks[:i], (p, q)), ki)
+        x = rng.standard_normal((4, 4, 16))      # x[n][i]: stage i of step n, oldest first
+
+        def entry(n, i):
+            return x[n + 3][i]
+
+        def diff(n, i):
+            return x[n][i] - x[n][i - 1]
+        ik, ww = self.states()
+        for s, weights in ((ik, (2.0, -1.0)), (ww, (3.0, -3.0, 1.0))):
+            k = stage_guesses(s, entry, 4)[-1]       # the newest step, from steps 2, 1, 0
+            p, q = x[2], x[1]
+            assert np.array_equal(k[0], p[3] + (p[0] - q[3]))
+            for i in (1, 2, 3):
+                e = weights[0] * diff(2, i) + weights[1] * diff(1, i)
+                if len(weights) == 3:
+                    e = e + weights[2] * diff(0, i)
+                assert np.array_equal(k[i], x[3][i - 1] + e)
+
+    def test_first_two_steps_take_the_tableau_rules(self):
+        rng = np.random.default_rng(9)
+        x = rng.standard_normal((2, 4, 16))
+        first, second = stage_guesses(self.states()[1], lambda n, i: x[n + 1][i], 2)
+        # k1 gets no guess on the first step, then k2 <- k1, k3 <- k2,
+        # k4 <- 2 k3 - k1; the second step starts from P: k1 <- P4 and
+        # k2 <- k1 + (P4 - P1) / 2
+        k = x[0]
+        assert first[0] is None
+        for g, ref in zip(first[1:], (k[0], k[1], 2.0 * k[2] - k[0])):
+            assert np.array_equal(g, ref)
+        k, p = x[1], x[0]
+        for g, ref in zip(second, (p[3], k[0] + 0.5 * (p[3] - p[0]), k[1], 2.0 * k[2] - k[0])):
+            assert np.array_equal(g, ref)
 
     def test_series_backend_entry_gives_no_guess(self):
         # the series backend computes no strip potential: its None entry
-        # leaves every stage without a guess at any depth
-        past = stage_results(None, 3, lambda n, i: None)
-        ks = [(None,)] * 3
-        assert all(ik_solver._stage_guess(i, ks[:i], past) is None for i in range(4))
+        # leaves every stage of every step without a guess
+        for s in self.states():
+            guesses = stage_guesses(s, lambda n, i: None, 5)
+            assert all(g is None for step in guesses for g in step)
 
     def test_warm_start_keeps_guess_steps_of_stage_results(self):
-        # rk4_fields hands on this step's stage results and the newest
+        # rk4_fields hands on this step's entry and the newest
         # GUESS_STEPS - 1 past ones: two steps on the IK side, three on the
         # water-wave side
         from iskak.waterwave import WwState
@@ -438,10 +505,13 @@ class TestStageGuesses:
         assert sum(later) / len(later) <= 3.5
 
     def test_guesses_change_iteration_counts_only(self, monkeypatch):
+        # every stage guess goes through _stage_guess: switched off, the
+        # run makes more L1 applications and lands on the same states
         s = cosine_state(PeriodicGrid(128), 0.1, 0.2)
-        with_guess = ik_count_case(s)
-        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
-        without = ik_count_case(s)
+        with_guess, guessed = l1_applications(monkeypatch, lambda: ik_count_case(s))
+        monkeypatch.setattr(ik_solver, "_stage_guess", lambda *args: None)
+        without, unguessed = l1_applications(monkeypatch, lambda: ik_count_case(s))
+        assert unguessed > guessed
         for n in IkState.FIELDS:
             a, b = getattr(with_guess.final, n).values, getattr(without.final, n).values
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()

@@ -41,6 +41,18 @@ def strip_solution(eta, phi, delta, n_z):
     return ws, ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
 
 
+def preconditioned_rhs(ws, eta, phi):
+    """The explicit b_p of a strip solve: the (n_z + 1, N) right side,
+    preconditioned row by row, flattened."""
+    grid = ws.grid
+    h, eta_x, phi_x = 1.0 + eta.values, dx(grid, eta.values), dx(grid, phi.values)
+    lift_res = ws.delta**2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
+    b = np.broadcast_to(-lift_res, (ws.n_z + 1, grid.n_points)).copy()
+    b[0, :] = 0.0
+    b[-1, :] = 0.0
+    return ws._precondition(b).ravel()
+
+
 class TestExpansionTerms:
     def test_lambda0_flat(self, grid64):
         for k in (1, 4):
@@ -235,7 +247,7 @@ class TestStripFields:
         wz, wx, zp1 = ws.dz @ w, ws.dx.whole(w), ws.zp1[:, None]
         p = h * wx - zp1 * eta_x * wz
         q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
-        ref = ws.dzz @ w + d2 * h * (ws.dx.whole(p) + ws.dz @ q)
+        ref = ws.dzs[17:] @ w + d2 * h * (ws.dx.whole(p) + ws.dz @ q)
         ref[0, :] = w[0, :]
         ref[-1, :] = wz[-1, :]
         assert np.array_equal(ws._apply(w, ws.fields), ref)
@@ -245,21 +257,59 @@ class TestStripFields:
         grid, eta, phi, _ = self.case(n)
         clean, seen = waterwave._gmres, []
 
-        def spy(apply_op, b, tol, max_iter, x0=None):
+        def spy(apply_op, b, tol, max_iter, x0=None, residual=None):
             seen.append(b)
-            return clean(apply_op, b, tol, max_iter, x0)
+            return clean(apply_op, b, tol, max_iter, x0, residual)
 
         monkeypatch.setattr(waterwave, "_gmres", spy)
         ws = _StripWorkspace(grid, 16, 0.2)
         ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
-        # reference: the (n_z + 1, N) right side, preconditioned row by row
-        h, eta_x, phi_x = 1.0 + eta.values, dx(grid, eta.values), dx(grid, phi.values)
-        lift_res = 0.2**2 * h * (dx(grid, h * phi_x) - eta_x * phi_x)
-        b = np.broadcast_to(-lift_res, (17, n)).copy()
-        b[0, :] = 0.0
-        b[-1, :] = 0.0
-        ref = ws._precondition(b).ravel()
+        ref = preconditioned_rhs(ws, eta, phi)
         assert np.abs(seen[0] - ref).max() <= 1e-14 * np.abs(ref).max()
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    @pytest.mark.parametrize("n_z", [8, 16])
+    @pytest.mark.parametrize("delta", [0.05, 0.5])
+    def test_parseval_norm_is_the_norm_of_the_preconditioned_right_side(
+            self, n, n_z, delta, monkeypatch):
+        # a cold solve hands GMRES the explicit b_p, a warm one at the same
+        # data only residual(x0), which returns |b_p| from the lift's modes
+        grid, eta, phi, _ = self.case(n)
+        clean, seen = waterwave._gmres, []
+
+        def spy(apply_op, b, tol, max_iter, x0=None, residual=None):
+            seen.append((b, x0, residual))
+            return clean(apply_op, b, tol, max_iter, x0, residual)
+
+        monkeypatch.setattr(waterwave, "_gmres", spy)
+        ws = _StripWorkspace(grid, n_z, delta)
+        for _ in range(2):
+            ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        (b, cold_x0, _), (warm_b, x0, residual) = seen
+        assert cold_x0 is None and warm_b is None
+        explicit = np.linalg.norm(b)
+        assert abs(residual(x0)[1] - explicit) <= 1e-14 * explicit
+
+    def test_warm_solve_at_its_own_solution_costs_one_application(self, monkeypatch):
+        # the initial residual is the whole solve: one _apply, and one
+        # transform pair for P(rhs - A x0) that also carries the lift's
+        # modes, with no pair of its own for b_p
+        grid, eta, phi, _ = self.case(128)
+        ws = _StripWorkspace(grid, 16, 0.2)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        counts = {"apply": 0, "rfft": 0, "irfft": 0}
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(_StripWorkspace, "_apply", counted("apply", _StripWorkspace._apply))
+        for name in ("rfft", "irfft"):
+            monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        assert counts == {"apply": 1, "rfft": 1, "irfft": 1}
 
 
 class TestFlatPreconditioner:
@@ -482,21 +532,23 @@ class TestGmresResidual:
         x = grid.nodes
         eta = RealField(grid, 0.1 * np.cos(x))
         phi = RealField(grid, 0.1 * np.sin(x) + 0.05 * np.cos(2 * x) + 0.02 * np.sin(3 * x))
+        # the warm call gets no b, so the reference is the explicit b_p
+        data = [(eta, phi), (eta, RealField(grid, 1.01 * phi.values))]
         clean, seen = waterwave._gmres, []
 
-        def spy(apply_op, b, tol, max_iter, x0=None):
-            sol, res = clean(apply_op, b, tol, max_iter, x0)
-            seen.append((x0 is not None, res,
-                         np.linalg.norm(b - apply_op(sol)) / np.linalg.norm(b), tol))
+        def spy(apply_op, b, tol, max_iter, x0=None, residual=None):
+            sol, res = clean(apply_op, b, tol, max_iter, x0, residual)
+            ref = preconditioned_rhs(ws, *data[len(seen)])
+            seen.append((x0 is not None, b is None, res,
+                         np.linalg.norm(ref - apply_op(sol)) / np.linalg.norm(ref), tol))
             return sol, res
 
         monkeypatch.setattr(waterwave, "_gmres", spy)
         ws = _StripWorkspace(grid, 16, 0.2)
-        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
-        ws.solve(eta, RealField(grid, 1.01 * phi.values), DTN_TOL_DEFAULT, H_MIN_DEFAULT,
-                 warm_start=True)
-        assert [warm for warm, *_ in seen] == [False, True]
-        for _, res, true, tol in seen:
+        for eta_i, phi_i in data:
+            ws.solve(eta_i, phi_i, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        assert [(warm, no_b) for warm, no_b, *_ in seen] == [(False, False), (True, True)]
+        for _, _, res, true, tol in seen:
             assert res <= tol
             assert abs(res - true) <= 10.0 * tol
 
@@ -538,7 +590,7 @@ class TestGmresResidual:
         # typed error rather than a returned potential
         calls = []
 
-        def stuck(apply_op, b, tol, max_iter, x0=None):
+        def stuck(apply_op, b, tol, max_iter, x0=None, residual=None):
             calls.append(1)
             return np.zeros_like(b), reported
 
@@ -578,7 +630,7 @@ def counted_strip_run(monkeypatch, t_end):
 class TestStageGuesses:
     def test_strip_applications_per_solve(self, monkeypatch):
         # guesses from the last three steps: 1.95 operator applications per
-        # strip solve on this run, 2.77 from the last two, 3.74 with the
+        # strip solve on this run, 2.78 from the last two, 3.76 with the
         # RK4-tableau guesses of the last step alone
         solves, applies = counted_strip_run(monkeypatch, 0.02)
         assert solves == 82
@@ -586,17 +638,30 @@ class TestStageGuesses:
 
     def test_strip_applications_per_solve_on_simulate_run(self, monkeypatch):
         # simulate's 200-step run: 1.86 applications per solve with guesses
-        # from the last three steps, 2.46 from the last two, whose stage-2
-        # and stage-4 guesses started GMRES near 7e-9; 3.16 with a flat
-        # preconditioner that missed the Nyquist mode
+        # from the last three steps (per stage 1.33, 2.05, 1.98, 2.02, from
+        # median initial residuals 7.8e-13, 5.6e-12, 2.3e-12, 4.2e-12), 2.46
+        # from the last two, whose stage-2 and stage-4 guesses started GMRES
+        # near 7e-9; 3.16 with a flat preconditioner that missed the Nyquist
+        # mode
         solves, applies = counted_strip_run(monkeypatch, 0.2)
         assert solves == 811
         assert applies / solves <= 2.0
 
     def test_guesses_change_iteration_counts_only(self, monkeypatch):
+        # every stage guess goes through _stage_guess: switched off, the
+        # run makes more strip applications and lands on the same states
+        clean, applies = _StripWorkspace._apply, []
+
+        def counted(*args):
+            applies.append(1)
+            return clean(*args)
+
+        monkeypatch.setattr(_StripWorkspace, "_apply", counted)
         with_guess = ww_count_case()
-        monkeypatch.setattr(ik_solver, "_extrapolate", lambda *terms: None)
+        guessed = len(applies)
+        monkeypatch.setattr(ik_solver, "_stage_guess", lambda *args: None)
         without = ww_count_case()
+        assert len(applies) - guessed > guessed
         for n in WwState.FIELDS:
             a, b = getattr(with_guess.final, n).values, getattr(without.final, n).values
             assert np.abs(a - b).max() <= 1e-10 * np.abs(b).max()
