@@ -439,10 +439,13 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
             aborted.append(f"{tag} dt={sim.dt:g}: {diag.aborted}")
         return diag
 
+    # the rest, reprojection and reference legs run on half the grid at half
+    # the step to the configured t_end: (128, 1e-3, 1.0) at the defaults
+    grid0, dt0 = PeriodicGrid(cfg.n_points // 2), cfg.dt / 2.0
+
     # rest state: everything flat to rounding
-    grid0 = PeriodicGrid(128)
     rest = leg("rest", grid0, 0.0, 1, 0.2,
-               SimConfig(t_end=1.0, dt=1e-3, record_every=200, cg_tol=cfg.cg_tol))
+               SimConfig(t_end=cfg.t_end, dt=dt0, record_every=200, cg_tol=cfg.cg_tol))
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
                         _drift(rest.mass) <= 1e-12 and _drift(rest.energy) <= 1e-12
                         and max(rest.constraint_max, default=np.nan) <= 1e-12,
@@ -460,7 +463,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
 
     # reprojection keeps the constraint at solver level
     proj = leg("reproject", grid0, 0.1, 1, 0.2,
-               SimConfig(t_end=1.0, dt=1e-3, reproject_every=REPROJECT_EVERY,
+               SimConfig(t_end=cfg.t_end, dt=dt0, reproject_every=REPROJECT_EVERY,
                          record_every=100, cg_tol=cfg.cg_tol))
     cmax = max(proj.constraint_max, default=np.nan)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
@@ -469,8 +472,8 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                               min(proj.min_a, default=np.nan)))
 
     # reference solver: mass and surrogate-energy behavior
-    ww = leg("reference", grid0, 0.05, 1, 0.2, SimConfig(t_end=1.0, dt=1e-3, record_every=200),
-             DtnBackend.parse(cfg.dtn))
+    ww = leg("reference", grid0, 0.05, 1, 0.2,
+             SimConfig(t_end=cfg.t_end, dt=dt0, record_every=200), DtnBackend.parse(cfg.dtn))
     e = _rel_drift(ww.energy)
     checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
                         _drift(ww.mass) <= 1e-11 and e <= 1e-6,

@@ -32,6 +32,7 @@ from .operators import (
     energy,
     solve_elliptic_pair,
     stage_sources,
+    state_from_rows,
 )
 from .spectral import RealField, integrate
 
@@ -191,27 +192,26 @@ def rk4_fields(s, dt, rhs, warm):
     (the series backend) gives no guess.  Guesses change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
-    the m fields.  Returns the new state and the warm start of the next
-    step, this step's entry and then the newest GUESS_STEPS - 1 past ones.
-    The state constructors reject NaN/Inf and depth collapse in every stage
-    state and in the result; the max-norm blow-up guard is run_loop's.
+    the m fields and validated here, once per array, by
+    operators.state_from_rows: one finite test over all m rows and the
+    depth floor of the eta row, the checks and errors of check_state, with
+    s's grid and delta.  Returns the new state and the warm start of the
+    next step, this step's entry and then the newest GUESS_STEPS - 1 past
+    ones.  The max-norm blow-up guard is run_loop's.
     """
-    m, grid, delta = len(s.FIELDS), s.grid, s.delta
+    m = len(s.FIELDS)
     past = warm or ()
     y = np.array([getattr(s, n).values for n in s.FIELDS])
-
-    def state(v):
-        # the state class takes its FIELDS, then delta
-        return type(s)(*(RealField(grid, row) for row in v), delta)
 
     e = _extrapolate(past)
     ks = [rhs(s, _stage_guess(0, [], past, e))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past, e)))
+        stage = state_from_rows(s, y + h * np.array(ks[-1][:m]))
+        ks.append(rhs(stage, _stage_guess(i, ks, past, e)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
     x = tuple(k[-1] for k in ks)
     d = None if any(v is None for v in x) else np.diff(x, axis=0)
-    return (state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
+    return (state_from_rows(s, y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
             ((x[0], x[3], d),) + past[:s.GUESS_STEPS - 1])
 
 

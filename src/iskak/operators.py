@@ -28,9 +28,10 @@ is solved by eliminating psi0 and running conjugate gradients on L1,
 preconditioned by z = S P (S r): the flat-state symbol
 P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
 turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
-symmetric positive definite and costs one multiplier application
-(spectral.Multiplier of the symbol P): a product with a cached symmetric
-matrix up to spectral.MATRIX_MAX_N points, a transform pair above.  The
+symmetric positive definite and costs one plain product of the multiplier
+of the symbol P (spectral.Multiplier.whole): a product with a cached
+symmetric matrix up to spectral.MATRIX_MAX_N points, a transform pair
+above.  Only PCG reads it, so it needs no row-exactness.  The
 depth scaling takes the variation of H out of the leading term, which the
 flat symbol alone cannot see, so its gain grows as the depth varies more.
 A breakdown (p.Ap <= 0, or a step that is not finite) raises
@@ -58,6 +59,7 @@ __all__ = [
     "DepthCoefs",
     "IkState",
     "check_state",
+    "state_from_rows",
     "op_l11",
     "op_l12",
     "op_l22",
@@ -106,23 +108,42 @@ class DepthCoefs:
         h4 = h2 * h2
         h5 = h4 * h
         c = h3 / 3.0
-        return cls(eta.grid, h, h2, h3, h4, h5, dx(eta.grid, eta.values),
+        return cls(eta.grid, h, h2, h3, h4, h5, kernels(eta.grid).dx.whole(eta.values),
                    l1_flux=np.array(((-h, c), (c, -h5 / 5.0))),
                    pc_scale=1.0 / (h * np.sqrt(h)))
 
 
+def _check_rows(rows: np.ndarray) -> None:
+    """Validate the stacked (m, N) values of a state's FIELDS, eta first: one
+    finite test over every row, then the depth floor from the eta row.  The
+    one holder of both checks, for check_state and state_from_rows."""
+    if not np.isfinite(rows).all():
+        raise FloatingPointError("field contains NaN/Inf")
+    h_min = float(1.0 + rows[0].min())
+    if h_min < H_MIN_DEFAULT:
+        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
+
+
 def check_state(s) -> None:
-    """Validate either model's state: delta range, FIELDS on one grid and finite, depth floor."""
+    """Validate either model's state: delta range, FIELDS on one grid, _check_rows."""
     if not 0.0 < s.delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {s.delta}")
     fields = [getattr(s, n) for n in s.FIELDS]
     if any(f.grid != s.eta.grid for f in fields):
         raise ValueError("state fields live on different grids")
-    for f in fields:
-        f.check_finite()
-    h_min = float(1.0 + s.eta.values.min())
-    if h_min < H_MIN_DEFAULT:
-        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
+    _check_rows(np.array([f.values for f in fields]))
+
+
+def state_from_rows(like, rows: np.ndarray):
+    """A state of like's class, grid and delta whose FIELDS hold the rows of
+    the (m, N) array rows, validated by _check_rows alone.  like passed
+    check_state, so its delta range and one grid hold for the new state too;
+    the class constructor is skipped, as its check_state would check every
+    field again one by one."""
+    grid, out = like.grid, object.__new__(type(like))
+    out.__dict__.update(zip(like.FIELDS, (RealField(grid, r) for r in rows)), delta=like.delta)
+    _check_rows(rows)
+    return out
 
 
 @dataclass
@@ -232,10 +253,10 @@ def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, n
     g *= keep
     g[0] *= -ik
     div, q00, q01, q11, qpp = np.fft.irfft(g, n=n, axis=-1)    # div: truncated dt eta
-    c01, c11, cpp, m = kernels(grid).dealias.whole(
-        np.array((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
+    trunc = kernels(grid).dealias.whole
+    c01, c11, cpp, m = trunc(np.array((h2 * q01, h4 * q11, h2 * qpp, div * lap1)))
     f1 = s.eta.values + 0.5 * q00 + d2 * c01 + 0.5 * d2 * d2 * c11 + 2.0 * d2 * cpp
-    f2 = (4.0 / 15.0) * d2 * dealias(grid, h4 * m)
+    f2 = (4.0 / 15.0) * d2 * trunc(h4 * m)
     return div, f1, f2
 
 
@@ -341,18 +362,22 @@ def solve_elliptic_pair(
     psi0 = f1 - d^2 H^2 psi1, so the first equation holds to rounding by
     construction.  psi1_guess warm starts the CG iteration (same tolerance,
     fewer iterations); a guess that already meets the tolerance is returned
-    after one L1 application.
+    after one L1 application.  Only PCG reads the right side and the
+    preconditioner S P S (module docstring), so their dx and P products are
+    plain whole-array products (spectral.Multiplier.whole), not row-exact
+    calls.
     """
     grid = coefs.grid
     d2 = delta * delta
-    df1 = dx(grid, f1)
+    d = kernels(grid).dx.whole
+    df1 = d(f1)
     b = (
-        -dx(grid, (2.0 / 3.0) * coefs.H3 * df1 + f3)
+        -d((2.0 / 3.0) * coefs.H3 * df1 + f3)
         + 2.0 * coefs.H2 * coefs.grad_eta * df1
         - f2
     )
     flat, sc = _flat_precond(grid, delta), coefs.pc_scale
-    psi1 = _pcg(lambda v: _l1_v(grid, delta, coefs, v), lambda r: sc * flat(sc * r),
+    psi1 = _pcg(lambda v: _l1_v(grid, delta, coefs, v), lambda r: sc * flat.whole(sc * r),
                 b, cg_tol, x0=psi1_guess)
     return f1 - d2 * coefs.H2 * psi1, psi1
 

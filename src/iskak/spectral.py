@@ -34,15 +34,18 @@ up to MATRIX_MAX_N points and the transform above, under neither rule: one
 product is cheaper than one per row, and its rows differ from the row-exact
 ones at rounding level (above MATRIX_MAX_N both forms are the transform, bit
 for bit).  Stacks that no caller compares with one-row calls use it: the
-strip arrays, lift and flux of the water-wave solve, the dx products of
-operators._l1_v and the truncations of operators.stage_sources and
-waterwave.zcs_rhs.  Calls stay row-exact where a caller compares them with
-one-row results: operators.coef_a, which equals the dp chains bit for bit,
-and the slopes (dx eta, dx phi) of DtnBackend.apply, which
-consistency.residuals reuses.  The size rule lives here alone.
+strip arrays, lift and flux of the water-wave solve; on the IK side the dx
+products of operators._l1_v, the slope of DepthCoefs and the right side and
+PCG preconditioner of operators.solve_elliptic_pair; and the truncations of
+operators.stage_sources and waterwave.zcs_rhs.  Calls stay row-exact where
+a caller compares them with one-row results: operators.coef_a, which equals
+the dp chains bit for bit, and the slopes (dx eta, dx phi) of
+DtnBackend.apply, which consistency.residuals reuses.  The size rule lives
+here alone.
 
 RealField is the typed boundary of the solvers: a grid function whose
-shape is checked on construction and whose values can be checked finite.
+shape is checked on construction (a state checks its values finite,
+operators.check_state).
 State fields and the public operators use it; the kernels, rk4_fields'
 stage results and the elliptic solve's data and results are plain arrays.
 """
@@ -113,11 +116,6 @@ class RealField:
 
     def copy(self) -> "RealField":
         return RealField(self.grid, self.values.copy())
-
-    def check_finite(self) -> "RealField":
-        if not np.isfinite(self.values).all():
-            raise FloatingPointError("field contains NaN/Inf")
-        return self
 
 
 def field_from_function(grid: PeriodicGrid, fn) -> RealField:

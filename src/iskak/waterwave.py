@@ -346,8 +346,9 @@ class _StripWorkspace:
         GMRES solves for the potential less its surface lift phi, which is
         zero on the surface row.  It starts from guess, an estimate of that
         lift-free part, when one is given; otherwise from last_solution when
-        warm_start is set.  A warm solve stores its lift-free part as
-        last_solution.
+        warm_start is set.  A zero lift residual gives the zero lift-free
+        part at once, without an application.  A warm solve stores its
+        lift-free part as last_solution.
         """
         grid = self.grid
         h = 1.0 + eta.values
@@ -375,7 +376,9 @@ class _StripWorkspace:
             return (self.vecs @ r).ravel(), math.sqrt(float(self.lift_weight @ abs(m[-1])**2))
 
         sol = b_p = None
-        if guess is not None:
+        if not lift_res.any():      # a zero right side: _gmres returns zero, with no application
+            b_p = np.zeros(shape[0] * shape[1])
+        elif guess is not None:
             sol = guess.ravel()
         elif warm_start and self.last_solution is not None:
             sol = self.last_solution.ravel()

@@ -343,6 +343,8 @@ class TestCli:
         ("conservation", "dtn=series:0"),
         ("simulate", "dt"),             # an override without '='
         ("conservation", "t_end=1e-12"),  # shorter than one step
+        ("conservation", "n_points=250"),  # its half-grid legs need n_points % 4 == 0
+        ("conservation", "n_points=12"),   # and n_points // 2 >= 8
         ("convergence", "t_end=1e308"),   # a step count that overflows
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):
@@ -447,8 +449,27 @@ class TestCli:
             cells = dict(zip(cols, line.split(",")))
             legs.setdefault(cells["leg"], set()).add((int(cells["n_points"]), float(cells["dt"])))
         dt = default_config("conservation").dt
-        assert legs == {"rest": {(128, 1e-3)}, "order": {(64, dt), (64, dt / 2)},
-                        "reproject": {(128, 1e-3)}}
+        assert legs == {"rest": {(32, dt / 2)}, "order": {(64, dt), (64, dt / 2)},
+                        "reproject": {(32, dt / 2)}}
+
+    def test_conservation_legs_read_the_config(self, tmp_path):
+        # the rest, reprojection and reference legs run on half the grid at
+        # half the step to the configured t_end, at the defaults N = 128,
+        # dt = 1e-3 to t = 1.0
+        cfg = default_config("conservation")
+        assert (cfg.n_points // 2, cfg.dt / 2, cfg.t_end) == (128, 1e-3, 1.0)
+        main(["conservation", "--output-dir", str(tmp_path), "--override", "n_points=64",
+              "--override", "t_end=0.02", "--override", "dt=0.005"])
+        header, *lines = (tmp_path / "conservation.csv").read_text().splitlines()
+        cols = header.split(",")
+        legs = {}
+        for line in lines:
+            cells = dict(zip(cols, line.split(",")))
+            legs.setdefault(cells["leg"], []).append(
+                (float(cells["time"]), int(cells["n_points"]), float(cells["dt"])))
+        for tag in ("rest", "reproject", "reference"):
+            assert {row[1:] for row in legs[tag]} == {(32, 0.0025)}
+            assert [row[0] for row in legs[tag]] == [0.0, 0.02]
 
     def test_convergence_checks_the_velocity_slope(self, monkeypatch):
         # synthetic legs: surface error as delta^6, velocity error as delta^4,

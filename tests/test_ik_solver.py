@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from iskak import ik_solver, operators
-from iskak.errors import NonConvergenceError
+from iskak.errors import DepthTooSmallError, NonConvergenceError
 from iskak.ik_solver import (
     SimConfig,
     reproject,
@@ -322,23 +322,47 @@ class TestRun:
         assert res.diagnostics.aborted is not None
         assert len(res.diagnostics.times) >= 1
 
-    def test_nonfinite_stage_aborts_run(self, grid64, monkeypatch):
-        # a NaN in one stage derivative is rejected by the next stage state;
-        # the run reports it and keeps the record of the completed step
+    # a NaN in the last field's derivative at each stage, and an eta_t that
+    # empties the column (-1e4 over a stage's dt / 2 or the result's dt / 6
+    # at dt = 2e-3) in k1, which the stage-2 state takes, and in k4, which
+    # only the step result takes
+    BAD_STAGES = [(i, -1, np.nan, FloatingPointError) for i in (1, 2, 3, 4)] + [
+        (1, 0, -1e4, DepthTooSmallError), (4, 0, -1e4, DepthTooSmallError)]
+
+    @pytest.mark.parametrize("stage,row,value,error", BAD_STAGES)
+    def test_every_stage_state_and_result_is_checked(self, grid64, monkeypatch,
+                                                     stage, row, value, error):
+        # the state that takes the bad derivative (stage 2..4, or the step
+        # result after stage 4) raises the typed error of check_state; in a
+        # run that error aborts step 2 and keeps the records up to step 1
         clean, calls = ik_solver.time_derivatives, []
 
-        def poisoned(*args, **kwargs):
-            d = clean(*args, **kwargs)
-            calls.append(d)
-            if len(calls) == 7:
-                d.eta_t[0] = np.nan
-            return d
+        def poison(at):
+            def poisoned(*args, **kwargs):
+                d = clean(*args, **kwargs)
+                calls.append(d)
+                if len(calls) == at:
+                    d[row][0] = value
+                return d
+            return poisoned
 
-        monkeypatch.setattr(ik_solver, "time_derivatives", poisoned)
-        res = run(cosine_state(grid64, 0.05, 0.3),
-                  SimConfig(t_end=0.1, dt=2e-3, record_every=1))
-        assert "NaN" in res.diagnostics.aborted
-        assert res.diagnostics.times == [0.0, 2e-3]
+        s = cosine_state(grid64, 0.05, 0.3)
+        monkeypatch.setattr(ik_solver, "time_derivatives", poison(stage))
+        with pytest.raises(error):
+            rk4_step(s, 2e-3)
+        calls.clear()
+        # calls: the t = 0 record, step 1's four stages, the t = dt record
+        monkeypatch.setattr(ik_solver, "time_derivatives", poison(6 + stage))
+        res = run(s, SimConfig(t_end=0.1, dt=2e-3, record_every=1))
+        diag = res.diagnostics
+        expected = "field contains NaN/Inf" if error is FloatingPointError else "min depth"
+        assert diag.aborted.startswith(expected)
+        for series in (diag.mass, diag.energy, diag.constraint_max, diag.min_depth, diag.min_a,
+                       res.trajectory):
+            assert len(series) == 2
+        assert diag.times == [0.0, 2e-3]
+        assert res.final is res.trajectory[-1][1]
+        assert 1.0 + res.final.eta.values.min() > 0.9
 
 
 def test_energy_drift_order(grid128):

@@ -5,7 +5,7 @@ from scipy.optimize import curve_fit
 
 from iskak import ik_solver, waterwave
 from iskak.errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
-from iskak.ik_solver import SimConfig
+from iskak.ik_solver import SimConfig, rk4_fields
 from iskak.operators import H_MIN_DEFAULT, ik_state_from_surface
 from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
 from iskak.waterwave import (
@@ -311,6 +311,24 @@ class TestStripFields:
         ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
         assert counts == {"apply": 1, "rfft": 1, "irfft": 1}
 
+    def test_zero_right_side_costs_no_application(self, monkeypatch):
+        # a constant potential has a zero lift residual, so the lift-free
+        # part is zero: a warm solve and a guessed one return it with no
+        # _apply, bit for bit the constant, and store it as last_solution
+        grid, eta, phi, _ = self.case(128)
+        ws = _StripWorkspace(grid, 16, 0.2)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        applies = []
+        clean = _StripWorkspace._apply
+        monkeypatch.setattr(_StripWorkspace, "_apply", lambda *a: applies.append(1) or clean(*a))
+        flat = RealField(grid, np.full(grid.n_points, 0.3))
+        for guess in (None, ws.last_solution.copy()):     # from last_solution, then a guess
+            w = ws.solve(eta, flat, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
+            assert applies == []
+            assert np.array_equal(w, np.full((17, grid.n_points), 0.3))
+            assert ws.last_solution.shape == (17, grid.n_points)
+            assert not ws.last_solution.any()
+
 
 class TestFlatPreconditioner:
     """The fast-diagonalized flat preconditioner inverts the flat strip
@@ -413,24 +431,43 @@ class TestSurfaceEvolution:
         assert len(diag.mass) == len(diag.energy) == len(diag.min_depth) == len(diag.times)
         assert 1.0 + res.final.eta.values.min() >= 0.1
 
-    def test_nonfinite_stage_aborts_run(self, grid64, monkeypatch):
-        # a NaN in one stage derivative is rejected by the next stage state;
-        # the run reports it and keeps the record of the completed step
+    # as on the IK side: a NaN in phi_t at each stage, an emptied column in
+    # k1 (the stage-2 state) and in k4 (the step result alone)
+    BAD_STAGES = [(i, 1, np.nan, FloatingPointError) for i in (1, 2, 3, 4)] + [
+        (1, 0, -1e4, DepthTooSmallError), (4, 0, -1e4, DepthTooSmallError)]
+
+    @pytest.mark.parametrize("stage,row,value,error", BAD_STAGES)
+    def test_every_stage_state_and_result_is_checked(self, grid64, monkeypatch,
+                                                     stage, row, value, error):
         clean, calls = waterwave.zcs_rhs, []
+        backend = DtnBackend.series()
 
-        def poisoned(s, backend, guess):
-            lam, phi_t, strip = clean(s, backend, guess)
-            calls.append(s)
-            if len(calls) == 7:
-                phi_t[0] = np.nan
-            return lam, phi_t, strip
+        def poison(at):
+            def poisoned(s, backend, guess):
+                out = clean(s, backend, guess)
+                calls.append(s)
+                if len(calls) == at:
+                    out[row][0] = value
+                return out
+            return poisoned
 
-        monkeypatch.setattr(waterwave, "zcs_rhs", poisoned)
         eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
-        res = ww_run(WwState(eta0, zeros(grid64), 0.3),
-                     SimConfig(t_end=0.1, dt=2e-3, record_every=1), DtnBackend.series())
-        assert "NaN" in res.diagnostics.aborted
-        assert res.diagnostics.times == [0.0, 2e-3]
+        s = WwState(eta0, zeros(grid64), 0.3)
+        monkeypatch.setattr(waterwave, "zcs_rhs", poison(stage))
+        with pytest.raises(error):
+            rk4_fields(s, 2e-3, lambda st, g: waterwave.zcs_rhs(st, backend, g), None)
+        calls.clear()
+        # a record does not call zcs_rhs: step 2's stages are calls 5..8
+        monkeypatch.setattr(waterwave, "zcs_rhs", poison(4 + stage))
+        res = ww_run(s, SimConfig(t_end=0.1, dt=2e-3, record_every=1), backend)
+        diag = res.diagnostics
+        expected = "field contains NaN/Inf" if error is FloatingPointError else "min depth"
+        assert diag.aborted.startswith(expected)
+        for series in (diag.mass, diag.energy, diag.min_depth, res.trajectory):
+            assert len(series) == 2
+        assert diag.times == [0.0, 2e-3]
+        assert res.final is res.trajectory[-1][1]
+        assert 1.0 + res.final.eta.values.min() > 0.9
 
     def test_singular_strip_solve_aborts_run(self, grid64, monkeypatch):
         # a typed solver failure inside a step ends the run like any other:
