@@ -104,10 +104,11 @@ class ExperimentConfig:
                              f"(the delta^-6 normalization), got {self.delta}")
         if self.experiment == "conservation" and self.amplitude <= 0.0:
             raise ValueError("conservation needs amplitude > 0")
-        if self.experiment == "conservation" and (self.n_points % 4 or self.n_points < 16):
-            # its rest, reprojection and reference legs run on n_points // 2
-            raise ValueError(f"conservation needs n_points a multiple of 4 and >= 16, "
-                             f"got {self.n_points}")
+        if self.experiment == "conservation":
+            try:
+                PeriodicGrid(self.n_points // 2)
+            except ValueError as e:
+                raise ValueError(f"conservation runs legs on n_points // 2: {e}") from None
         if self.experiment in ("convergence", "conservation", "simulate"):
             # the run's cadence, CFL and whole-step rules (conservation also
             # steps dt/2, on half the grid too, which passes whenever dt does)

@@ -32,7 +32,6 @@ from .operators import (
     energy,
     solve_elliptic_pair,
     stage_sources,
-    state_from_rows,
 )
 from .spectral import RealField, integrate
 
@@ -192,26 +191,29 @@ def rk4_fields(s, dt, rhs, warm):
     (the series backend) gives no guess.  Guesses change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
-    the m fields and validated here, once per array, by
-    operators.state_from_rows: one finite test over all m rows and the
-    depth floor of the eta row, the checks and errors of check_state, with
-    s's grid and delta.  Returns the new state and the warm start of the
+    the m fields, with s's grid and delta, by the state's constructor,
+    whose check_state validates the stacked fields once
+    (operators._check_rows: one finite test over all m rows, the depth
+    floor of the eta row).  Returns the new state and the warm start of the
     next step, this step's entry and then the newest GUESS_STEPS - 1 past
     ones.  The max-norm blow-up guard is run_loop's.
     """
-    m = len(s.FIELDS)
+    m, grid, delta = len(s.FIELDS), s.grid, s.delta
     past = warm or ()
     y = np.array([getattr(s, n).values for n in s.FIELDS])
+
+    def state(v):
+        # the state class takes its FIELDS, then delta
+        return type(s)(*(RealField(grid, row) for row in v), delta)
 
     e = _extrapolate(past)
     ks = [rhs(s, _stage_guess(0, [], past, e))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        stage = state_from_rows(s, y + h * np.array(ks[-1][:m]))
-        ks.append(rhs(stage, _stage_guess(i, ks, past, e)))
+        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past, e)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
     x = tuple(k[-1] for k in ks)
     d = None if any(v is None for v in x) else np.diff(x, axis=0)
-    return (state_from_rows(s, y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
+    return (state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
             ((x[0], x[3], d),) + past[:s.GUESS_STEPS - 1])
 
 

@@ -59,7 +59,6 @@ __all__ = [
     "DepthCoefs",
     "IkState",
     "check_state",
-    "state_from_rows",
     "op_l11",
     "op_l12",
     "op_l22",
@@ -116,7 +115,7 @@ class DepthCoefs:
 def _check_rows(rows: np.ndarray) -> None:
     """Validate the stacked (m, N) values of a state's FIELDS, eta first: one
     finite test over every row, then the depth floor from the eta row.  The
-    one holder of both checks, for check_state and state_from_rows."""
+    one holder of both checks, for check_state."""
     if not np.isfinite(rows).all():
         raise FloatingPointError("field contains NaN/Inf")
     h_min = float(1.0 + rows[0].min())
@@ -132,18 +131,6 @@ def check_state(s) -> None:
     if any(f.grid != s.eta.grid for f in fields):
         raise ValueError("state fields live on different grids")
     _check_rows(np.array([f.values for f in fields]))
-
-
-def state_from_rows(like, rows: np.ndarray):
-    """A state of like's class, grid and delta whose FIELDS hold the rows of
-    the (m, N) array rows, validated by _check_rows alone.  like passed
-    check_state, so its delta range and one grid hold for the new state too;
-    the class constructor is skipped, as its check_state would check every
-    field again one by one."""
-    grid, out = like.grid, object.__new__(type(like))
-    out.__dict__.update(zip(like.FIELDS, (RealField(grid, r) for r in rows)), delta=like.delta)
-    _check_rows(rows)
-    return out
 
 
 @dataclass

@@ -343,8 +343,8 @@ class TestCli:
         ("conservation", "dtn=series:0"),
         ("simulate", "dt"),             # an override without '='
         ("conservation", "t_end=1e-12"),  # shorter than one step
-        ("conservation", "n_points=250"),  # its half-grid legs need n_points % 4 == 0
-        ("conservation", "n_points=12"),   # and n_points // 2 >= 8
+        ("conservation", "n_points=250"),  # its legs on n_points // 2 = 125 need an even grid
+        ("conservation", "n_points=12"),   # and one of at least 8 points, not 6
         ("convergence", "t_end=1e308"),   # a step count that overflows
     ])
     def test_unrunnable_configs_are_config_errors(self, tmp_path, capsys, experiment, override):

@@ -322,11 +322,12 @@ class TestRun:
         assert res.diagnostics.aborted is not None
         assert len(res.diagnostics.times) >= 1
 
-    # a NaN in the last field's derivative at each stage, and an eta_t that
-    # empties the column (-1e4 over a stage's dt / 2 or the result's dt / 6
-    # at dt = 2e-3) in k1, which the stage-2 state takes, and in k4, which
-    # only the step result takes
-    BAD_STAGES = [(i, -1, np.nan, FloatingPointError) for i in (1, 2, 3, 4)] + [
+    # a NaN in each field's derivative (eta_t, phi0_t, phi1_t) at each stage,
+    # and an eta_t that empties the column (-1e4 over a stage's dt / 2 or the
+    # result's dt / 6 at dt = 2e-3) in k1, which the stage-2 state takes, and
+    # in k4, which only the step result takes
+    BAD_STAGES = [(i, row, np.nan, FloatingPointError)
+                  for i in (1, 2, 3, 4) for row in (0, 1, -1)] + [
         (1, 0, -1e4, DepthTooSmallError), (4, 0, -1e4, DepthTooSmallError)]
 
     @pytest.mark.parametrize("stage,row,value,error", BAD_STAGES)

@@ -431,9 +431,11 @@ class TestSurfaceEvolution:
         assert len(diag.mass) == len(diag.energy) == len(diag.min_depth) == len(diag.times)
         assert 1.0 + res.final.eta.values.min() >= 0.1
 
-    # as on the IK side: a NaN in phi_t at each stage, an emptied column in
-    # k1 (the stage-2 state) and in k4 (the step result alone)
-    BAD_STAGES = [(i, 1, np.nan, FloatingPointError) for i in (1, 2, 3, 4)] + [
+    # as on the IK side: a NaN in eta_t and in phi_t at each stage, an
+    # emptied column in k1 (the stage-2 state) and in k4 (the step result
+    # alone)
+    BAD_STAGES = [(i, row, np.nan, FloatingPointError)
+                  for i in (1, 2, 3, 4) for row in (0, 1)] + [
         (1, 0, -1e4, DepthTooSmallError), (4, 0, -1e4, DepthTooSmallError)]
 
     @pytest.mark.parametrize("stage,row,value,error", BAD_STAGES)
