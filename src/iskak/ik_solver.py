@@ -160,28 +160,30 @@ def rk4_fields(s, dt, rhs, warm):
     rhs(state, guess) returns a stage result: the time derivatives of those
     fields, in that order, as arrays, possibly followed by more entries.
     Its last entry is what the stage's solver computes (phi1_t on the IK
-    side, the strip potential on the water-wave side), and guess, an array
-    or None, estimates it.  warm is None on a run's first step and otherwise
+    side, the strip entry on the water-wave side), and guess, an array or
+    None, estimates it.  warm is None on a run's first step and otherwise
     the entries of up to s.GUESS_STEPS past steps, newest first: P, then Q,
     then R.  An entry holds P1 and P4 of a step's solver entries (P1, .., P4)
     and their differences dPi = Pi - P(i-1), formed once as the step ends.
-    With at least two past steps, a step forms its offsets once (_extrapolate),
+    With n >= 2 past steps, a step forms its offsets once (_extrapolate),
 
         E1 = P4 + (P1 - Q4),    Ei = 2 dPi - dQi    for i = 2, 3, 4,
 
-    or over three steps Ei = 3 dPi - 3 dQi + dRi (binomial weights,
-    polynomial extrapolation in t), and guesses k1 <- E1, ki <- k(i-1) + Ei.
-    P4 is evaluated at y' + dt P3, a midpoint-rule step that lands within
-    O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth in t, so the
-    previous step's offset P1 - Q4 carries it over to O(dt^4).  The offset
-    is extrapolated no further: it already sits at the solver tolerance, and
-    larger weights only amplify the tolerance-level noise of the entries.  A
-    stage difference ki - k(i-1) is at most O(dt) and smooth in t, so its
-    extrapolation is O(dt^3) from the stage over two steps and O(dt^4) over
-    three.  The water-wave side uses three steps (WwState.GUESS_STEPS = 3),
-    the IK side two (IkState.GUESS_STEPS = 2), as the three-step weights
-    slow its PCG.  The rule fixes a guess's order in dt, not how near the
-    solver's tolerance it starts.
+    at n = 2, or with the binomial weights of polynomial extrapolation in t
+    over n steps (3 dPi - 3 dQi + dRi at n = 3), and guesses k1 <- E1, ki <-
+    k(i-1) + Ei.  P4 is evaluated at y' + dt P3, a midpoint-rule step that
+    lands within O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth
+    in t, so the previous step's offset P1 - Q4 carries it over to O(dt^4);
+    it is extrapolated no further, as it already sits at the solver
+    tolerance.  A stage difference ki - k(i-1) is at most O(dt) and smooth
+    in t, so its extrapolation is O(dt^(n+1)) from the stage, but larger
+    weights amplify the noise of the entries more.  The water-wave side
+    uses four steps (WwState.GUESS_STEPS): its entries are polished below
+    the tolerance (waterwave._StripWorkspace.solve), so truncation decides,
+    and three steps leave guesses above the tolerance at the simulate step.
+    The IK side uses two (IkState.GUESS_STEPS): its PCG entries carry
+    tolerance-level noise that larger weights amplify.  The rule fixes a
+    guess's order in dt, not how near the solver's tolerance it starts.
 
     The second step has only P, and takes the guesses the RK4 tableau fixes:
     k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each
@@ -191,12 +193,11 @@ def rk4_fields(s, dt, rhs, warm):
     (the series backend) gives no guess.  Guesses change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
-    the m fields, with s's grid and delta, by the state's constructor,
-    whose check_state validates the stacked fields once
-    (operators._check_rows: one finite test over all m rows, the depth
-    floor of the eta row).  Returns the new state and the warm start of the
-    next step, this step's entry and then the newest GUESS_STEPS - 1 past
-    ones.  The max-norm blow-up guard is run_loop's.
+    the m fields by the state's constructor, whose check_state validates
+    the stacked fields once (operators._check_rows).  Returns the new state
+    and the warm start of the next step, this step's entry and then the
+    newest GUESS_STEPS - 1 past ones.  The max-norm blow-up guard is
+    run_loop's.
     """
     m, grid, delta = len(s.FIELDS), s.grid, s.delta
     past = warm or ()
@@ -239,9 +240,9 @@ def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     return IkState(s.eta.copy(), RealField(s.grid, phi0), RealField(s.grid, phi1), s.delta)
 
 
-def _record(s: IkState, cg_tol: float) -> tuple:
-    """The model's own record entries: energy, constraint_max and min_a."""
-    a = coef_a(s, time_derivatives(s, cg_tol).phi1_t)
+def _record(s: IkState, cg_tol: float, guess: np.ndarray | None = None) -> tuple:
+    """Energy, constraint_max and min_a; guess starts the elliptic solve."""
+    a = coef_a(s, time_derivatives(s, cg_tol, guess).phi1_t)
     return energy(s), float(np.abs(constraint_residual(s).values).max()), float(a.min())
 
 
@@ -259,8 +260,9 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     otherwise what the step before returned, passed on unchanged across
     re-centering, records and projections: it only starts the solvers, so a
     state moved between steps costs iterations, not accuracy.
-    record(state), at t = 0, every cfg.record_every steps and at the end,
-    returns the energy and then the model's own series in Diagnostics order.
+    record(state, guess), at t = 0, every cfg.record_every steps and at the
+    end, returns the energy and then the model's own series in Diagnostics
+    order; guess is the next step's k1 guess (rk4_fields), None at t = 0.
     Only then are they, the time, mass and min depth appended, so a failed
     record leaves no partial row and a series the model does not return
     stays empty; each recorded (t, state) joins the trajectory.
@@ -275,8 +277,8 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     n_steps = cfg.n_steps(initial.grid.spacing)
     diag, traj = Diagnostics(), []
 
-    def keep(t, state):
-        own = record(state)
+    def keep(t, state, past=()):
+        own = record(state, _stage_guess(0, [], past, _extrapolate(past)))
         diag.times.append(t)
         diag.mass.append(integrate(state.eta))
         diag.min_depth.append(float(1.0 + state.eta.values.min()))
@@ -299,7 +301,7 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
             if project is not None and cfg.reproject_every and i % cfg.reproject_every == 0:
                 s = project(s)
             if i % cfg.record_every == 0 or i == n_steps:
-                keep(i * cfg.dt, s)
+                keep(i * cfg.dt, s, warm)
     except SOLVER_ERRORS as exc:
         diag.aborted = str(exc)
     return RunResult(s, diag, traj)
@@ -311,7 +313,7 @@ def run(initial: IkState, cfg: SimConfig) -> RunResult:
     return run_loop(
         initial, cfg,
         step=lambda s, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, warm),
-        record=lambda s: _record(s, cfg.cg_tol),
+        record=lambda s, g: _record(s, cfg.cg_tol, g),
         gauge="phi0",
         project=lambda s: reproject(s, cfg.cg_tol),
     )

@@ -7,10 +7,8 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with
 the flat-bottom operator inverted mode by mode as the left preconditioner of
 a GMRES iteration.  The x-derivative of a whole (n_z + 1, N) strip array is
-the whole-array product of the dx Multiplier (spectral.Multiplier.whole):
-one product with its cached matrix up to spectral.MATRIX_MAX_N points and a
-transform pair above, cheaper than the row-by-row product of a Multiplier
-call.
+one whole-array product of the dx Multiplier (spectral.Multiplier.whole),
+cheaper than the row-by-row product of a Multiplier call.
 
 The flat operator of Fourier mode k is M_k = A - kappa_k E: A is dzz with
 the surface Dirichlet and bottom Neumann rows, E = diag(0, 1, .., 1, 0) and
@@ -19,18 +17,18 @@ all modes at once by fast diagonalization (Lynch, Rice & Thomas 1964):
 A^-1 E = W diag(theta) W^-1, so M_k^-1 = W diag(gain[:, k]) W^-1 A^-1 with
 gain = 1 / (1 - theta kappa_k), a z-transform, one x-transform pair with a
 gain per (z-mode, x-mode) and a z-transform back.  W, theta and W^-1 A^-1
-depend on n_z alone and are cached per n_z.  For n_z = 8..64, theta is real
-and <= 0 and cond W <= 5.7, so every gain lies in (0, 1].  The dx symbol
+depend on n_z alone and are cached per n_z.  theta is real and <= 0
+(_strip_geometry checks it), so every gain lies in (0, 1].  The dx symbol
 is zeroed at the Nyquist mode, so dx o dx applies 0 there and kappa is 0
 too: the preconditioner is then the exact inverse of the flat discrete
 operator at every mode, and no outlier eigenvalue stalls GMRES.
 
-GMRES reports the residual |r0 - sum_i y_i A v_i| / |b|, from the operator
-outputs A v_i it keeps, so a claimed convergence is confirmed by the
-operator itself, not by the Givens estimate, at no extra application.  A
-warm start forms its r0 = P(rhs - A x0) in one transform pair and |b| by
-Parseval, never b itself (_StripWorkspace).  The flux is then the vertical
-average of the horizontal velocity and
+GMRES reports the residual it builds from the operator outputs it keeps
+(_gmres), so the operator itself, not the Givens estimate, confirms a
+claimed convergence at no extra application.  A warm start forms its r0 =
+P(rhs - A x0) in one transform pair and |b| by Parseval, never b itself
+(_StripWorkspace).  The flux is then the vertical average of the
+horizontal velocity and
 
     Lambda phi = -div(H Vbar),
 
@@ -39,13 +37,12 @@ the stepped runs' degraded control, the O(d^2) shallow-water map
 Lambda^(0).  dtn_series, the expansion Lambda^(0) + d^2 Lambda^(1) +
 d^4 Lambda^(2) through d^4, serves consistency alone, for its R9 tail.
 
-A solve makes few applications, about two on a simulate run, as a stage
-starts GMRES from a guess extrapolated over the last three steps, near
-the tolerance (ik_solver.rk4_fields).  So what is fixed for a solve is
-built once per solve or per workspace, never per application
-(_StripWorkspace).  GMRES keeps its few Krylov vectors in lists and its
-Givens bookkeeping in floats, not in a preallocated basis that every solve
-would touch whole.
+A solve makes few applications, as a stage starts GMRES from a guess
+extrapolated over past steps' polished entries (ik_solver.rk4_fields,
+_StripWorkspace.solve).  So what is fixed for a solve is built once per
+solve or per workspace, never per application (_StripWorkspace).  GMRES
+keeps its few Krylov vectors in lists and its Givens bookkeeping in
+floats, not in a preallocated basis that every solve would touch whole.
 """
 
 from __future__ import annotations
@@ -85,18 +82,19 @@ def _norm(v: np.ndarray) -> float:
 
 
 def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
-    """Full GMRES with Givens rotations; returns (x, relative residual).
+    """Full GMRES with Givens rotations; returns x, the relative residual
+    |r| / |b| and the residual r = r0 - sum_i y_i A v_i.
 
     Used on the left-preconditioned strip system, which is O(1) conditioned,
     so a few dozen iterations reach rounding without restarts.  A singular
     operator (a Givens denominator negligible next to its column) raises SingularSystemError.
-    The Givens estimate only decides when to stop.  The returned residual is
-    |r0 - sum_i y_i A v_i| / |b|, built from the raw operator outputs A v_i
-    kept along the way (r0 = b - A x0, or r0 and |b| from residual(x0) when
-    both are given, and b may then be None).  Without a further application
-    it equals |b - A x| / |b| up to the rounding of x, of order eps |A| |x| /
-    |b|, negligible on the strip system; so a Givens estimate that has
-    drifted from the truth cannot pass for convergence.
+    The Givens estimate only decides when to stop.  r is built from the raw
+    operator outputs A v_i kept along the way (r0 = b - A x0, or r0 and |b|
+    from residual(x0) when both are given, and b may then be None).  Without
+    a further application it equals b - A x up to the rounding of x, of
+    order eps |A| |x|, negligible on the strip system; so a Givens estimate
+    that has drifted from the truth cannot pass for convergence.  A zero b
+    returns x = r = 0.
     """
     if x0 is None:
         x, r, bnorm = np.zeros_like(b), b.copy(), _norm(b)
@@ -104,10 +102,10 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
         x = x0.copy()
         r, bnorm = (b - apply_op(x), _norm(b)) if residual is None else residual(x)
     if bnorm == 0.0:
-        return np.zeros_like(x), 0.0
+        return np.zeros_like(x), 0.0, np.zeros_like(x)
     beta = _norm(r)
     if beta <= tol * bnorm:
-        return x, beta / bnorm
+        return x, beta / bnorm, r
     basis = [r / beta]
     outputs = []       # A v_i
     cols = []          # rotated Hessenberg columns: column k holds R[:k + 1, k]
@@ -146,7 +144,7 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
     for i, yi in enumerate(y):
         x += yi * basis[i]
         r -= yi * outputs[i]
-    return x, _norm(r) / bnorm
+    return x, _norm(r) / bnorm, r
 
 
 @dataclass
@@ -158,7 +156,7 @@ class WwState:
     delta: float
 
     FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order
-    GUESS_STEPS = 3           # past steps the stage guesses use (rk4_fields)
+    GUESS_STEPS = 4           # past steps the stage guesses use (rk4_fields)
 
     def __post_init__(self):
         check_state(self)
@@ -347,8 +345,9 @@ class _StripWorkspace:
         zero on the surface row.  It starts from guess, an estimate of that
         lift-free part, when one is given; otherwise from last_solution when
         warm_start is set.  A zero lift residual gives the zero lift-free
-        part at once, without an application.  A warm solve stores its
-        lift-free part as last_solution.
+        part at once, without an application.  The potential returned holds
+        GMRES's verified x; a warm solve stores as last_solution x + r, r its
+        final residual: a preconditioned Richardson step, for later guesses.
         """
         grid = self.grid
         h = 1.0 + eta.values
@@ -384,13 +383,12 @@ class _StripWorkspace:
             sol = self.last_solution.ravel()
         else:
             b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points).ravel()
-        sol, res = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol, residual)
+        sol, res, r = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol, residual)
         if not res <= tol:   # _gmres returns the true residual; NaN fails too
             raise NonConvergenceError("strip potential solve", DTN_MAX_ITER, res, tol)
-        w = sol.reshape(shape)
         if warm_start:
-            self.last_solution = w
-        return w + phi.values[None, :]
+            self.last_solution = (sol + r).reshape(shape)
+        return sol.reshape(shape) + phi.values[None, :]
 
     def flux_divergence(self, w: np.ndarray) -> np.ndarray:
         """Lambda phi = -div(H Vbar) with Vbar the vertical average of the
@@ -456,18 +454,18 @@ class DtnBackend:
     def apply(self, eta: RealField, phi: RealField, delta: float,
               guess: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
-        """Lambda phi, the lift-free strip potential it was computed from
-        (None for the series backend) and the slopes (dx eta, dx phi), one
-        2-row dx call, which the strip solve computes anyway.  The strip
-        solve starts from guess, an estimate of the potential, when one is
-        given, and otherwise from the workspace's last solution
-        (_StripWorkspace.solve)."""
+        """Lambda phi, the strip entry (None for the series backend) and the
+        slopes (dx eta, dx phi), one 2-row dx call, which the strip solve
+        computes anyway.  Lambda phi is the flux of the verified potential;
+        the entry is the solve's polished last_solution, for guesses only.
+        The solve starts from guess, an estimate of the entry, when one is
+        given, and otherwise from the last entry (_StripWorkspace.solve)."""
         if self.kind == "series":
             eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
             return lambda0(eta, phi).values, None, (eta_x, phi_x)
         ws = self._workspace(phi.grid, delta)
         w = ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
-        return ws.flux_divergence(w), w - phi.values, (ws.fields.eta_x, ws.fields.phi_x)
+        return ws.flux_divergence(w), ws.last_solution, (ws.fields.eta_x, ws.fields.phi_x)
 
 
 # ---------------------------------------------------------------------------
@@ -476,8 +474,8 @@ class DtnBackend:
 def zcs_rhs(s: WwState, backend: DtnBackend,
             guess: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """Right side of the surface system, (dt eta, dt phi), followed by the
-    lift-free strip potential of its DtN evaluation (DtnBackend.apply, which
-    guess starts), from which rk4_fields extrapolates later stages' guesses."""
+    strip entry of its DtN evaluation (DtnBackend.apply, which guess
+    starts), from which rk4_fields extrapolates later stages' guesses."""
     grid = s.grid
     d2 = s.delta**2
     lam, strip, (eta_x, phi_x) = backend.apply(s.eta, s.phi, s.delta, guess)
@@ -491,9 +489,9 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
     return lam, phi_t, strip
 
 
-def hamiltonian(s: WwState, backend: DtnBackend) -> float:
-    """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2)."""
-    lam = backend.apply(s.eta, s.phi, s.delta)[0]
+def hamiltonian(s: WwState, backend: DtnBackend, guess: np.ndarray | None = None) -> float:
+    """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2), guess as in zcs_rhs."""
+    lam = backend.apply(s.eta, s.phi, s.delta, guess)[0]
     dens = s.phi.values * lam + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
 
@@ -505,6 +503,6 @@ def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
     return run_loop(
         initial, cfg,
         step=lambda s, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g), warm),
-        record=lambda s: (hamiltonian(s, backend),),
+        record=lambda s, g: (hamiltonian(s, backend, g),),
         gauge="phi",
     )

@@ -299,11 +299,11 @@ class TestRun:
         # the loop appends a record only after the model's part returned
         clean, calls = ik_solver._record, []
 
-        def failing(s, cg_tol):
+        def failing(*args):
             calls.append(1)
             if len(calls) == 2:
                 raise NonConvergenceError("injected record failure", 0, 1.0, 1e-12)
-            return clean(s, cg_tol)
+            return clean(*args)
 
         monkeypatch.setattr(ik_solver, "_record", failing)
         res = run(cosine_state(grid64, 0.05, 0.3), SimConfig(t_end=0.02, dt=2e-3, record_every=5))
