@@ -129,29 +129,23 @@ def time_derivatives(
 
 
 def _extrapolate(past):
-    """(E1, E), a step's guess offsets with E stacking E2..E4 (rk4_fields), from
-    the past entries, newest first; None before two past steps or without solver entries."""
-    if len(past) < 2 or any(d is None for *_, d in past):
-        return None
-    (p1, p4, _), (_, q4, _) = past[:2]
+    """(E1, E), a step's k1 guess and its offsets E = (E2, E3, E4) (rk4_fields),
+    from the past entries, newest first; E1 is None with no past step or a
+    None solver entry, and E is 0 with no past step."""
+    if not past or any(d is None for *_, d in past):
+        return None, (0.0, 0.0, 0.0)
+    (p1, p4, _), *older = past
     e = sum(float((-1) ** j * math.comb(len(past), j + 1)) * d for j, (*_, d) in enumerate(past))
-    return p4 + (p1 - q4), e
+    return (p4 + (p1 - older[0][1]) if older else p4), e
 
 
-def _stage_guess(i, ks, past, e):
-    """Stage i's guess (0-based) from this step's stage results ks, the past
-    entries and the offsets e (_extrapolate); the RK4 tableau's if e is None."""
-    prev = ks[i - 1][-1] if i else None
-    if e is not None:
-        return e[0] if i == 0 else prev + e[1][i - 1]
-    p1, p4, _ = past[0] if past else (None, None, None)
+def _stage_guess(i, ks, e):
+    """Stage i's guess (0-based) from this step's stage results ks and the
+    step's (E1, E) (_extrapolate): k1 <- E1, ki <- k(i-1) + Ei."""
     if i == 0:
-        return p4
-    if prev is None:
-        return None
-    if i == 1 and past:
-        return prev + 0.5 * (p4 - p1)
-    return 2.0 * prev - ks[0][-1] if i == 3 else prev
+        return e[0]
+    prev = ks[i - 1][-1]
+    return None if prev is None else prev + e[1][i - 1]
 
 
 def rk4_fields(s, dt, rhs, warm):
@@ -165,39 +159,34 @@ def rk4_fields(s, dt, rhs, warm):
     the entries of up to s.GUESS_STEPS past steps, newest first: P, then Q,
     then R.  An entry holds P1 and P4 of a step's solver entries (P1, .., P4)
     and their differences dPi = Pi - P(i-1), formed once as the step ends.
-    With n >= 2 past steps, a step forms its offsets once (_extrapolate),
+    From its n past steps a step forms its offsets once (_extrapolate),
 
         E1 = P4 + (P1 - Q4),    Ei = 2 dPi - dQi    for i = 2, 3, 4,
 
-    at n = 2, or with the binomial weights of polynomial extrapolation in t
-    over n steps (3 dPi - 3 dQi + dRi at n = 3), and guesses k1 <- E1, ki <-
-    k(i-1) + Ei.  P4 is evaluated at y' + dt P3, a midpoint-rule step that
-    lands within O(dt^3) of y, where k1 is.  That offset k1 - P4 is smooth
-    in t, so the previous step's offset P1 - Q4 carries it over to O(dt^4);
-    it is extrapolated no further, as it already sits at the solver
-    tolerance.  A stage difference ki - k(i-1) is at most O(dt) and smooth
-    in t, so its extrapolation is O(dt^(n+1)) from the stage, but larger
-    weights amplify the noise of the entries more.  The water-wave side
-    uses four steps (WwState.GUESS_STEPS): its entries are polished below
-    the tolerance (waterwave._StripWorkspace.solve), so truncation decides,
-    and three steps leave guesses above the tolerance at the simulate step.
-    The IK side uses two (IkState.GUESS_STEPS): its PCG entries carry
-    tolerance-level noise that larger weights amplify.  The rule fixes a
-    guess's order in dt, not how near the solver's tolerance it starts.
-
-    The second step has only P, and takes the guesses the RK4 tableau fixes:
-    k1 <- P4, k2 <- k1 + (P4 - P1) / 2, k3 <- k2, k4 <- 2 k3 - k1, each
-    O(dt^2) from its stage.  The first step has none: k1 gets no guess and
-    the later stages take k2 <- k1, k3 <- k2, k4 <- 2 k3 - k1.  A run with
-    fewer past steps than GUESS_STEPS uses those it has; a None solver entry
-    (the series backend) gives no guess.  Guesses change iteration counts only.
+    at n = 2, Ei with the binomial weights of polynomial extrapolation in t
+    over n steps (3 dPi - 3 dQi + dRi at n = 3, dPi at n = 1, 0 at n = 0),
+    E1 = P4 at n = 1 and none at n = 0; it guesses k1 <- E1, ki <- k(i-1) +
+    Ei, on every step of a run.  P4 is evaluated at y' + dt P3, a
+    midpoint-rule step that lands within O(dt^3) of y, where k1 is.  That
+    offset k1 - P4 is smooth in t, so the previous step's offset P1 - Q4
+    carries it over to O(dt^4); it is extrapolated no further, as it
+    already sits at the solver tolerance.  A stage difference ki - k(i-1)
+    is at most O(dt) and smooth in t, so its extrapolation is O(dt^(n+1))
+    from the stage, but larger weights amplify the noise of the entries
+    more.  The water-wave side uses four steps (WwState.GUESS_STEPS): its
+    entries are polished below the tolerance (waterwave._StripWorkspace.solve),
+    so truncation decides, and three steps leave guesses above the
+    tolerance at the simulate step.  The IK side uses two
+    (IkState.GUESS_STEPS): its PCG entries carry tolerance-level noise that
+    larger weights amplify.  A None solver entry (the series backend) gives
+    no guess.  The rule fixes a guess's order in dt, not how near the
+    solver's tolerance it starts; guesses change iteration counts only.
 
     Every stage state and the result are formed from one (m, N) array of
     the m fields by the state's constructor, whose check_state validates
-    the stacked fields once (operators._check_rows).  Returns the new state
-    and the warm start of the next step, this step's entry and then the
-    newest GUESS_STEPS - 1 past ones.  The max-norm blow-up guard is
-    run_loop's.
+    the stacked fields once.  Returns the new state and the warm start of
+    the next step, this step's entry and then the newest GUESS_STEPS - 1
+    past ones.  The max-norm blow-up guard is run_loop's.
     """
     m, grid, delta = len(s.FIELDS), s.grid, s.delta
     past = warm or ()
@@ -208,9 +197,9 @@ def rk4_fields(s, dt, rhs, warm):
         return type(s)(*(RealField(grid, row) for row in v), delta)
 
     e = _extrapolate(past)
-    ks = [rhs(s, _stage_guess(0, [], past, e))]
+    ks = [rhs(s, _stage_guess(0, [], e))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, past, e)))
+        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, e)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
     x = tuple(k[-1] for k in ks)
     d = None if any(v is None for v in x) else np.diff(x, axis=0)
@@ -246,12 +235,12 @@ def _record(s: IkState, cg_tol: float, guess: np.ndarray | None = None) -> tuple
     return energy(s), float(np.abs(constraint_residual(s).values).max()), float(a.min())
 
 
-def _recenter(s, gauge: str) -> None:
-    v = getattr(s, gauge).values
+def _recenter(s) -> None:
+    v = getattr(s, s.FIELDS[1]).values    # the potential
     v -= v.mean()
 
 
-def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) -> RunResult:
+def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
     """Step a copy of initial to cfg.t_end; the one run loop of both models
     and the one owner of their records, trajectory and blow-up guard.
 
@@ -268,17 +257,18 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
     stays empty; each recorded (t, state) joins the trajectory.
     project(state), if given, runs every cfg.reproject_every steps.  A new
     state above BLOWUP_GUARD in max norm raises BlowUpError before it
-    replaces the current one; the gauge field is re-centered to zero mean at
-    the start and after every step.  A solver failure (errors.SOLVER_ERRORS)
-    aborts the run cleanly, the t = 0 record included: diagnostics.aborted
-    holds the message, final is the last completed step, and the records up
-    to it are kept, none if the first record failed.
+    replaces the current one; the potential, FIELDS[1], is re-centered to
+    zero mean at the start and after every step.  A solver failure
+    (errors.SOLVER_ERRORS) aborts the run cleanly, the t = 0 record
+    included: diagnostics.aborted holds the message, final is the last
+    completed step, and the records up to it are kept, none if the first
+    record failed.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
     diag, traj = Diagnostics(), []
 
     def keep(t, state, past=()):
-        own = record(state, _stage_guess(0, [], past, _extrapolate(past)))
+        own = record(state, _extrapolate(past)[0])
         diag.times.append(t)
         diag.mass.append(integrate(state.eta))
         diag.min_depth.append(float(1.0 + state.eta.values.min()))
@@ -287,7 +277,7 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
         traj.append((t, state))
 
     s = replace(initial, **{n: getattr(initial, n).copy() for n in initial.FIELDS})
-    _recenter(s, gauge)
+    _recenter(s)
     warm = None
     try:
         keep(0.0, s)
@@ -297,7 +287,7 @@ def run_loop(initial, cfg: SimConfig, step, record, gauge: str, project=None) ->
             if m > BLOWUP_GUARD:
                 raise BlowUpError(i * cfg.dt, m, BLOWUP_GUARD)
             s = new
-            _recenter(s, gauge)
+            _recenter(s)
             if project is not None and cfg.reproject_every and i % cfg.reproject_every == 0:
                 s = project(s)
             if i % cfg.record_every == 0 or i == n_steps:
@@ -314,6 +304,5 @@ def run(initial: IkState, cfg: SimConfig) -> RunResult:
         initial, cfg,
         step=lambda s, warm: _rk4_stages(s, cfg.dt, cfg.cg_tol, warm),
         record=lambda s, g: _record(s, cfg.cg_tol, g),
-        gauge="phi0",
         project=lambda s: reproject(s, cfg.cg_tol),
     )

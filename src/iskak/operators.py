@@ -112,25 +112,20 @@ class DepthCoefs:
                    pc_scale=1.0 / (h * np.sqrt(h)))
 
 
-def _check_rows(rows: np.ndarray) -> None:
-    """Validate the stacked (m, N) values of a state's FIELDS, eta first: one
-    finite test over every row, then the depth floor from the eta row.  The
-    one holder of both checks, for check_state."""
-    if not np.isfinite(rows).all():
-        raise FloatingPointError("field contains NaN/Inf")
-    h_min = float(1.0 + rows[0].min())
-    if h_min < H_MIN_DEFAULT:
-        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
-
-
 def check_state(s) -> None:
-    """Validate either model's state: delta range, FIELDS on one grid, _check_rows."""
+    """Validate either model's state: delta range, FIELDS on one grid, one
+    finite test over the stacked rows, then the depth floor from eta's."""
     if not 0.0 < s.delta <= 1.0:
         raise ValueError(f"delta must lie in (0, 1], got {s.delta}")
     fields = [getattr(s, n) for n in s.FIELDS]
     if any(f.grid != s.eta.grid for f in fields):
         raise ValueError("state fields live on different grids")
-    _check_rows(np.array([f.values for f in fields]))
+    rows = np.array([f.values for f in fields])
+    if not np.isfinite(rows).all():
+        raise FloatingPointError("field contains NaN/Inf")
+    h_min = float(1.0 + rows[0].min())
+    if h_min < H_MIN_DEFAULT:
+        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
 
 
 @dataclass
@@ -142,7 +137,7 @@ class IkState:
     constraint, mid-step states may violate it at the discretization level.
     """
 
-    FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order
+    FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order; the potential second
     GUESS_STEPS = 2                     # past steps the stage guesses use (rk4_fields)
 
     eta: RealField
@@ -211,8 +206,8 @@ def constraint_residual(s: IkState) -> RealField:
 
 def surface_potential(s: IkState) -> RealField:
     """Trace of the velocity potential at the surface: phi0 + d^2 H^2 phi1."""
-    dc = s.depth()
-    return RealField(s.grid, s.phi0.values + s.delta**2 * dc.H2 * s.phi1.values)
+    h = 1.0 + s.eta.values
+    return RealField(s.grid, s.phi0.values + s.delta**2 * (h * h) * s.phi1.values)
 
 
 def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

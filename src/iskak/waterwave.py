@@ -155,7 +155,7 @@ class WwState:
     phi: RealField
     delta: float
 
-    FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order
+    FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order; the potential second
     GUESS_STEPS = 4           # past steps the stage guesses use (rk4_fields)
 
     def __post_init__(self):
@@ -432,11 +432,12 @@ class DtnBackend:
 
     @classmethod
     def parse(cls, spec: str) -> "DtnBackend":
-        """'exact:16' -> exact strip solve with n_z = 16; 'series:0' -> Lambda^(0)."""
+        """'exact:16' -> exact strip solve with n_z = 16; 'series:0' -> Lambda^(0).
+        Only the spelling label() writes is read: 'exact:016' is an error."""
         if spec == "series:0":
             return cls.series()
         kind, _, n_z = spec.partition(":")
-        if kind != "exact" or not n_z.isdecimal():
+        if kind != "exact" or not n_z.isdecimal() or str(int(n_z)) != n_z:
             raise ValueError(f"dtn spec must be 'exact:N' (N >= 8) or 'series:0', got {spec!r}")
         return cls.exact(int(n_z))
 
@@ -504,5 +505,4 @@ def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
         initial, cfg,
         step=lambda s, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g), warm),
         record=lambda s, g: (hamiltonian(s, backend, g),),
-        gauge="phi",
     )

@@ -337,6 +337,9 @@ class TestCli:
         ("elliptic-suite", "seed=-1"),
         ("simulate", "dt=0"),
         ("simulate", "dtn=exact:x"),
+        # spellings of exact:16 that no backend label() writes
+        ("simulate", "dtn=exact:016"),
+        ("simulate", "dtn=exact:\u0661\u0666"),   # Arabic-Indic digits pass str.isdecimal
         # the degraded control as the map a model is measured against
         ("consistency", "dtn=series:0"),
         ("convergence", "dtn=series:0"),

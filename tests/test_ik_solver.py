@@ -453,20 +453,52 @@ class TestStageGuesses:
                     e = e + weights[2] * diff(0, i)
                 assert np.array_equal(k[i], x[3][i - 1] + e)
 
-    def test_first_two_steps_take_the_tableau_rules(self):
+    def test_first_steps_take_the_one_rule(self):
+        # bit for bit, k1 <- E1 and ki <- k(i-1) + Ei from n = 0, 1 and 2
+        # past steps: no k1 guess and ki <- k(i-1) at n = 0, k1 <- P4 and
+        # ki <- k(i-1) + dPi at n = 1, the two-step formula at n = 2
         rng = np.random.default_rng(9)
-        x = rng.standard_normal((2, 4, 16))
-        first, second = stage_guesses(self.states()[1], lambda n, i: x[n + 1][i], 2)
-        # k1 gets no guess on the first step, then k2 <- k1, k3 <- k2,
-        # k4 <- 2 k3 - k1; the second step starts from P: k1 <- P4 and
-        # k2 <- k1 + (P4 - P1) / 2
-        k = x[0]
-        assert first[0] is None
-        for g, ref in zip(first[1:], (k[0], k[1], 2.0 * k[2] - k[0])):
-            assert np.array_equal(g, ref)
-        k, p = x[1], x[0]
-        for g, ref in zip(second, (p[3], k[0] + 0.5 * (p[3] - p[0]), k[1], 2.0 * k[2] - k[0])):
-            assert np.array_equal(g, ref)
+        x = rng.standard_normal((3, 4, 16))      # x[n][i]: stage i of step n, oldest first
+        for s in self.states():
+            first, second, third = stage_guesses(s, lambda n, i: x[n + 2][i], 3)
+            assert first[0] is None
+            for i in (1, 2, 3):
+                assert np.array_equal(first[i], x[0][i - 1])
+            p = x[0]
+            assert np.array_equal(second[0], p[3])
+            for i in (1, 2, 3):
+                assert np.array_equal(second[i], x[1][i - 1] + (p[i] - p[i - 1]))
+            p, q = x[1], x[0]
+            assert np.array_equal(third[0], p[3] + (p[0] - q[3]))
+            for i in (1, 2, 3):
+                e = 2.0 * (p[i] - p[i - 1]) - (q[i] - q[i - 1])
+                assert np.array_equal(third[i], x[2][i - 1] + e)
+
+    def test_record_guess_is_the_next_k1_guess(self):
+        # run_loop hands a record the guess the next step's k1 takes: none
+        # at t = 0, E1 of the past entries after every step
+        rng = np.random.default_rng(10)
+        x = rng.standard_normal((6, 4, 16))
+        for s in self.states():
+            steps, stage_seen, record_seen = iter(range(6)), [], []
+
+            def step(state, warm):
+                n, stage = next(steps), iter(range(4))
+
+                def rhs(st, guess):
+                    stage_seen.append(guess)
+                    return tuple(np.zeros(16) for _ in st.FIELDS) + (x[n][next(stage)],)
+                return ik_solver.rk4_fields(state, 1e-3, rhs, warm)
+
+            def record(state, guess):
+                record_seen.append(guess)
+                return (0.0,)
+            res = ik_solver.run_loop(s, SimConfig(t_end=5e-3, dt=1e-3, record_every=1),
+                                     step, record)
+            assert res.diagnostics.aborted is None and len(record_seen) == 6
+            assert record_seen[0] is None and stage_seen[0] is None
+            for n in range(1, 5):
+                assert np.array_equal(record_seen[n], stage_seen[4 * n])
 
     def test_series_backend_entry_gives_no_guess(self):
         # the series backend computes no strip potential: its None entry
