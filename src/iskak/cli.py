@@ -4,27 +4,24 @@
 
 Writes <experiment>.csv and <experiment>.summary.txt into the output
 directory, prints one line per check, and exits 0 if every check passed,
-1 if one failed or a solver failed, 2 for a configuration error.  Those
-are found before any run starts: an unknown key, a value that does not
-parse, and every rule of ExperimentConfig.__post_init__, the one list of
-what a configuration needs to run.  An --output-dir that cannot be
-created, such as an existing file or a path under one, is a
-configuration error too; it is created before the run starts.  A
---config file must be valid on its own, before any --override applies,
-and may name no experiment other than the command line's.
-The CSV and summary contents do not depend on --output-dir, so reruns
-into different directories give byte-identical files.  The summary's
-params: block is the full resolved configuration, keys the experiment
-does not read included; passed back with --config it reruns the
-experiment.
+1 if one failed or a solver failed, 2 for a configuration error or an
+output file that cannot be written.  Configuration errors are found before
+any run starts: an unknown key, a value that does not parse, every rule of
+ExperimentConfig.__post_init__, an --output-dir that cannot be created
+(it is created first), and a --config file that is invalid on its own,
+before any --override applies, or names another experiment.  An output
+file that cannot be written once the run is over, such as one with a
+directory in its place, prints one "iskak: cannot write output" line.
+The CSV and summary do not depend on --output-dir, so reruns into
+different directories give byte-identical files.  The summary's params:
+block is the full resolved configuration, keys the experiment does not
+read included; passed back with --config it reruns the experiment.
 
 A solver failure inside a run, its t = 0 record included, aborts that run
-alone: the report is still written, with the records taken before the
-failure, and a FAIL check names each aborted run (simulate: run completed;
-convergence: no aborted sweep leg, whose later runs are not started;
-conservation: no aborted leg).  A solver
-failure outside a run, such as an initial depth below the floor, ends the
-experiment with no output files.
+alone: the report is still written with the records taken before the
+failure, and a FAIL check names each aborted run (a convergence sweep leg
+starts none of its later runs).  A solver failure outside a run, such as
+an initial depth below the floor, ends the experiment with no output files.
 """
 
 from __future__ import annotations
@@ -74,16 +71,18 @@ def main(argv=None) -> int:
         print(f"iskak: experiment failed: {exc}", file=sys.stderr)
         return 1
 
-    csv_path = os.path.join(args.output_dir, f"{cfg.experiment}.csv")
-    summary_path = os.path.join(args.output_dir, f"{cfg.experiment}.summary.txt")
+    out = os.path.join(args.output_dir, cfg.experiment)
     text = summary_text(report)
-    write_csv(report, csv_path)
-    with open(summary_path, "w", encoding="utf-8") as fh:
-        fh.write(text)
-    if report.snapshots is not None:
-        cols, rows = report.snapshots
-        snap_path = os.path.join(args.output_dir, f"{cfg.experiment}_snapshots.csv")
-        write_csv(ExperimentReport(cfg.experiment, cols, rows), snap_path)
+    try:
+        write_csv(report, f"{out}.csv")
+        with open(f"{out}.summary.txt", "w", encoding="utf-8") as fh:
+            fh.write(text)
+        if report.snapshots is not None:
+            cols, rows = report.snapshots
+            write_csv(ExperimentReport(cfg.experiment, cols, rows), f"{out}_snapshots.csv")
+    except OSError as exc:
+        print(f"iskak: cannot write output: {exc}", file=sys.stderr)
+        return 2
 
     sys.stdout.write(text)
     return 0 if report.passed else 1

@@ -616,10 +616,8 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
     backend = None if cfg.model == "ik" else DtnBackend.parse(cfg.dtn)
     res = _stepped(backend, eta0, phi, cfg.delta[0], sim)
     diag = res.diagnostics
-    names = res.final.FIELDS
-    snapshots = [[t, grid.nodes[j], *(getattr(s, n).values[j] for n in names)]
-                 for t, s in res.trajectory for j in range(grid.n_points)]
-    snap_cols = ["time", "x", *names]
+    snapshots = [[t, x, *v] for t, s in res.trajectory for x, v in zip(grid.nodes, s.rows().T)]
+    snap_cols = ["time", "x", *res.final.FIELDS]
 
     rows = _diag_rows(diag, cfg.n_points, cfg.dt)
     min_h, min_a = min(diag.min_depth, default=np.nan), min(diag.min_a, default=np.nan)

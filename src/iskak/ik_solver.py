@@ -7,9 +7,9 @@ f1 = -F1, f2 = F2, f3 = 0, so the compatibility constraint is transported
 rather than enforced; periodic reprojection through the initial-data solve
 keeps its discrete drift at the solver-tolerance level.
 
-rk4_fields and run_loop step any state that names its evolved fields in
-FIELDS; run() here and waterwave.ww_run() are thin callers, so both models
-share one scheme, one set of guards, one record cadence and one abort path.
+rk4_fields and run_loop step any operators.ModelState; run() here and
+waterwave.ww_run() are thin callers, so both models share one scheme, one
+set of guards, one record cadence and one abort path.
 The potential (phi0 here, phi on the water-wave side) is defined up to a
 constant on a periodic domain; the loop re-centers it to zero mean after
 every step (pure gauge, nothing measurable depends on it).
@@ -18,7 +18,7 @@ every step (pure gauge, nothing measurable depends on it).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -32,8 +32,9 @@ from .operators import (
     energy,
     solve_elliptic_pair,
     stage_sources,
+    surface_potential,
 )
-from .spectral import RealField, integrate
+from .spectral import integrate
 
 __all__ = [
     "IkDerivative",
@@ -154,56 +155,39 @@ def rk4_fields(s, dt, rhs, warm):
     rhs(state, guess) returns a stage result: the time derivatives of those
     fields, in that order, as arrays, possibly followed by more entries.
     Its last entry is what the stage's solver computes (phi1_t on the IK
-    side, the strip entry on the water-wave side), and guess, an array or
-    None, estimates it.  warm is None on a run's first step and otherwise
-    the entries of up to s.GUESS_STEPS past steps, newest first: P, then Q,
-    then R.  An entry holds P1 and P4 of a step's solver entries (P1, .., P4)
-    and their differences dPi = Pi - P(i-1), formed once as the step ends.
-    From its n past steps a step forms its offsets once (_extrapolate),
+    side, the strip entry on the water-wave side); guess, an array or None,
+    estimates it.  warm is None on a run's first step and otherwise the
+    entries of up to s.GUESS_STEPS past steps, newest first (P, Q, R): P1
+    and P4 of a step's solver entries P1..P4 and their differences
+    dPi = Pi - P(i-1).  From its n past steps a step forms (_extrapolate)
 
         E1 = P4 + (P1 - Q4),    Ei = 2 dPi - dQi    for i = 2, 3, 4,
 
     at n = 2, Ei with the binomial weights of polynomial extrapolation in t
     over n steps (3 dPi - 3 dQi + dRi at n = 3, dPi at n = 1, 0 at n = 0),
-    E1 = P4 at n = 1 and none at n = 0; it guesses k1 <- E1, ki <- k(i-1) +
-    Ei, on every step of a run.  P4 is evaluated at y' + dt P3, a
-    midpoint-rule step that lands within O(dt^3) of y, where k1 is.  That
-    offset k1 - P4 is smooth in t, so the previous step's offset P1 - Q4
-    carries it over to O(dt^4); it is extrapolated no further, as it
-    already sits at the solver tolerance.  A stage difference ki - k(i-1)
-    is at most O(dt) and smooth in t, so its extrapolation is O(dt^(n+1))
-    from the stage, but larger weights amplify the noise of the entries
-    more.  The water-wave side uses four steps (WwState.GUESS_STEPS): its
-    entries are polished below the tolerance (waterwave._StripWorkspace.solve),
-    so truncation decides, and three steps leave guesses above the
-    tolerance at the simulate step.  The IK side uses two
-    (IkState.GUESS_STEPS): its PCG entries carry tolerance-level noise that
-    larger weights amplify.  A None solver entry (the series backend) gives
-    no guess.  The rule fixes a guess's order in dt, not how near the
-    solver's tolerance it starts; guesses change iteration counts only.
+    E1 = P4 at n = 1 and none at n = 0, and guesses k1 <- E1, ki <- k(i-1)
+    + Ei.  P4 lands within O(dt^3) of k1 by an offset smooth in t, which
+    P1 - Q4 carries over; more steps raise the order of Ei but amplify the
+    entries' noise, so the IK side, whose PCG entries carry tolerance-level
+    noise, uses two (IkState.GUESS_STEPS) and the water-wave side, whose
+    entries are polished below it, four (WwState.GUESS_STEPS).  A None
+    solver entry (the series backend) gives no guess.  Guesses change
+    iteration counts only.
 
-    Every stage state and the result are formed from one (m, N) array of
-    the m fields by the state's constructor, whose check_state validates
-    the stacked fields once.  Returns the new state and the warm start of
-    the next step, this step's entry and then the newest GUESS_STEPS - 1
-    past ones.  The max-norm blow-up guard is run_loop's.
+    Stage states and the result are built by s.with_rows, so each is checked
+    once as a stacked array.  Returns the new state and the next step's warm
+    start: this step's entry, then the newest GUESS_STEPS - 1 past ones.  The
+    max-norm blow-up guard is run_loop's.
     """
-    m, grid, delta = len(s.FIELDS), s.grid, s.delta
-    past = warm or ()
-    y = np.array([getattr(s, n).values for n in s.FIELDS])
-
-    def state(v):
-        # the state class takes its FIELDS, then delta
-        return type(s)(*(RealField(grid, row) for row in v), delta)
-
+    m, past, y = len(s.FIELDS), warm or (), s.rows()
     e = _extrapolate(past)
     ks = [rhs(s, _stage_guess(0, [], e))]
     for i, h in ((1, 0.5 * dt), (2, 0.5 * dt), (3, dt)):
-        ks.append(rhs(state(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, e)))
+        ks.append(rhs(s.with_rows(y + h * np.array(ks[-1][:m])), _stage_guess(i, ks, e)))
     k1, k2, k3, k4 = (np.array(k[:m]) for k in ks)
     x = tuple(k[-1] for k in ks)
     d = None if any(v is None for v in x) else np.diff(x, axis=0)
-    return (state(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
+    return (s.with_rows(y + (dt / 6.0) * (k1 + 2 * k2 + 2 * k3 + k4)),
             ((x[0], x[3], d),) + past[:s.GUESS_STEPS - 1])
 
 
@@ -219,14 +203,14 @@ def rk4_step(s: IkState, dt: float, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
 
 
 def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
-    """Restore the constraint: re-split phi0 + d^2 H^2 phi1 through the
-    initial-data solve, leaving eta and the reconstructed potential unchanged.
+    """Restore the constraint: re-split the surface potential phi0 + d^2 H^2
+    phi1 (surface_potential) through the initial-data solve, leaving eta and
+    the reconstructed potential unchanged.
     The solve starts from the state's own phi1 at the same tolerance cg_tol,
     so a state that still meets the constraint costs one L1 application."""
-    dc, d2 = s.depth(), s.delta * s.delta
-    phi0, phi1 = solve_elliptic_pair(s.delta, dc, s.phi0.values + d2 * dc.H2 * s.phi1.values,
-                                     cg_tol=cg_tol, psi1_guess=s.phi1.values)
-    return IkState(s.eta.copy(), RealField(s.grid, phi0), RealField(s.grid, phi1), s.delta)
+    pair = solve_elliptic_pair(s.delta, s.depth(), surface_potential(s).values,
+                               cg_tol=cg_tol, psi1_guess=s.phi1.values)
+    return s.with_rows(np.array((s.eta.values, *pair)))
 
 
 def _record(s: IkState, cg_tol: float, guess: np.ndarray | None = None) -> tuple:
@@ -241,28 +225,25 @@ def _recenter(s) -> None:
 
 
 def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
-    """Step a copy of initial to cfg.t_end; the one run loop of both models
+    """Step a copy of initial to cfg.t_end: the one run loop of both models
     and the one owner of their records, trajectory and blow-up guard.
 
     step(state, warm) advances one cfg.dt and returns the new state and the
-    warm start of the next step.  warm is None on the first step and
-    otherwise what the step before returned, passed on unchanged across
-    re-centering, records and projections: it only starts the solvers, so a
-    state moved between steps costs iterations, not accuracy.
-    record(state, guess), at t = 0, every cfg.record_every steps and at the
-    end, returns the energy and then the model's own series in Diagnostics
-    order; guess is the next step's k1 guess (rk4_fields), None at t = 0.
-    Only then are they, the time, mass and min depth appended, so a failed
-    record leaves no partial row and a series the model does not return
-    stays empty; each recorded (t, state) joins the trajectory.
-    project(state), if given, runs every cfg.reproject_every steps.  A new
-    state above BLOWUP_GUARD in max norm raises BlowUpError before it
-    replaces the current one; the potential, FIELDS[1], is re-centered to
-    zero mean at the start and after every step.  A solver failure
-    (errors.SOLVER_ERRORS) aborts the run cleanly, the t = 0 record
-    included: diagnostics.aborted holds the message, final is the last
-    completed step, and the records up to it are kept, none if the first
-    record failed.
+    next step's warm start; warm is None on the first step and is passed on
+    unchanged across re-centering, records and projections, as it only
+    starts the solvers.  record(state, guess), at t = 0, every
+    cfg.record_every steps and at the end, returns the energy and then the
+    model's own series in Diagnostics order; guess is the next step's k1
+    guess (rk4_fields), None at t = 0.  Only then are they, the time, mass
+    and min depth appended, so a failed record leaves no partial row and a
+    series the model does not return stays empty; each recorded (t, state)
+    joins the trajectory.  project(state), if given, runs every
+    cfg.reproject_every steps.  A new state above BLOWUP_GUARD in max norm
+    raises BlowUpError before it replaces the current one; the potential,
+    FIELDS[1], is re-centered to zero mean at the start and after every
+    step.  A solver failure (errors.SOLVER_ERRORS), the t = 0 record's
+    included, aborts the run cleanly: diagnostics.aborted holds the message,
+    final is the last completed step, and the records up to it are kept.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
     diag, traj = Diagnostics(), []
@@ -276,14 +257,14 @@ def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
             getattr(diag, name).append(value)
         traj.append((t, state))
 
-    s = replace(initial, **{n: getattr(initial, n).copy() for n in initial.FIELDS})
+    s = initial.with_rows(initial.rows())
     _recenter(s)
     warm = None
     try:
         keep(0.0, s)
         for i in range(1, n_steps + 1):
             new, warm = step(s, warm)
-            m = max(float(np.abs(getattr(new, n).values).max()) for n in new.FIELDS)
+            m = float(np.abs(new.rows()).max())
             if m > BLOWUP_GUARD:
                 raise BlowUpError(i * cfg.dt, m, BLOWUP_GUARD)
             s = new

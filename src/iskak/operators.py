@@ -1,5 +1,6 @@
 """Coefficient fields, second-order operators and energies of the two-coefficient
-wave model, and the elliptic solve that pins down the potential pair.
+wave model, the state contract of both models (ModelState), and the
+elliptic solve that pins down the potential pair.
 
 The depth-weighted operators
 
@@ -17,9 +18,8 @@ is symmetric positive definite.  By linearity its four fluxes fold into two,
     L1 v = d^2 [H^2 dx(-H g' + (1/3) H^3 v') + dx((1/3) H^3 g' - (1/5) H^5 v')]
            + (4/3) H^3 v,    g = H^2 v,  ' = dx,
 
-which _l1_v applies as two whole-stack products of the 2-row dx
-(spectral.Multiplier.whole) over a coefficient stack that DepthCoefs builds
-once per depth.  The coupled system
+which _l1_v applies over the coefficient stack DepthCoefs builds once per
+depth.  The coupled system
 
     psi0 + d^2 H^2 psi1 = f1
     H^2 (L11 psi0 + d^2 L12 psi1) = L12 psi0 + L22 psi1 + f2 + div f3
@@ -28,14 +28,9 @@ is solved by eliminating psi0 and running conjugate gradients on L1,
 preconditioned by z = S P (S r): the flat-state symbol
 P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
 turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
-symmetric positive definite and costs one plain product of the multiplier
-of the symbol P (spectral.Multiplier.whole): a product with a cached
-symmetric matrix up to spectral.MATRIX_MAX_N points, a transform pair
-above.  Only PCG reads it, so it needs no row-exactness.  The
-depth scaling takes the variation of H out of the leading term, which the
-flat symbol alone cannot see, so its gain grows as the depth varies more.
-A breakdown (p.Ap <= 0, or a step that is not finite) raises
-NonConvergenceError.
+symmetric positive definite; only PCG reads it, so it needs no
+row-exactness.  A breakdown (p.Ap <= 0, or a step that is not finite)
+raises NonConvergenceError.
 
 stage_sources evaluates the continuity flux and the sources F1, F2 of a time
 step from shared transforms, with the symbols of spectral.kernels.
@@ -57,8 +52,8 @@ __all__ = [
     "CG_TOL_DEFAULT",
     "CG_MAX_ITER",
     "DepthCoefs",
+    "ModelState",
     "IkState",
-    "check_state",
     "op_l11",
     "op_l12",
     "op_l22",
@@ -112,29 +107,49 @@ class DepthCoefs:
                    pc_scale=1.0 / (h * np.sqrt(h)))
 
 
-def check_state(s) -> None:
-    """Validate either model's state: delta range, FIELDS on one grid, one
-    finite test over the stacked rows, then the depth floor from eta's."""
-    if not 0.0 < s.delta <= 1.0:
-        raise ValueError(f"delta must lie in (0, 1], got {s.delta}")
-    fields = [getattr(s, n) for n in s.FIELDS]
-    if any(f.grid != s.eta.grid for f in fields):
-        raise ValueError("state fields live on different grids")
-    rows = np.array([f.values for f in fields])
-    if not np.isfinite(rows).all():
-        raise FloatingPointError("field contains NaN/Inf")
-    h_min = float(1.0 + rows[0].min())
-    if h_min < H_MIN_DEFAULT:
-        raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
+class ModelState:
+    """Either model's phase point: the RealFields it names in FIELDS, eta
+    first and the potential second, then delta, in constructor order.
+
+    Construction checks the delta range, FIELDS on one grid, one finite test
+    over the stacked rows and the depth floor from eta; with_rows builds
+    through the constructor, so every state is checked.
+    """
+
+    FIELDS = ()
+
+    def __post_init__(self):
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
+        if any(getattr(self, n).grid != self.grid for n in self.FIELDS):
+            raise ValueError("state fields live on different grids")
+        rows = self.rows()
+        if not np.isfinite(rows).all():
+            raise FloatingPointError("field contains NaN/Inf")
+        h_min = float(1.0 + rows[0].min())
+        if h_min < H_MIN_DEFAULT:
+            raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
+
+    @property
+    def grid(self) -> PeriodicGrid:
+        return self.eta.grid
+
+    def rows(self) -> np.ndarray:
+        """The FIELDS' values as a new (m, N) array."""
+        return np.array([getattr(self, n).values for n in self.FIELDS])
+
+    def with_rows(self, rows) -> "ModelState":
+        """A state of this class and delta whose FIELDS hold rows (views of them)."""
+        return type(self)(*(RealField(self.grid, r) for r in rows), self.delta)
 
 
 @dataclass
-class IkState:
+class IkState(ModelState):
     """Phase point (eta, phi0, phi1) of the model at shallowness delta.
 
-    Direct construction only checks depth and finiteness; states produced by
-    the initial-data solve or by reprojection satisfy the compatibility
-    constraint, mid-step states may violate it at the discretization level.
+    Construction checks what ModelState checks, not the compatibility
+    constraint: states from the initial-data solve or from reprojection
+    satisfy it, mid-step states may violate it at the discretization level.
     """
 
     FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order; the potential second
@@ -144,13 +159,6 @@ class IkState:
     phi0: RealField
     phi1: RealField
     delta: float
-
-    def __post_init__(self):
-        check_state(self)
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.eta.grid
 
     def depth(self) -> DepthCoefs:
         return DepthCoefs.from_eta(self.eta)

@@ -6,48 +6,38 @@ field of shape (N,) or a stack of fields of shape (..., N).  Derivatives act
 through the trigonometric interpolant; quadratic nonlinearities use the
 2/3-rule dealiased product, and higher powers are chained pairwise.
 
-Every kernel is a Fourier multiplier, and a Multiplier is its symbol: an
-array in rfft layout, 1j k (Nyquist mode zeroed) for dx, -k^2 for lap and
-the mask of |mode index| <= floor(N/3) for dealias, which kernels(grid)
-writes once per grid.  Its transform irfft(symbol * rfft(v)) is the
-reference, a fixed real N x N linear map: the periodic spectral
-differentiation matrix for dx and lap (Trefethen, Spectral Methods in
-MATLAB, ch. 3).  Up to MATRIX_MAX_N points a Multiplier applies that matrix
-instead, built once: the circulant of the transform of e_0, so both forms
-are the same map up to rounding.  (Running the transform on every unit
-vector would give each row its own rounding, which mixes Fourier modes and
-inflates the delta^-6-scaled identity gap of the consistency experiment.)
-On small grids a transform pair costs mostly call overhead, and a one-row
-product is cheaper.  Above MATRIX_MAX_N whole RK4 steps of both models run
-slower on matrices, and a matrix grows as N^2 (134 MB at N = 4096), so
-there the transform is the only path.  A Multiplier applies its matrix
-under two rules:
+Every kernel is a Fourier multiplier, and a Multiplier is its symbol in
+rfft layout, which kernels(grid) writes once per grid: 1j k (Nyquist mode
+zeroed) for dx, -k^2 for lap and the mask of |mode index| <= floor(N/3)
+for dealias.  Its transform irfft(symbol * rfft(v)) is the reference.  Up
+to MATRIX_MAX_N points a Multiplier applies instead the circulant matrix of
+the transform of e_0, the same map up to rounding (a transform of every
+unit vector would round each row its own way, mixing Fourier modes into
+the delta^-6-scaled identity gap of the consistency experiment).  Above
+it, where a matrix grows as N^2, the transform is the only path.  A call
+applies the matrix under two rules:
 
 * row-exact: every row of a stack goes through the same one-row product,
   so it gets exactly the values it would get alone;
 * constant-exact: each row's first entry v0 is subtracted first and
-  m(0) v0 added back, m(0) = symbol[0] the multiplier at wavenumber 0 (0
-  for the derivatives, 1 for dealias), so a constant maps exactly.
+  m(0) v0 added back, m(0) = symbol[0], so a constant maps exactly.
 
-Multiplier.whole is the plain product over a whole array at once, w @ matrix
-up to MATRIX_MAX_N points and the transform above, under neither rule: one
-product is cheaper than one per row, and its rows differ from the row-exact
-ones at rounding level (above MATRIX_MAX_N both forms are the transform, bit
-for bit).  Stacks that no caller compares with one-row calls use it: the
-strip arrays, lift and flux of the water-wave solve; on the IK side the dx
-products of operators._l1_v, the slope of DepthCoefs and the right side and
-PCG preconditioner of operators.solve_elliptic_pair; and the truncations of
-operators.stage_sources and waterwave.zcs_rhs.  Calls stay row-exact where
-a caller compares them with one-row results: operators.coef_a, which equals
-the dp chains bit for bit, and the slopes (dx eta, dx phi) of
-DtnBackend.apply, which consistency.residuals reuses.  The size rule lives
-here alone.
+Multiplier.whole is the plain product over a whole array, w @ matrix or the
+transform above MATRIX_MAX_N, under neither rule: its rows differ from the
+row-exact ones at rounding level.  Stacks that no caller compares with
+one-row calls use it: the water-wave strip arrays, lift and flux; the dx of
+operators._l1_v and of DepthCoefs, the right side and preconditioner of
+operators.solve_elliptic_pair; the truncations of operators.stage_sources
+and waterwave.zcs_rhs.  Calls stay row-exact where a caller compares them
+with one-row results: operators.coef_a, which equals the dp chains bit for
+bit, and the slopes of DtnBackend.apply, which consistency.residuals
+reuses.  The size rule lives here alone.
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction (a state checks its values finite,
-operators.check_state).
-State fields and the public operators use it; the kernels, rk4_fields'
-stage results and the elliptic solve's data and results are plain arrays.
+operators.ModelState).  State fields and the public operators use it; the
+kernels, stage results and the elliptic solve's data and results are plain
+arrays.
 """
 
 from __future__ import annotations

@@ -6,29 +6,24 @@ The exact map solves the flattened Laplace problem on the strip -1 <= z <= 0,
 
 by Fourier collocation in x and Chebyshev-Lobatto collocation in z, with
 the flat-bottom operator inverted mode by mode as the left preconditioner of
-a GMRES iteration.  The x-derivative of a whole (n_z + 1, N) strip array is
-one whole-array product of the dx Multiplier (spectral.Multiplier.whole),
-cheaper than the row-by-row product of a Multiplier call.
+a GMRES iteration.
 
 The flat operator of Fourier mode k is M_k = A - kappa_k E: A is dzz with
 the surface Dirichlet and bottom Neumann rows, E = diag(0, 1, .., 1, 0) and
 kappa_k = -d^2 s_k^2, with s_k the dx symbol.  The preconditioner inverts
 all modes at once by fast diagonalization (Lynch, Rice & Thomas 1964):
 A^-1 E = W diag(theta) W^-1, so M_k^-1 = W diag(gain[:, k]) W^-1 A^-1 with
-gain = 1 / (1 - theta kappa_k), a z-transform, one x-transform pair with a
+gain = 1 / (1 - theta kappa_k): a z-transform, one x-transform pair with a
 gain per (z-mode, x-mode) and a z-transform back.  W, theta and W^-1 A^-1
 depend on n_z alone and are cached per n_z.  theta is real and <= 0
 (_strip_geometry checks it), so every gain lies in (0, 1].  The dx symbol
-is zeroed at the Nyquist mode, so dx o dx applies 0 there and kappa is 0
-too: the preconditioner is then the exact inverse of the flat discrete
-operator at every mode, and no outlier eigenvalue stalls GMRES.
+is zeroed at the Nyquist mode, so kappa is 0 there too: the preconditioner
+is the exact inverse of the flat discrete operator at every mode, and no
+outlier eigenvalue stalls GMRES.
 
 GMRES reports the residual it builds from the operator outputs it keeps
-(_gmres), so the operator itself, not the Givens estimate, confirms a
-claimed convergence at no extra application.  A warm start forms its r0 =
-P(rhs - A x0) in one transform pair and |b| by Parseval, never b itself
-(_StripWorkspace).  The flux is then the vertical average of the
-horizontal velocity and
+(_gmres), so the operator, not the Givens estimate, confirms a claimed
+convergence.  The flux is the vertical average of the horizontal velocity,
 
     Lambda phi = -div(H Vbar),
 
@@ -37,12 +32,10 @@ the stepped runs' degraded control, the O(d^2) shallow-water map
 Lambda^(0).  dtn_series, the expansion Lambda^(0) + d^2 Lambda^(1) +
 d^4 Lambda^(2) through d^4, serves consistency alone, for its R9 tail.
 
-A solve makes few applications, as a stage starts GMRES from a guess
-extrapolated over past steps' polished entries (ik_solver.rk4_fields,
-_StripWorkspace.solve).  So what is fixed for a solve is built once per
-solve or per workspace, never per application (_StripWorkspace).  GMRES
-keeps its few Krylov vectors in lists and its Givens bookkeeping in
-floats, not in a preallocated basis that every solve would touch whole.
+A stage starts GMRES from a guess extrapolated over past steps
+(ik_solver.rk4_fields), so a solve makes few applications: what is fixed
+for a solve is built once per solve or per workspace, never per
+application (_StripWorkspace).
 """
 
 from __future__ import annotations
@@ -56,7 +49,7 @@ import numpy as np
 
 from .errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
 from .ik_solver import RunResult, SimConfig, rk4_fields, run_loop
-from .operators import H_MIN_DEFAULT, check_state
+from .operators import H_MIN_DEFAULT, ModelState
 from .spectral import PeriodicGrid, RealField, dp, dx, kernels, lap
 
 __all__ = [
@@ -106,7 +99,7 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
     beta = _norm(r)
     if beta <= tol * bnorm:
         return x, beta / bnorm, r
-    basis = [r / beta]
+    basis = [r / beta]    # lists, not a preallocated basis: a solve makes few iterations
     outputs = []       # A v_i
     cols = []          # rotated Hessenberg columns: column k holds R[:k + 1, k]
     rotations = []     # Givens (cos, sin) pairs
@@ -148,7 +141,7 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
 
 
 @dataclass
-class WwState:
+class WwState(ModelState):
     """Surface elevation and surface-trace potential at shallowness delta."""
 
     eta: RealField
@@ -157,13 +150,6 @@ class WwState:
 
     FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order; the potential second
     GUESS_STEPS = 4           # past steps the stage guesses use (rk4_fields)
-
-    def __post_init__(self):
-        check_state(self)
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.eta.grid
 
 
 # ---------------------------------------------------------------------------
@@ -307,7 +293,7 @@ class _StripWorkspace:
         geo = _strip_geometry(n_z)
         self.dz, self.dzs, self.zp1 = geo.dz, geo.dzs, geo.zp1
         self.reduce, self.vecs, self.zmap = geo.reduce, geo.vecs, geo.zmap
-        self.dx = kernels(grid).dx          # applied with .whole (module docstring)
+        self.dx = kernels(grid).dx          # applied with .whole (spectral module docstring)
         # kappa_k = -delta^2 (dx symbol)^2: the symbol dx o dx applies, 0 at Nyquist
         kappa = -(delta * delta) * (self.dx.symbol * self.dx.symbol).real
         self.gain = 1.0 / (1.0 - geo.theta[:, None] * kappa)

@@ -1,3 +1,7 @@
+import os
+import pathlib
+import subprocess
+import sys
 from dataclasses import replace
 
 import numpy as np
@@ -368,6 +372,20 @@ class TestCli:
         out = blocker / "sub" if under else blocker
         assert main(["dispersion", "--output-dir", str(out)]) == 2
         assert "iskak: config error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("name", ["dispersion.csv", "dispersion.summary.txt"])
+    def test_unwritable_output_file_is_a_clean_error(self, tmp_path, name):
+        # a directory in an output file's place ends the command with one
+        # line and exit 2, not a traceback after the run
+        (tmp_path / name).mkdir()
+        env = dict(os.environ, PYTHONPATH=str(pathlib.Path(cli.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-m", "iskak.cli", "dispersion",
+                              "--output-dir", str(tmp_path)],
+                             env=env, capture_output=True, text=True)
+        assert out.returncode == 2
+        assert "Traceback" not in out.stderr
+        assert out.stderr.startswith("iskak: cannot write output: ")
+        assert out.stderr.count("\n") == 1
 
     def test_seed_flag_is_gone(self, capsys):
         # --override seed=N is the one way to set the seed

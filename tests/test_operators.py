@@ -25,6 +25,7 @@ from iskak.operators import (
 )
 from iskak.spectral import (MATRIX_MAX_N, PeriodicGrid, RealField, dp, dx, field_from_function,
                             l2_norm, lap)
+from iskak.waterwave import WwState
 
 from conftest import random_band_limited, zeros
 
@@ -482,20 +483,44 @@ class TestFlatPreconditioner:
         assert np.abs(m - m.T).max() <= 1e-14 * np.abs(m).max()
 
 
-class TestStateValidation:
-    def test_delta_out_of_range(self, grid64):
-        with pytest.raises(ValueError):
-            IkState(zeros(grid64), zeros(grid64), zeros(grid64), 1.5)
-        with pytest.raises(ValueError):
-            IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.0)
+def model_state(cls, eta, rest, delta=0.3):
+    """A state of cls with eta first and a copy of rest in every other field."""
+    return cls(eta, *(rest.copy() for _ in cls.FIELDS[1:]), delta)
 
-    def test_depth_floor(self, grid64):
+
+@pytest.mark.parametrize("cls", [IkState, WwState])
+class TestStateValidation:
+    # both models' constructors run the one ModelState check
+    def test_delta_out_of_range(self, cls, grid64):
+        for delta in (1.5, 0.0):
+            with pytest.raises(ValueError, match="delta"):
+                model_state(cls, zeros(grid64), zeros(grid64), delta)
+
+    def test_depth_floor(self, cls, grid64):
         eta = RealField(grid64, np.full(64, -0.95))
         with pytest.raises(DepthTooSmallError):
-            IkState(eta, zeros(grid64), zeros(grid64), 0.3)
+            model_state(cls, eta, zeros(grid64))
 
-    def test_nan_rejected(self, grid64):
+    def test_nan_rejected(self, cls, grid64):
         bad = RealField(grid64, np.zeros(64))
         bad.values[3] = np.nan
         with pytest.raises(FloatingPointError):
-            IkState(zeros(grid64), bad, zeros(grid64), 0.3)
+            model_state(cls, zeros(grid64), bad)
+
+    def test_mixed_grids_rejected(self, cls, grid64):
+        with pytest.raises(ValueError, match="state fields live on different grids"):
+            model_state(cls, zeros(grid64), zeros(PeriodicGrid(32)))
+
+    def test_rows_round_trip(self, cls, grid64):
+        rng = np.random.default_rng(4)
+        s = model_state(cls, random_depth(rng, grid64), random_band_limited(rng, grid64))
+        rows = s.rows()
+        assert rows.shape == (len(cls.FIELDS), 64)
+        rows[1] += 1.0      # a new array: the state keeps its values
+        assert not np.array_equal(rows, s.rows())
+        t = s.with_rows(rows)
+        assert type(t) is cls and t.delta == s.delta and t.grid == s.grid
+        assert np.array_equal(t.rows(), rows)
+        rows[-1, 0] = np.inf
+        with pytest.raises(FloatingPointError):
+            s.with_rows(rows)

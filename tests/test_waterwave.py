@@ -582,6 +582,22 @@ def test_both_models_share_the_record_contract(grid64):
         assert [t for t, _ in res.trajectory] == res.diagnostics.times
 
 
+def test_runs_leave_their_initial_state_unchanged(grid64):
+    # run_loop steps and re-centers a copy: the caller's arrays keep their
+    # values, the potential's nonzero mean included
+    eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+    phi = field_from_function(grid64, lambda x: 0.3 + 0.05 * np.sin(x))
+    cfg = SimConfig(t_end=0.01, dt=5e-3, record_every=1)
+    runs = ((ik_state_from_surface(eta0, phi, 0.3), lambda s: ik_solver.run(s, cfg)),
+            (WwState(eta0, phi, 0.3), lambda s: ww_run(s, cfg, DtnBackend.exact(16))))
+    for initial, go in runs:
+        before = initial.rows()
+        res = go(initial)
+        assert res.diagnostics.aborted is None
+        assert np.array_equal(initial.rows(), before)
+        assert not np.array_equal(res.final.rows(), before)
+
+
 class TestBackend:
     def test_validation(self):
         with pytest.raises(ValueError):

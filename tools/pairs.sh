@@ -19,11 +19,14 @@
 # pairs the working tree first, so a drift of the host over a pair does not
 # favour one side.  SECONDS defaults to 20 and SEED to 0.  Each pair prints
 # steps_per_s of both sides (rev, new) and their ratio; then each side
-# prints the median and quartiles of every end-to-end metric, and the last
+# prints the median and quartiles of every end-to-end metric, and the next
 # lines give new's median steps_per_s gain against rev's interquartile range
-# and the pairs in which new ran more steps per second.  Exits 0 when every
-# run's outputs matched the frozen reference, 1 if any run failed or read
-# WRONG, 2 on a usage error.
+# and the pairs in which new ran more steps per second.  Last, one line per
+# end-to-end metric of BENCHMARK.json gives the median ratio new/rev
+# (median of new over median of rev), rev's interquartile range and the
+# pairs in which new read worse by that metric's `better` direction; a tie
+# counts for neither side.  Exits 0 when every run's outputs matched the
+# frozen reference, 1 if any run failed or read WRONG, 2 on a usage error.
 set -u
 
 if [ $# -lt 3 ] || [ $# -gt 5 ]; then
@@ -86,7 +89,7 @@ print(f"seed {sys.argv[2]}: rev {rate['rev']:.1f}  new {rate['new']:.1f}  "
 PY
 done
 
-python3 - "$work/results" <<'PY'
+python3 - "$work/results" "$work/new/BENCHMARK.json" <<'PY'
 import json
 import statistics
 import sys
@@ -127,6 +130,17 @@ if both:
     print(f"steps_per_s median gain {gain:+.1f} ({gain / med:+.1%}) against "
           f"rev interquartile range {q3 - q1:.1f}")
     print(f"new ahead in {sum(t > r for t, r in zip(new, rev))}/{len(both)} pairs")
+    for e in json.load(open(sys.argv[2]))["end_to_end"]:
+        m = e["name"]
+        pair = [(runs["rev"][s][m], runs["new"][s][m]) for s in both
+                if m in runs["rev"][s] and m in runs["new"][s]]
+        if not pair:
+            continue
+        q1, med, q3 = spread([r for r, _ in pair])
+        ratio = statistics.median(n for _, n in pair) / med if med else float("nan")
+        worse = sum(n > r if e["better"] == "lower" else n < r for r, n in pair)
+        print(f"{m}: median new/rev {ratio:.4f}  rev interquartile range {q3 - q1:.6g}  "
+              f"new worse in {worse}/{len(pair)} pairs ({e['better']} is better)")
 if failed:
     print(f"pairs: {failed} run(s) failed or read WRONG")
 sys.exit(1 if failed else 0)
