@@ -13,9 +13,11 @@ pure cross-check of the expansion algebra and the constraint solve.
 
 The Bernoulli residual r2 shares too much structure with its own remainder
 identity to give an independent check; it is validated by delta-sweep
-boundedness instead.  r2 is assembled from the exact reconstruction
-dt phi = -F1 + 2 d^2 H (dt eta) phi1, which carries no additive constant, so
-both residuals are invariant under shifting phi0 by a constant.
+boundedness instead.  r2 compares the exact reconstruction dt phi = -F1 +
+2 d^2 H (dt eta) phi1, which carries no additive constant, with the
+2/3-truncated dt phi of waterwave.zcs_rhs, the water-wave right side the
+stepped runs use; zcs_rhs also gives r1 its Lambda phi.  Both residuals are
+invariant under shifting phi0 by a constant.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 from .ik_solver import time_derivatives
 from .operators import CG_TOL_DEFAULT, IkState, surface_potential
 from .spectral import RealField, dp, l2_norm, lap
-from .waterwave import DtnBackend, dtn_series
+from .waterwave import DtnBackend, WwState, dtn_series, zcs_rhs
 
 __all__ = [
     "ConsistencyReport",
@@ -89,23 +91,16 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     d = time_derivatives(s, cg_tol)
     phi = surface_potential(s)
-    lam, _, (eta_x, phi_x) = backend.apply(s.eta, phi, s.delta)
+    ww_eta_t, ww_phi_t, _ = zcs_rhs(WwState(s.eta, phi, s.delta), backend)
 
-    r1v = (d.eta_t - lam) * inv_d6
+    r1v = (d.eta_t - ww_eta_t) * inv_d6
 
     # exact reconstruction of dt phi; gauge-free (no additive constant)
     phi_t = d.phi0_t + d2 * (2.0 * h * d.eta_t * s.phi1.values + h * h * d.phi1_t)
-    flux = lam + eta_x * phi_x
-    bernoulli = (
-        phi_t
-        + s.eta.values
-        + 0.5 * phi_x**2
-        - d2 * flux**2 / (2.0 * (1.0 + d2 * eta_x**2))
-    )
-    r2v = bernoulli * inv_d6
+    r2v = (phi_t - ww_phi_t) * inv_d6
 
     # series tail computed against the same Lambda evaluation used in r1
-    r9 = (lam - dtn_series(s.eta, phi, s.delta).values) * inv_d6
+    r9 = (ww_eta_t - dtn_series(s.eta, phi, s.delta).values) * inv_d6
     r5 = remainders_R1_to_R5(s)[4].values
     gap = float(np.abs(r1v - (r5 - r9)).max())
 

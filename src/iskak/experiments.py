@@ -457,14 +457,14 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                  SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9, cg_tol=cfg.cg_tol))
              for dt in (cfg.dt, cfg.dt / 2.0)]
     checks.append(_halving_check(cfg.dt, *(_rel_drift(d.energy) for d in order)))
-    mass_worst = max(_drift(d.mass) for d in order)
-    checks.append(Check("mass drift <= 1e-11 on every leg", mass_worst <= 1e-11,
-                        f"worst {mass_worst:.2e}"))
 
     # reprojection keeps the constraint at solver level
     proj = leg("reproject", grid0, 0.1, 1, 0.2,
                SimConfig(t_end=cfg.t_end, dt=dt0, reproject_every=REPROJECT_EVERY,
                          record_every=100, cg_tol=cfg.cg_tol))
+    mass_worst = float(np.max([_drift(d.mass) for d in (*order, proj)]))  # NaN (no record) fails
+    checks.append(Check("mass drift <= 1e-11 on every leg", mass_worst <= 1e-11,
+                        f"worst {mass_worst:.2e}"))
     cmax = max(proj.constraint_max, default=np.nan)
     checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
                         cmax <= 1e-8, f"max residual {cmax:.2e}"))
@@ -625,9 +625,9 @@ def run_simulate(cfg: ExperimentConfig) -> ExperimentReport:
         Check("run completed", diag.aborted is None, diag.aborted or "no abort"),
         Check("mass drift <= 1e-11", _drift(diag.mass) <= 1e-11,
               f"drift {_drift(diag.mass):.2e}"),
-        Check("sign conditions: min depth and min a >= 0.5" if cfg.model == "ik" else
-              "sign condition: min depth >= 0.5 (min a is not computed for model=ww)",
-              min_h >= 0.5 and (cfg.model == "ww" or min_a >= 0.5), f"min depth {min_h:.4f}"),
+        _sign_check(min_h, min_a) if cfg.model == "ik" else
+        Check("sign condition: min depth >= 0.5 (min a is not computed for model=ww)",
+              min_h >= 0.5, f"min depth {min_h:.4f}"),
     ]
     if cfg.model == "ik":
         # a residual above the conservation bound says the data outran the grid

@@ -28,10 +28,10 @@ row-exact ones at rounding level.  Stacks that no caller compares with
 one-row calls use it: the water-wave strip arrays, lift and flux; the dx of
 operators._l1_v and of DepthCoefs, the right side and preconditioner of
 operators.solve_elliptic_pair; the truncations of operators.stage_sources
-and waterwave.zcs_rhs.  Calls stay row-exact where a caller compares them
-with one-row results: operators.coef_a, which equals the dp chains bit for
-bit, and the slopes of DtnBackend.apply, which consistency.residuals
-reuses.  The size rule lives here alone.
+and waterwave.zcs_rhs.  Calls stay row-exact in operators.coef_a, which
+equals the one-row dp chains bit for bit, and in the slopes of
+DtnBackend.apply, where whole would move every water-wave output at
+rounding level.  The size rule lives here alone.
 
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction (a state checks its values finite,

@@ -1,5 +1,6 @@
 import os
 import pathlib
+import re
 import subprocess
 import sys
 from dataclasses import replace
@@ -473,6 +474,38 @@ class TestCli:
         assert legs == {"rest": {(32, dt / 2)}, "order": {(64, dt), (64, dt / 2)},
                         "reproject": {(32, dt / 2)}}
 
+    @pytest.mark.parametrize("fault, worst", [("leak", "worst "), ("no-record", "worst nan\n")],
+                             ids=["leak", "no-record"])
+    def test_conservation_mass_check_reads_the_reprojection_leg(self, tmp_path, monkeypatch,
+                                                                fault, worst):
+        # the reproject leg alone (N = 32 and a nonzero surface here) either
+        # leaks mass into eta at each reprojection or fails its t = 0 record;
+        # the every-leg mass check fails on either, on a NaN drift for the second
+        if fault == "leak":
+            clean = ik_solver.reproject
+
+            def leaking(s, cg_tol):
+                out = clean(s, cg_tol)
+                out.eta.values += 1e-9
+                return out
+
+            monkeypatch.setattr(ik_solver, "reproject", leaking)
+        else:
+            clean = ik_solver._record
+
+            def failing(s, cg_tol, guess=None):
+                if s.grid.n_points == 32 and s.eta.values.any():
+                    raise NonConvergenceError("injected into _record", 0, 1.0, 1e-12)
+                return clean(s, cg_tol, guess)
+
+            monkeypatch.setattr(ik_solver, "_record", failing)
+        code = main(["conservation", "--output-dir", str(tmp_path),
+                     "--override", "n_points=64", "--override", "t_end=0.1"])
+        assert code == 1
+        checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
+        assert f"  FAIL mass drift <= 1e-11 on every leg: {worst}" in checks
+        assert "PASS rest state" in checks
+
     def test_conservation_legs_read_the_config(self, tmp_path):
         # the rest, reprojection and reference legs run on half the grid at
         # half the step to the configured t_end, at the defaults N = 128,
@@ -654,6 +687,15 @@ class TestCli:
         assert "min depth and min a" not in summary
         assert ("PASS sign condition: min depth >= 0.5 (min a is not computed for model=ww)"
                 in summary)
+
+    def test_ik_simulate_sign_check_prints_min_a(self, tmp_path):
+        code = main(["simulate", "--output-dir", str(tmp_path),
+                     "--override", "n_points=64", "--override", "t_end=0.05",
+                     "--override", "dt=0.005", "--override", "record_every=5"])
+        assert code == 0
+        summary = (tmp_path / "simulate.summary.txt").read_text()
+        assert re.search(r"\n  PASS sign conditions: min depth and min a >= 0\.5: "
+                         r"min depth \d\.\d{4}, min a \d\.\d{4}\n", summary)
 
     def test_sweep_legs_independent(self, tmp_path):
         # a sweep leg's row does not depend on which other legs ran with it

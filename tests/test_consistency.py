@@ -8,10 +8,11 @@ from iskak.consistency import (
     remainders_R1_to_R5,
     residuals,
 )
-from iskak.operators import IkState, ik_state_from_surface
+from iskak.ik_solver import time_derivatives
+from iskak.operators import IkState, ik_state_from_surface, surface_potential
 from iskak import spectral
 from iskak.spectral import PeriodicGrid, RealField, field_from_function
-from iskak.waterwave import DtnBackend, lambda2
+from iskak.waterwave import DtnBackend, WwState, lambda2, zcs_rhs
 
 from conftest import random_band_limited, zeros
 
@@ -82,6 +83,20 @@ class TestResiduals:
         assert diff1 * d6 <= 1e-12
         assert diff2 * d6 <= 1e-12
         assert diff1 <= 1e-4 * rep.r1_norm
+
+    def test_residuals_are_the_gaps_to_zcs_rhs(self, grid128):
+        # r1 and r2 are the model's dt eta and dt phi less the water-wave
+        # right side that the stepped runs use, bit for bit
+        eta_p, phi_p = cosine_pair(grid128, 0.1)
+        s = ik_state_from_surface(eta_p, phi_p, 0.3)
+        rep = residuals(s, DtnBackend.exact(16))
+        ww_eta_t, ww_phi_t, _ = zcs_rhs(WwState(s.eta, surface_potential(s), s.delta),
+                                        DtnBackend.exact(16))
+        d = time_derivatives(s)
+        h, d2, inv_d6 = 1.0 + s.eta.values, s.delta**2, 1.0 / s.delta**6
+        phi_t = d.phi0_t + d2 * (2.0 * h * d.eta_t * s.phi1.values + h * h * d.phi1_t)
+        assert np.array_equal(rep.r1.values, (d.eta_t - ww_eta_t) * inv_d6)
+        assert np.array_equal(rep.r2.values, (phi_t - ww_phi_t) * inv_d6)
 
     def test_delta_floor_guard(self, grid64):
         s = IkState(zeros(grid64), zeros(grid64), zeros(grid64), 0.01)
