@@ -471,7 +471,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     checks.append(_sign_check(min(proj.min_depth, default=np.nan),
                               min(proj.min_a, default=np.nan)))
 
-    # reference solver: mass and surrogate-energy behavior
+    # reference solver: mass and Hamiltonian drift (waterwave.hamiltonian)
     ww = leg("reference", grid0, 0.05, 1, 0.2,
              SimConfig(t_end=cfg.t_end, dt=dt0, record_every=200), DtnBackend.parse(cfg.dtn))
     e = _rel_drift(ww.energy)

@@ -174,10 +174,10 @@ def rk4_fields(s, dt, rhs, warm):
     solver entry (the series backend) gives no guess.  Guesses change
     iteration counts only.
 
-    Stage states and the result are built by s.with_rows, so each is checked
-    once as a stacked array.  Returns the new state and the next step's warm
-    start: this step's entry, then the newest GUESS_STEPS - 1 past ones.  The
-    max-norm blow-up guard is run_loop's.
+    Stage states and the result are s.with_rows of new arrays, so each is
+    checked once and none is copied.  Returns the new state and the next
+    step's warm start: this step's entry, then the newest GUESS_STEPS - 1
+    past ones.  The max-norm blow-up guard is run_loop's.
     """
     m, past, y = len(s.FIELDS), warm or (), s.rows()
     e = _extrapolate(past)
@@ -220,13 +220,13 @@ def _record(s: IkState, cg_tol: float, guess: np.ndarray | None = None) -> tuple
 
 
 def _recenter(s) -> None:
-    v = getattr(s, s.FIELDS[1]).values    # the potential
+    v = s.rows()[1]    # the potential
     v -= v.mean()
 
 
 def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
-    """Step a copy of initial to cfg.t_end: the one run loop of both models
-    and the one owner of their records, trajectory and blow-up guard.
+    """Step a copy of initial's rows to cfg.t_end: the one run loop of both
+    models and the one owner of their records, trajectory and blow-up guard.
 
     step(state, warm) advances one cfg.dt and returns the new state and the
     next step's warm start; warm is None on the first step and is passed on
@@ -240,10 +240,11 @@ def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
     joins the trajectory.  project(state), if given, runs every
     cfg.reproject_every steps.  A new state above BLOWUP_GUARD in max norm
     raises BlowUpError before it replaces the current one; the potential,
-    FIELDS[1], is re-centered to zero mean at the start and after every
-    step.  A solver failure (errors.SOLVER_ERRORS), the t = 0 record's
-    included, aborts the run cleanly: diagnostics.aborted holds the message,
-    final is the last completed step, and the records up to it are kept.
+    row 1, is re-centered in place to zero mean at the start and after
+    every step, the one write into a state's rows (ModelState).  A solver
+    failure (errors.SOLVER_ERRORS), the t = 0 record's included, aborts the
+    run cleanly: diagnostics.aborted holds the message, final is the last
+    completed step, and the records up to it are kept.
     """
     n_steps = cfg.n_steps(initial.grid.spacing)
     diag, traj = Diagnostics(), []
@@ -257,7 +258,7 @@ def run_loop(initial, cfg: SimConfig, step, record, project=None) -> RunResult:
             getattr(diag, name).append(value)
         traj.append((t, state))
 
-    s = initial.with_rows(initial.rows())
+    s = initial.with_rows(initial.rows().copy())
     _recenter(s)
     warm = None
     try:

@@ -108,42 +108,50 @@ class DepthCoefs:
 
 
 class ModelState:
-    """Either model's phase point: the RealFields it names in FIELDS, eta
-    first and the potential second, then delta, in constructor order.
+    """Either model's phase point: one (m, N) float array whose rows are the
+    fields named in FIELDS, eta first and the potential second, and delta.
 
-    Construction checks the delta range, FIELDS on one grid, one finite test
-    over the stacked rows and the depth floor from eta; with_rows builds
-    through the constructor, so every state is checked.
+    The constructor takes the FIELDS' RealFields in order, then delta, and
+    stacks them into the state's own array; with_rows holds its array without
+    a copy.  Each name in FIELDS is a RealField view of its row.  Both run the
+    one check: delta range, one grid, one finite test, depth floor from eta.
     """
 
     FIELDS = ()
 
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError(f"delta must lie in (0, 1], got {self.delta}")
-        if any(getattr(self, n).grid != self.grid for n in self.FIELDS):
+    def __init__(self, *args):
+        if len(args) != len(self.FIELDS) + 1:
+            raise TypeError(f"{type(self).__name__} takes {len(self.FIELDS)} fields and delta")
+        *fields, delta = args
+        if any(f.grid != fields[0].grid for f in fields):
             raise ValueError("state fields live on different grids")
-        rows = self.rows()
+        self._hold(fields[0].grid, np.array([f.values for f in fields]), delta)
+
+    def _hold(self, grid: PeriodicGrid, rows: np.ndarray, delta: float) -> None:
+        if not 0.0 < delta <= 1.0:
+            raise ValueError(f"delta must lie in (0, 1], got {delta}")
+        if rows.shape != (len(self.FIELDS), grid.n_points):
+            raise ValueError(f"rows of shape {rows.shape} on a grid of {grid.n_points} points")
         if not np.isfinite(rows).all():
             raise FloatingPointError("field contains NaN/Inf")
         h_min = float(1.0 + rows[0].min())
         if h_min < H_MIN_DEFAULT:
             raise DepthTooSmallError(h_min, H_MIN_DEFAULT)
-
-    @property
-    def grid(self) -> PeriodicGrid:
-        return self.eta.grid
+        self.grid, self.delta, self._rows = grid, delta, rows
+        for name, row in zip(self.FIELDS, rows):
+            setattr(self, name, RealField(grid, row))
 
     def rows(self) -> np.ndarray:
-        """The FIELDS' values as a new (m, N) array."""
-        return np.array([getattr(self, n).values for n in self.FIELDS])
+        """The held (m, N) array itself, not a copy."""
+        return self._rows
 
-    def with_rows(self, rows) -> "ModelState":
-        """A state of this class and delta whose FIELDS hold rows (views of them)."""
-        return type(self)(*(RealField(self.grid, r) for r in rows), self.delta)
+    def with_rows(self, rows: np.ndarray) -> "ModelState":
+        """A checked state of this class, grid and delta that holds rows."""
+        s = object.__new__(type(self))
+        s._hold(self.grid, rows, self.delta)
+        return s
 
 
-@dataclass
 class IkState(ModelState):
     """Phase point (eta, phi0, phi1) of the model at shallowness delta.
 
@@ -154,11 +162,6 @@ class IkState(ModelState):
 
     FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order; the potential second
     GUESS_STEPS = 2                     # past steps the stage guesses use (rk4_fields)
-
-    eta: RealField
-    phi0: RealField
-    phi1: RealField
-    delta: float
 
     def depth(self) -> DepthCoefs:
         return DepthCoefs.from_eta(self.eta)
@@ -384,4 +387,4 @@ def ik_state_from_surface(
     eta0: RealField, phi: RealField, delta: float, cg_tol: float = CG_TOL_DEFAULT,
 ) -> IkState:
     phi0, phi1 = solve_initial_data(eta0, phi, delta, cg_tol)
-    return IkState(eta0.copy(), phi0, phi1, delta)
+    return IkState(eta0, phi0, phi1, delta)

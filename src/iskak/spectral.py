@@ -34,10 +34,10 @@ DtnBackend.apply, where whole would move every water-wave output at
 rounding level.  The size rule lives here alone.
 
 RealField is the typed boundary of the solvers: a grid function whose
-shape is checked on construction (a state checks its values finite,
-operators.ModelState).  State fields and the public operators use it; the
-kernels, stage results and the elliptic solve's data and results are plain
-arrays.
+shape is checked on construction.  A state's fields are RealField views of
+the rows of the one array it holds (operators.ModelState, which checks
+them finite); the public operators take RealFields too.  The kernels,
+stage results and the elliptic solve's data and results are plain arrays.
 """
 
 from __future__ import annotations

@@ -140,13 +140,8 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
     return x, _norm(r) / bnorm, r
 
 
-@dataclass
 class WwState(ModelState):
     """Surface elevation and surface-trace potential at shallowness delta."""
-
-    eta: RealField
-    phi: RealField
-    delta: float
 
     FIELDS = ("eta", "phi")   # evolved fields, in zcs_rhs order; the potential second
     GUESS_STEPS = 4           # past steps the stage guesses use (rk4_fields)
@@ -477,7 +472,8 @@ def zcs_rhs(s: WwState, backend: DtnBackend,
 
 
 def hamiltonian(s: WwState, backend: DtnBackend, guess: np.ndarray | None = None) -> float:
-    """Surrogate energy (1/2) integral(phi * Lambda phi + eta^2), guess as in zcs_rhs."""
+    """The Zakharov-Craig-Sulem Hamiltonian (1/2) integral(phi Lambda phi + eta^2)
+    (Lannes 2013), with Lambda the backend's map; guess as in zcs_rhs."""
     lam = backend.apply(s.eta, s.phi, s.delta, guess)[0]
     dens = s.phi.values * lam + s.eta.values**2
     return 0.5 * float(s.grid.spacing * dens.sum())
@@ -486,7 +482,7 @@ def hamiltonian(s: WwState, backend: DtnBackend, guess: np.ndarray | None = None
 def ww_run(initial: WwState, cfg: SimConfig, backend: DtnBackend) -> RunResult:
     """RK4 evolution of the surface system through the model's run loop
     (ik_solver.run_loop): same scheme, guards and abort handling, with mass
-    and surrogate-energy diagnostics; cfg.reproject_every does not apply."""
+    and Hamiltonian diagnostics; cfg.reproject_every does not apply."""
     return run_loop(
         initial, cfg,
         step=lambda s, warm: rk4_fields(s, cfg.dt, lambda st, g: zcs_rhs(st, backend, g), warm),

@@ -484,8 +484,8 @@ class TestFlatPreconditioner:
 
 
 def model_state(cls, eta, rest, delta=0.3):
-    """A state of cls with eta first and a copy of rest in every other field."""
-    return cls(eta, *(rest.copy() for _ in cls.FIELDS[1:]), delta)
+    """A state of cls with eta first and rest in every other field."""
+    return cls(eta, *(rest for _ in cls.FIELDS[1:]), delta)
 
 
 @pytest.mark.parametrize("cls", [IkState, WwState])
@@ -512,15 +512,40 @@ class TestStateValidation:
             model_state(cls, zeros(grid64), zeros(PeriodicGrid(32)))
 
     def test_rows_round_trip(self, cls, grid64):
+        # a state is its rows: rows() is the held array, each field a view of
+        # its row, and with_rows holds its argument, checked, without a copy
         rng = np.random.default_rng(4)
         s = model_state(cls, random_depth(rng, grid64), random_band_limited(rng, grid64))
         rows = s.rows()
-        assert rows.shape == (len(cls.FIELDS), 64)
-        rows[1] += 1.0      # a new array: the state keeps its values
-        assert not np.array_equal(rows, s.rows())
-        t = s.with_rows(rows)
+        assert rows.shape == (len(cls.FIELDS), 64) and rows is s.rows()
+        for name, row in zip(cls.FIELDS, rows):
+            assert np.shares_memory(getattr(s, name).values, row)
+        new = rows + 0.01
+        t = s.with_rows(new)
         assert type(t) is cls and t.delta == s.delta and t.grid == s.grid
-        assert np.array_equal(t.rows(), rows)
-        rows[-1, 0] = np.inf
+        assert t.rows() is new
+        bad, shallow = new.copy(), new.copy()
+        bad[-1, 0] = np.inf
+        shallow[0] = -0.95
         with pytest.raises(FloatingPointError):
-            s.with_rows(rows)
+            s.with_rows(bad)
+        with pytest.raises(DepthTooSmallError):
+            s.with_rows(shallow)
+        with pytest.raises(ValueError, match="rows of shape"):
+            s.with_rows(new[1:])
+
+    def test_caller_fields_are_copied(self, cls, grid64):
+        # the constructor stacks its fields into the state's own array
+        rng = np.random.default_rng(5)
+        fields = [random_depth(rng, grid64)] + [random_band_limited(rng, grid64)
+                                                for _ in cls.FIELDS[1:]]
+        s = cls(*fields, 0.3)
+        before = s.rows().copy()
+        for f in fields:
+            f.values += 0.01
+        assert np.array_equal(s.rows(), before)
+
+    def test_wrong_field_count(self, cls, grid64):
+        for m in (len(cls.FIELDS) - 1, len(cls.FIELDS) + 1):
+            with pytest.raises(TypeError):
+                cls(*(zeros(grid64) for _ in range(m)), 0.3)

@@ -10,6 +10,11 @@ import sys
 import pytest
 
 import iskak
+from iskak.operators import IkState
+from iskak.spectral import PeriodicGrid, RealField
+from iskak.waterwave import WwState
+
+from conftest import zeros
 
 MODULES = ["iskak"] + [f"iskak.{m.name}" for m in pkgutil.iter_modules(iskak.__path__)]
 
@@ -87,6 +92,17 @@ def test_benchmark_span_points_resolve():
         if obj is None or attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert not missing
+
+
+def test_state_fields_are_instance_realfields():
+    # benchmarks/worker.py checks a run's final state finite by reading the
+    # RealFields in vars(state); fields served by properties would leave it
+    # nothing to read, and the check would pass whatever the values
+    grid = PeriodicGrid(16)
+    for cls in (IkState, WwState):
+        s = cls(*(zeros(grid) for _ in cls.FIELDS), 0.3)
+        held = {n for n, v in vars(s).items() if isinstance(v, RealField)}
+        assert held >= set(cls.FIELDS)
 
 
 EVERY_KIND_OF_RUN = """

@@ -591,7 +591,7 @@ def test_runs_leave_their_initial_state_unchanged(grid64):
     runs = ((ik_state_from_surface(eta0, phi, 0.3), lambda s: ik_solver.run(s, cfg)),
             (WwState(eta0, phi, 0.3), lambda s: ww_run(s, cfg, DtnBackend.exact(16))))
     for initial, go in runs:
-        before = initial.rows()
+        before = initial.rows().copy()
         res = go(initial)
         assert res.diagnostics.aborted is None
         assert np.array_equal(initial.rows(), before)
