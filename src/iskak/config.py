@@ -92,8 +92,7 @@ class ExperimentConfig:
             raise ValueError("seed must be >= 0")
         if self.model not in ("ik", "ww"):
             raise ValueError("model must be 'ik' or 'ww'")
-        DtnBackend.parse(self.dtn)  # validates the backend spec
-        if self.dtn == "series:0" and self.experiment != "simulate":
+        if DtnBackend.parse(self.dtn).kind == "series" and self.experiment != "simulate":
             # convergence, consistency and conservation measure against cfg.dtn
             raise ValueError(f"dtn 'series:0' is the degraded control, which only simulate "
                              f"may step; set exact:N for {self.experiment}")

@@ -446,10 +446,12 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     # rest state: everything flat to rounding
     rest = leg("rest", grid0, 0.0, 1, 0.2,
                SimConfig(t_end=cfg.t_end, dt=dt0, record_every=200, cg_tol=cfg.cg_tol))
+    rest_c = max(rest.constraint_max, default=np.nan)
     checks.append(Check("rest state: mass/energy/constraint drift <= 1e-12",
                         _drift(rest.mass) <= 1e-12 and _drift(rest.energy) <= 1e-12
-                        and max(rest.constraint_max, default=np.nan) <= 1e-12,
-                        f"mass {_drift(rest.mass):.2e}, energy {_drift(rest.energy):.2e}"))
+                        and rest_c <= 1e-12,
+                        f"mass {_drift(rest.mass):.2e}, energy {_drift(rest.energy):.2e}, "
+                        f"constraint {rest_c:.2e}"))
 
     # step-halving order on the configured drift run
     grid = PeriodicGrid(cfg.n_points)
@@ -475,7 +477,7 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
     ww = leg("reference", grid0, 0.05, 1, 0.2,
              SimConfig(t_end=cfg.t_end, dt=dt0, record_every=200), DtnBackend.parse(cfg.dtn))
     e = _rel_drift(ww.energy)
-    checks.append(Check("reference run: mass <= 1e-11, surrogate energy drift <= 1e-6",
+    checks.append(Check("reference run: mass <= 1e-11, Hamiltonian drift <= 1e-6",
                         _drift(ww.mass) <= 1e-11 and e <= 1e-6,
                         f"mass {_drift(ww.mass):.2e}, energy {e:.2e}"))
     checks.append(Check("no aborted leg", not aborted,

@@ -104,9 +104,6 @@ class RealField:
             raise ValueError(f"values shape {v.shape} does not match grid ({self.grid.n_points},)")
         self.values = v
 
-    def copy(self) -> "RealField":
-        return RealField(self.grid, self.values.copy())
-
 
 def field_from_function(grid: PeriodicGrid, fn) -> RealField:
     return RealField(grid, np.asarray(fn(grid.nodes), dtype=float))

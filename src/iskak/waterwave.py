@@ -273,12 +273,14 @@ class _StripWorkspace:
     The right side rhs of the strip system is -lift_res on every interior row
     and 0 on the two boundary rows, so per Fourier mode k its preconditioned
     form b_p is lift_column[:, k] = M_k^-1 (0, 1, ..., 1, 0) = W lift_gain[:, k]
-    times the mode k of -lift_res: one 1-row transform pair, made by cold
-    solves alone.  A warm solve transforms lift_res as one more row of
-    W^-1 A^-1 A x0 for its P(rhs - A x0), and takes |b_p|^2 = sum_k
-    lift_weight[k] |rfft(lift_res)_k|^2 (Parseval: lift_weight[k] = w_k
-    sum_j lift_column[j, k]^2 / N, w_k = 1 at k = 0 and Nyquist, else 2).
-    The fields of the last solve stay in fields, where flux_divergence reads them.
+    times the mode k of -lift_res: one 1-row transform pair, made by solves
+    from zero alone.  A solve from a guess x0 transforms lift_res as one
+    more row of W^-1 A^-1 A x0 for its P(rhs - A x0), and takes |b_p|^2 =
+    sum_k lift_weight[k] |rfft(lift_res)_k|^2 (Parseval: lift_weight[k] =
+    w_k sum_j lift_column[j, k]^2 / N, w_k = 1 at k = 0 and Nyquist, else 2).
+    A solve depends on its arguments alone: fields and last_solution are the
+    last solve's outputs, for flux_divergence and DtnBackend.apply, and no
+    solve reads them, so every backend shares one workspace (_strip_workspace).
     """
 
     def __init__(self, grid: PeriodicGrid, n_z: int, delta: float):
@@ -323,12 +325,12 @@ class _StripWorkspace:
         surface: the (n_z + 1, N) collocation values.
 
         GMRES solves for the potential less its surface lift phi, which is
-        zero on the surface row.  It starts from guess, an estimate of that
-        lift-free part, when one is given; otherwise from last_solution when
-        warm_start is set.  A zero lift residual gives the zero lift-free
-        part at once, without an application.  The potential returned holds
-        GMRES's verified x; a warm solve stores as last_solution x + r, r its
-        final residual: a preconditioned Richardson step, for later guesses.
+        zero on the surface row.  A zero lift residual gives the zero
+        lift-free part at once, without an application; otherwise GMRES
+        starts from guess, an estimate of that part, if given, else from
+        zero.  The potential returned holds GMRES's verified x; with
+        warm_start the solve stores x + r as last_solution, r its final
+        residual: a preconditioned Richardson step, for later guesses.
         """
         grid = self.grid
         h = 1.0 + eta.values
@@ -360,8 +362,6 @@ class _StripWorkspace:
             b_p = np.zeros(shape[0] * shape[1])
         elif guess is not None:
             sol = guess.ravel()
-        elif warm_start and self.last_solution is not None:
-            sol = self.last_solution.ravel()
         else:
             b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points).ravel()
         sol, res, r = _gmres(apply_pa, b_p, tol, DTN_MAX_ITER, sol, residual)
@@ -385,13 +385,19 @@ class _StripWorkspace:
         return -self.dx.whole(f.h * vbar)
 
 
-@dataclass
+@lru_cache(maxsize=32)
+def _strip_workspace(grid: PeriodicGrid, n_z: int, delta: float) -> _StripWorkspace:
+    return _StripWorkspace(grid, n_z, delta)
+
+
+@dataclass(frozen=True)
 class DtnBackend:
     """Either the exact strip solve (kind='exact', resolution n_z) or the
     degraded control Lambda^(0) (kind='series'), the O(d^2) shallow-water
     map; the d^4 expansion dtn_series serves consistency only.  The n_z rule
     lives here only; parse() reads the 'exact:N' / 'series:0' spec of a
-    configuration."""
+    configuration.  A backend is a value: it holds no solver state, so two
+    with one (kind, n_z) are equal and give the same apply."""
 
     kind: str
     n_z: int = 16
@@ -401,7 +407,6 @@ class DtnBackend:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "exact" and self.n_z < 8:
             raise ValueError("exact backend needs n_z >= 8")
-        self._workspaces: dict = {}
 
     @classmethod
     def exact(cls, n_z: int = 16) -> "DtnBackend":
@@ -425,14 +430,6 @@ class DtnBackend:
     def label(self) -> str:
         return f"exact:{self.n_z}" if self.kind == "exact" else "series:0"
 
-    def _workspace(self, grid: PeriodicGrid, delta: float) -> _StripWorkspace:
-        key = (grid, self.n_z, delta)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            ws = _StripWorkspace(grid, self.n_z, delta)
-            self._workspaces[key] = ws
-        return ws
-
     def apply(self, eta: RealField, phi: RealField, delta: float,
               guess: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
@@ -441,11 +438,12 @@ class DtnBackend:
         computes anyway.  Lambda phi is the flux of the verified potential;
         the entry is the solve's polished last_solution, for guesses only.
         The solve starts from guess, an estimate of the entry, when one is
-        given, and otherwise from the last entry (_StripWorkspace.solve)."""
+        given, and otherwise from zero (_StripWorkspace.solve), so the result
+        depends on the arguments alone."""
         if self.kind == "series":
             eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
             return lambda0(eta, phi).values, None, (eta_x, phi_x)
-        ws = self._workspace(phi.grid, delta)
+        ws = _strip_workspace(phi.grid, self.n_z, delta)
         w = ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(w), ws.last_solution, (ws.fields.eta_x, ws.fields.phi_x)
 

@@ -28,6 +28,7 @@ from iskak.experiments import (
     run_elliptic_suite,
     summary_text,
 )
+from iskak.spectral import RealField
 from iskak.waterwave import DtnBackend
 
 
@@ -459,7 +460,7 @@ class TestCli:
         tail = ": no convergence in 0 iterations (residual 1.000e+00, tol 1.000e-12)"
         assert (f"  FAIL no aborted leg: reproject dt=0.001: injected into reproject{tail}; "
                 f"reference dt=0.001: injected into hamiltonian{tail}\n") in checks
-        assert ("  FAIL reference run: mass <= 1e-11, surrogate energy drift <= 1e-6: "
+        assert ("  FAIL reference run: mass <= 1e-11, Hamiltonian drift <= 1e-6: "
                 "mass nan, energy nan\n") in checks
         assert checks.endswith("result: FAIL\n")
         # each leg's rows carry its own grid size and step; the reference
@@ -505,6 +506,23 @@ class TestCli:
         checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
         assert f"  FAIL mass drift <= 1e-11 on every leg: {worst}" in checks
         assert "PASS rest state" in checks
+
+    def test_conservation_rest_check_names_the_constraint(self, tmp_path, monkeypatch):
+        # a constraint residual of 1e-9 on every IK record fails the rest
+        # check by itself, and its detail names it next to the drifts that pass
+        clean = ik_solver.constraint_residual
+
+        def offset(s):
+            res = clean(s)
+            return RealField(res.grid, res.values + 1e-9)
+
+        monkeypatch.setattr(ik_solver, "constraint_residual", offset)
+        code = main(["conservation", "--output-dir", str(tmp_path),
+                     "--override", "n_points=64", "--override", "t_end=0.1"])
+        assert code == 1
+        checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
+        assert ("  FAIL rest state: mass/energy/constraint drift <= 1e-12: "
+                "mass 0.00e+00, energy 0.00e+00, constraint 1.00e-09\n") in checks
 
     def test_conservation_legs_read_the_config(self, tmp_path):
         # the rest, reprojection and reference legs run on half the grid at

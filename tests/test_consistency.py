@@ -73,9 +73,9 @@ class TestResiduals:
         s = ik_state_from_surface(eta_p, phi_p, 0.3)
         backend = DtnBackend.exact(16)
         rep = residuals(s, backend)
-        shifted = IkState(s.eta.copy(),
+        shifted = IkState(s.eta,
                           RealField(grid128, s.phi0.values + 0.7),
-                          s.phi1.copy(), s.delta)
+                          s.phi1, s.delta)
         rep_shifted = residuals(shifted, backend)
         d6 = s.delta**6
         diff1 = np.abs(rep.r1.values - rep_shifted.r1.values).max()

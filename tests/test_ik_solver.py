@@ -168,7 +168,7 @@ class TestReproject:
 
     def test_restores_perturbed_constraint(self, grid128):
         s = cosine_state(grid128, 0.1, 0.3)
-        bad = IkState(s.eta.copy(), s.phi0.copy(),
+        bad = IkState(s.eta, s.phi0,
                       RealField(grid128, s.phi1.values + 0.5 * np.cos(grid128.nodes)),
                       s.delta)
         assert np.abs(constraint_residual(bad).values).max() > 0.1
@@ -177,7 +177,7 @@ class TestReproject:
 
     def test_surface_potential_preserved(self, grid128):
         s = cosine_state(grid128, 0.1, 0.3)
-        bad = IkState(s.eta.copy(), s.phi0.copy(),
+        bad = IkState(s.eta, s.phi0,
                       RealField(grid128, s.phi1.values + 0.5 * np.cos(grid128.nodes)),
                       s.delta)
         phi_before = surface_potential(bad)
@@ -210,7 +210,7 @@ class TestReproject:
         # a warm start keeps the tolerance: the result holds the constraint
         # as the cold split does
         s = self.stepped_state()
-        bad = IkState(s.eta.copy(), s.phi0.copy(),
+        bad = IkState(s.eta, s.phi0,
                       RealField(s.grid, s.phi1.values * (1.0 + 1e-6)), s.delta)
         assert np.abs(constraint_residual(bad).values).max() > 1e-10
         out, calls = self.counted_reproject(bad, monkeypatch)

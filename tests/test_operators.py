@@ -229,7 +229,7 @@ class TestPointwiseFields:
         pt = random_band_limited(rng, grid64)
         devs = []
         for delta in (0.2, 0.1, 0.05):
-            s = IkState(eta.copy(), phi0.copy(), phi1.copy(), delta)
+            s = IkState(eta, phi0, phi1, delta)
             devs.append(np.abs(coef_a(s, pt.values) - 1.0).max())
         assert devs[0] > devs[1] > devs[2]
         assert 3.2 <= devs[1] / devs[2] <= 4.8

@@ -272,8 +272,8 @@ class TestStripFields:
     @pytest.mark.parametrize("delta", [0.05, 0.5])
     def test_parseval_norm_is_the_norm_of_the_preconditioned_right_side(
             self, n, n_z, delta, monkeypatch):
-        # a cold solve hands GMRES the explicit b_p, a warm one at the same
-        # data only residual(x0), which returns |b_p| from the lift's modes
+        # a solve from zero hands GMRES the explicit b_p, one from a guess at
+        # the same data only residual(x0), which returns |b_p| from the lift's modes
         grid, eta, phi, _ = self.case(n)
         clean, seen = waterwave._gmres, []
 
@@ -283,8 +283,8 @@ class TestStripFields:
 
         monkeypatch.setattr(waterwave, "_gmres", spy)
         ws = _StripWorkspace(grid, n_z, delta)
-        for _ in range(2):
-            ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=ws.last_solution)
         (b, cold_x0, _), (warm_b, x0, residual) = seen
         assert cold_x0 is None and warm_b is None
         explicit = np.linalg.norm(b)
@@ -308,7 +308,7 @@ class TestStripFields:
         monkeypatch.setattr(_StripWorkspace, "_apply", counted("apply", _StripWorkspace._apply))
         for name in ("rfft", "irfft"):
             monkeypatch.setattr(np.fft, name, counted(name, getattr(np.fft, name)))
-        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+        ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=ws.last_solution)
         assert counts == {"apply": 1, "rfft": 1, "irfft": 1}
 
     @pytest.mark.parametrize("n", [64, 128, 256])
@@ -350,7 +350,7 @@ class TestStripFields:
         backend = DtnBackend.exact(16)
         lam, entry, _ = backend.apply(eta, phi, 0.2)
         (sol, _, r), = seen
-        ws = backend._workspace(grid, 0.2)
+        ws = waterwave._strip_workspace(grid, 16, 0.2)
         w = sol.reshape(entry.shape)
         assert np.array_equal(lam, ws.flux_divergence(w + phi.values))
         assert np.array_equal(entry, (sol + r).reshape(entry.shape))
@@ -369,8 +369,8 @@ class TestStripFields:
 
     def test_zero_right_side_costs_no_application(self, monkeypatch):
         # a constant potential has a zero lift residual, so the lift-free
-        # part is zero: a warm solve and a guessed one return it with no
-        # _apply, bit for bit the constant, and store it as last_solution
+        # part is zero: a solve without a guess and one with return it with
+        # no _apply, bit for bit the constant, and store it as last_solution
         grid, eta, phi, _ = self.case(128)
         ws = _StripWorkspace(grid, 16, 0.2)
         ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
@@ -378,7 +378,7 @@ class TestStripFields:
         clean = _StripWorkspace._apply
         monkeypatch.setattr(_StripWorkspace, "_apply", lambda *a: applies.append(1) or clean(*a))
         flat = RealField(grid, np.full(grid.n_points, 0.3))
-        for guess in (None, ws.last_solution.copy()):     # from last_solution, then a guess
+        for guess in (None, ws.last_solution.copy()):     # from zero, then from a guess
             w = ws.solve(eta, flat, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
             assert applies == []
             assert np.array_equal(w, np.full((17, grid.n_points), 0.3))
@@ -612,13 +612,36 @@ class TestBackend:
         assert DtnBackend.series().label() == "series:0"
 
     def test_exact_backend_caches_workspace(self, grid64):
-        be = DtnBackend.exact(16)
+        # one workspace per (grid, n_z, delta), shared by equal backends
+        cache = waterwave._strip_workspace
+        cache.cache_clear()
         phi = field_from_function(grid64, np.cos)
-        be.apply(zeros(grid64), phi, 0.3)
-        be.apply(zeros(grid64), phi, 0.3)
-        assert len(be._workspaces) == 1
-        be.apply(zeros(grid64), phi, 0.4)
-        assert len(be._workspaces) == 2
+        for be in (DtnBackend.exact(16), DtnBackend.parse("exact:16")):
+            be.apply(zeros(grid64), phi, 0.3)
+        assert cache.cache_info().currsize == 1
+        DtnBackend.exact(16).apply(zeros(grid64), phi, 0.4)
+        assert cache.cache_info().currsize == 2
+
+    def test_backend_is_a_value(self):
+        assert DtnBackend.exact(16) == DtnBackend.parse("exact:16")
+        assert hash(DtnBackend.exact(16)) == hash(DtnBackend.parse("exact:16"))
+        assert DtnBackend.exact(16) != DtnBackend.exact(24)
+        assert DtnBackend.series() == DtnBackend.parse("series:0")
+        with pytest.raises(AttributeError):
+            DtnBackend.exact(16).n_z = 8
+
+    def test_apply_depends_on_its_arguments_alone(self):
+        # the same call after an unrelated solve on the same backend, bit for
+        # bit: a solve without a guess starts from zero, not from what the
+        # workspace last held (that start moved the flux by 2.6e-11, of a
+        # 10.2 maximum, here)
+        grid, eta, phi, rng = TestStripFields.case(128)
+        fresh = DtnBackend.exact(16).apply(eta, phi, 0.2)
+        backend = DtnBackend.exact(16)
+        backend.apply(random_band_limited(rng, grid, 4, 0.1), random_band_limited(rng, grid), 0.2)
+        again = backend.apply(eta, phi, 0.2)
+        assert np.array_equal(again[0], fresh[0])
+        assert np.array_equal(again[1], fresh[1])
 
 
 class TestGmresBreakdown:
@@ -657,7 +680,8 @@ class TestGmresResidual:
         monkeypatch.setattr(waterwave, "_gmres", spy)
         ws = _StripWorkspace(grid, 16, 0.2)
         for eta_i, phi_i in data:
-            ws.solve(eta_i, phi_i, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True)
+            ws.solve(eta_i, phi_i, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True,
+                     guess=ws.last_solution)
         assert [(warm, no_b) for warm, no_b, *_ in seen] == [(False, False), (True, True)]
         for _, _, res, true, tol in seen:
             assert res <= tol

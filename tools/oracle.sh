@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the fifteen reference configurations on revision REV
+# Refactor oracle: run the sixteen reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -20,8 +20,11 @@
 # `simulate --config tools/oracle-simulate.cfg`, which exercises the
 # config-file reader, and `simulate --override model=ww --override
 # dtn=series:0`, which steps the series backend's Lambda^(0) control on its
-# own, and `consistency --override n_points=512`, the one consistency run on
-# transforms (above spectral.MATRIX_MAX_N), whose identity-gap check fails.
+# own, `consistency --override n_points=512`, the one consistency run on
+# transforms (above spectral.MATRIX_MAX_N), whose identity-gap check fails,
+# and `convergence --override phi_amplitude=0.02 --override t_end=0.2`, the
+# one sweep that starts both models from a nonzero potential, whose
+# velocity-slope check fails.
 # The config file is read from the working tree for both runs, so
 # REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
@@ -73,6 +76,7 @@ configs=(
     "simulate-config simulate --config $top/tools/oracle-simulate.cfg"
     "simulate-ww-series simulate --override model=ww --override dtn=series:0"
     "consistency-n512 consistency --override n_points=512"
+    "convergence-phi convergence --override phi_amplitude=0.02 --override t_end=0.2"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
