@@ -13,8 +13,7 @@ set of guards, one record cadence and one abort path.
 The potential (phi0 here, phi on the water-wave side) is defined up to a
 constant on a periodic domain; the loop re-centers it to zero mean after
 every step.  No verdict depends on that gauge, but it holds the rounding
-floor of the conservation checks: without it, the reference Hamiltonian
-drift of conservation reads 1.1e-15, not 2.2e-16.
+floor of the conservation checks.
 """
 
 from __future__ import annotations

@@ -15,11 +15,12 @@ all modes at once by fast diagonalization (Lynch, Rice & Thomas 1964):
 A^-1 E = W diag(theta) W^-1, so M_k^-1 = W diag(gain[:, k]) W^-1 A^-1 with
 gain = 1 / (1 - theta kappa_k): a z-transform, one x-transform pair with a
 gain per (z-mode, x-mode) and a z-transform back.  W, theta and W^-1 A^-1
-depend on n_z alone and are cached per n_z.  theta is real and <= 0
-(_strip_geometry checks it), so every gain lies in (0, 1].  The dx symbol
-is zeroed at the Nyquist mode, so kappa is 0 there too: the preconditioner
-is the exact inverse of the flat discrete operator at every mode, and no
-outlier eigenvalue stalls GMRES.
+depend on n_z alone; the (grid, n_z, delta) workspace builds them with its
+gains.  theta is real and <= 0 (_StripWorkspace raises SingularSystemError
+otherwise), so every gain lies in (0, 1].  The dx symbol is zeroed at the
+Nyquist mode, so kappa is 0 there too: the preconditioner is the exact
+inverse of the flat discrete operator at every mode, and no outlier
+eigenvalue stalls GMRES.
 
 GMRES reports the residual it builds from the operator outputs it keeps
 (_gmres), so the operator, not the Givens estimate, confirms a claimed
@@ -212,46 +213,6 @@ def _clenshaw_curtis_weights(xi: np.ndarray) -> np.ndarray:
     return np.linalg.solve(vand.T.copy(), moments)
 
 
-class _StripGeometry(NamedTuple):
-    """What one vertical resolution n_z fixes: the Chebyshev rows, the flux's
-    z-reductions and the fast diagonalization of the flat mode operators."""
-
-    dz: np.ndarray       # d/dz on z in [-1, 0], row 0 = surface
-    dzs: np.ndarray      # (dz; dz @ dz), stacked for one product in _apply
-    zp1: np.ndarray      # z + 1
-    reduce: np.ndarray   # (2, n_z + 1): wq and (wq (z + 1)) @ dz
-    vecs: np.ndarray     # W
-    theta: np.ndarray    # the eigenvalues of A^-1 E, real and <= 0
-    zmap: np.ndarray     # W^-1 A^-1
-
-
-@lru_cache(maxsize=8)
-def _strip_geometry(n_z: int) -> _StripGeometry:
-    """The strip geometry of n_z, with the fast diagonalization A^-1 E =
-    W diag(theta) W^-1 of the flat mode operators (module docstring).  The
-    arrays are shared by every workspace of this n_z and never written."""
-    xi, d_xi = _cheb_lobatto(n_z)
-    dz = 2.0 * d_xi
-    dzs = np.vstack((dz, dz @ dz))
-    zp1 = (xi - 1.0) / 2.0 + 1.0       # z + 1, z in [-1, 0]
-    wq = _clenshaw_curtis_weights(xi) / 2.0
-    a = dzs[n_z + 1:].copy()
-    a[0, :] = np.eye(n_z + 1)[0]           # surface Dirichlet row
-    a[-1, :] = dz[-1, :]                   # bottom Neumann row
-    try:
-        a_inv = np.linalg.inv(a)
-        ae = a_inv.copy()
-        ae[:, [0, -1]] = 0.0               # A^-1 E
-        theta, vecs = np.linalg.eig(ae)
-        zmap = np.linalg.solve(vecs, a_inv)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSystemError(f"flat strip modes: {exc}") from exc
-    if np.iscomplexobj(theta) or theta.max() > 0.0:
-        raise SingularSystemError(f"flat strip modes: n_z = {n_z} has eigenvalues off the "
-                                  "nonpositive real axis")
-    return _StripGeometry(dz, dzs, zp1, np.array((wq, (wq * zp1) @ dz)), vecs, theta, zmap)
-
-
 class _StripFields(NamedTuple):
     """The depth fields of one strip solve, for its applications and flux."""
 
@@ -267,9 +228,9 @@ class _StripWorkspace:
     """Cached geometry, differentiation and flat-mode preconditioner for one
     (grid, n_z, delta) combination.
 
-    What is fixed for a whole solve is built once: the n_z geometry
-    (_strip_geometry) per n_z, the mode gains and the preconditioned lift
-    column here, the depth fields (_StripFields) at the start of each solve.
+    What is fixed for a whole solve is built once: the Chebyshev rows, the
+    fast diagonalization, the mode gains and the preconditioned lift column
+    here, the depth fields (_StripFields) at the start of each solve.
     The right side rhs of the strip system is -lift_res on every interior row
     and 0 on the two boundary rows, so per Fourier mode k its preconditioned
     form b_p is lift_column[:, k] = M_k^-1 (0, 1, ..., 1, 0) = W lift_gain[:, k]
@@ -287,13 +248,31 @@ class _StripWorkspace:
         self.grid = grid
         self.n_z = n_z
         self.delta = delta
-        geo = _strip_geometry(n_z)
-        self.dz, self.dzs, self.zp1 = geo.dz, geo.dzs, geo.zp1
-        self.reduce, self.vecs, self.zmap = geo.reduce, geo.vecs, geo.zmap
+        xi, d_xi = _cheb_lobatto(n_z)
+        self.dz = dz = 2.0 * d_xi              # d/dz on z in [-1, 0], row 0 = surface
+        self.dzs = np.vstack((dz, dz @ dz))    # (dz; dz @ dz), stacked for one product in _apply
+        self.zp1 = (xi - 1.0) / 2.0 + 1.0      # z + 1
+        wq = _clenshaw_curtis_weights(xi) / 2.0
+        self.reduce = np.array((wq, (wq * self.zp1) @ dz))   # the flux's z-reductions
+        # the fast diagonalization A^-1 E = W diag(theta) W^-1 (module docstring)
+        a = self.dzs[n_z + 1:].copy()
+        a[0, :] = np.eye(n_z + 1)[0]           # surface Dirichlet row
+        a[-1, :] = dz[-1, :]                   # bottom Neumann row
+        try:
+            a_inv = np.linalg.inv(a)
+            ae = a_inv.copy()
+            ae[:, [0, -1]] = 0.0               # A^-1 E
+            theta, self.vecs = np.linalg.eig(ae)
+            self.zmap = np.linalg.solve(self.vecs, a_inv)      # W^-1 A^-1
+        except np.linalg.LinAlgError as exc:
+            raise SingularSystemError(f"flat strip modes: {exc}") from exc
+        if np.iscomplexobj(theta) or theta.max() > 0.0:
+            raise SingularSystemError(f"flat strip modes: n_z = {n_z} has eigenvalues off the "
+                                      "nonpositive real axis")
         self.dx = kernels(grid).dx          # applied with .whole (spectral module docstring)
         # kappa_k = -delta^2 (dx symbol)^2: the symbol dx o dx applies, 0 at Nyquist
         kappa = -(delta * delta) * (self.dx.symbol * self.dx.symbol).real
-        self.gain = 1.0 / (1.0 - geo.theta[:, None] * kappa)
+        self.gain = 1.0 / (1.0 - theta[:, None] * kappa)
         interior = np.ones(n_z + 1)
         interior[[0, -1]] = 0.0
         self.lift_gain = self.gain * (self.zmap @ interior)[:, None]
@@ -393,11 +372,12 @@ def _strip_workspace(grid: PeriodicGrid, n_z: int, delta: float) -> _StripWorksp
 @dataclass(frozen=True)
 class DtnBackend:
     """Either the exact strip solve (kind='exact', resolution n_z) or the
-    degraded control Lambda^(0) (kind='series'), the O(d^2) shallow-water
-    map; the d^4 expansion dtn_series serves consistency only.  The n_z rule
-    lives here only; parse() reads the 'exact:N' / 'series:0' spec of a
-    configuration.  A backend is a value: it holds no solver state, so two
-    with one (kind, n_z) are equal and give the same apply."""
+    degraded control Lambda^(0) (kind='series', n_z = 0: no strip), the
+    O(d^2) shallow-water map; the d^4 expansion dtn_series serves consistency
+    only.  The n_z rule lives here only; parse() reads the 'exact:N' /
+    'series:0' spec of a configuration, which label() writes.  A backend is
+    a value: it holds no solver state, so two with one (kind, n_z) are equal
+    and give the same apply."""
 
     kind: str
     n_z: int = 16
@@ -407,6 +387,8 @@ class DtnBackend:
             raise ValueError(f"unknown backend kind {self.kind!r}")
         if self.kind == "exact" and self.n_z < 8:
             raise ValueError("exact backend needs n_z >= 8")
+        if self.kind == "series" and self.n_z != 0:
+            raise ValueError("series backend has no strip: n_z must be 0")
 
     @classmethod
     def exact(cls, n_z: int = 16) -> "DtnBackend":
@@ -414,7 +396,7 @@ class DtnBackend:
 
     @classmethod
     def series(cls) -> "DtnBackend":
-        return cls("series")
+        return cls("series", 0)
 
     @classmethod
     def parse(cls, spec: str) -> "DtnBackend":
@@ -428,7 +410,7 @@ class DtnBackend:
         return cls.exact(int(n_z))
 
     def label(self) -> str:
-        return f"exact:{self.n_z}" if self.kind == "exact" else "series:0"
+        return f"{self.kind}:{self.n_z}"
 
     def apply(self, eta: RealField, phi: RealField, delta: float,
               guess: np.ndarray | None = None

@@ -13,7 +13,6 @@ from iskak.waterwave import (
     DtnBackend,
     WwState,
     _gmres,
-    _strip_geometry,
     _StripWorkspace,
     dtn_series,
     hamiltonian,
@@ -403,11 +402,44 @@ class TestFlatPreconditioner:
 
     @pytest.mark.parametrize("n_z", [8, 16, 32, 48])
     def test_eigenvalues_nonpositive_and_gains_in_unit_interval(self, n_z):
-        theta = _strip_geometry(n_z).theta
-        assert theta.dtype == np.float64 and theta.max() <= 0.0
+        # gain = 1 / (1 - theta kappa) with kappa = -delta^2 k^2: a complex
+        # theta gives a complex gain, and a theta > 0 a gain outside (0, 1]
+        # wherever kappa < 0
         for n, delta in ((64, 0.05), (128, 0.2), (256, 1.0)):
             gain = _StripWorkspace(PeriodicGrid(n), n_z, delta).gain
+            assert gain.dtype == np.float64
             assert gain.min() > 0.0 and gain.max() <= 1.0
+
+    def test_eigenvalue_off_the_nonpositive_axis_is_singular(self, monkeypatch):
+        clean = np.linalg.eig
+
+        def positive(a):
+            theta, vecs = clean(a)
+            theta[1] = 0.5
+            return theta, vecs
+
+        monkeypatch.setattr(np.linalg, "eig", positive)
+        with pytest.raises(SingularSystemError, match="off the nonpositive real axis"):
+            _StripWorkspace(PeriodicGrid(64), 16, 0.2)
+
+    @staticmethod
+    def singular(a):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    def test_singular_flat_operator_is_singular(self, monkeypatch):
+        monkeypatch.setattr(np.linalg, "inv", self.singular)
+        with pytest.raises(SingularSystemError, match="flat strip modes"):
+            _StripWorkspace(PeriodicGrid(64), 16, 0.2)
+
+    def test_run_on_singular_flat_modes_aborts_cleanly(self, monkeypatch, grid64):
+        # the t = 0 record builds the workspace, so the run aborts before a step
+        waterwave._strip_workspace.cache_clear()
+        monkeypatch.setattr(np.linalg, "inv", self.singular)
+        eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
+        res = ww_run(WwState(eta0, zeros(grid64), 0.2),
+                     SimConfig(t_end=1e-2, dt=5e-3, record_every=1), DtnBackend.exact(16))
+        assert res.diagnostics.aborted == "flat strip modes: Singular matrix"
+        assert res.diagnostics.times == [] and res.trajectory == []
 
     @pytest.mark.parametrize("n", [64, 128, 256])
     def test_flux_is_the_two_product_form(self, n):
@@ -610,6 +642,14 @@ class TestBackend:
     def test_labels(self):
         assert DtnBackend.exact(16).label() == "exact:16"
         assert DtnBackend.series().label() == "series:0"
+
+    def test_series_backend_has_one_value(self):
+        # Lambda^(0) reads no strip, so a series n_z other than 0 named a
+        # second backend for one map
+        with pytest.raises(ValueError, match="n_z must be 0"):
+            DtnBackend("series", 8)
+        for b in (DtnBackend.exact(8), DtnBackend.exact(16), DtnBackend.series()):
+            assert DtnBackend.parse(b.label()) == b
 
     def test_exact_backend_caches_workspace(self, grid64):
         # one workspace per (grid, n_z, delta), shared by equal backends

@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the sixteen reference configurations on revision REV
+# Refactor oracle: run the seventeen reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -24,7 +24,8 @@
 # transforms (above spectral.MATRIX_MAX_N), whose identity-gap check fails,
 # and `convergence --override phi_amplitude=0.02 --override t_end=0.2`, the
 # one sweep that starts both models from a nonzero potential, whose
-# velocity-slope check fails.
+# velocity-slope check fails, and `consistency --override dtn=exact:24`, the
+# one run that builds its strip workspaces at an n_z other than 16.
 # The config file is read from the working tree for both runs, so
 # REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
@@ -77,6 +78,7 @@ configs=(
     "simulate-ww-series simulate --override model=ww --override dtn=series:0"
     "consistency-n512 consistency --override n_points=512"
     "convergence-phi convergence --override phi_amplitude=0.02 --override t_end=0.2"
+    "consistency-nz24 consistency --override dtn=exact:24"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
