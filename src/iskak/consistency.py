@@ -6,8 +6,9 @@ in powers of the shallowness parameter, and what is left at sixth order is
 
     r1 = (dt eta - Lambda phi) / delta^6 = R5 - R9,
 
-where R5 closes the continuity expansion and R9 is the tail of the
-Dirichlet-to-Neumann series.  Both sides are computed by independent code
+where R5 closes the continuity expansion (remainder_R5) and R9 is the tail
+of the Dirichlet-to-Neumann series (formed in residuals): the only two
+remainders the code forms.  Both sides are computed by independent code
 paths (the exact Lambda value cancels in the difference), so the gap is a
 pure cross-check of the expansion algebra and the constraint solve.
 
@@ -32,8 +33,9 @@ from .spectral import RealField, dp, l2_norm, lap
 from .waterwave import DtnBackend, WwState, dtn_series, zcs_rhs
 
 __all__ = [
+    "DELTA_FLOOR",
     "ConsistencyReport",
-    "remainders_R1_to_R5",
+    "remainder_R5",
     "residuals",
     "dispersion_table",
     "phase_speed_squared",
@@ -50,13 +52,13 @@ class ConsistencyReport:
     r1_norm: float
     r2_norm: float
     identity_gap: float
-    r1: RealField
-    r2: RealField
     r5_max: float
 
 
-def remainders_R1_to_R5(s: IkState):
-    """Remainder chain of the constraint-elimination expansion.
+def remainder_R5(s: IkState) -> np.ndarray:
+    """R5 of the constraint-elimination remainder chain R1 -> R2 -> R5:
+    R1 = S phi1, R2 = S R1 and R5 = (2/3) L(H^3 R2), with L the Laplacian
+    and S v = L(H^2 v) / 2 - H^2 L(v) / 10.
 
     Products are 2/3-truncated for the same reason as the expansion terms of
     the Dirichlet-to-Neumann map: the chain stacks Laplacians, and the k^6
@@ -65,18 +67,12 @@ def remainders_R1_to_R5(s: IkState):
     """
     grid = s.grid
     h = 1.0 + s.eta.values
-    h2, h3 = h * h, h * h * h
-    p1 = s.phi1.values
+    h2 = h * h
 
     def step(v):
         return 0.5 * lap(grid, dp(grid, h2, v)) - 0.1 * dp(grid, h2, lap(grid, v))
 
-    r1 = step(p1)
-    r2 = step(r1)
-    r3 = (2.0 / 3.0) * lap(grid, dp(grid, h3, p1))
-    r4 = (2.0 / 3.0) * lap(grid, dp(grid, h3, r1))
-    r5 = (2.0 / 3.0) * lap(grid, dp(grid, h3, r2))
-    return tuple(RealField(grid, v) for v in (r1, r2, r3, r4, r5))
+    return (2.0 / 3.0) * lap(grid, dp(grid, h2 * h, step(step(s.phi1.values))))
 
 
 def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -> ConsistencyReport:
@@ -101,18 +97,12 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
 
     # series tail computed against the same Lambda evaluation used in r1
     r9 = (ww_eta_t - dtn_series(s.eta, phi, s.delta).values) * inv_d6
-    r5 = remainders_R1_to_R5(s)[4].values
-    gap = float(np.abs(r1v - (r5 - r9)).max())
-
-    r1f = RealField(grid, r1v)
-    r2f = RealField(grid, r2v)
+    r5 = remainder_R5(s)
     return ConsistencyReport(
         delta=s.delta,
-        r1_norm=l2_norm(r1f),
-        r2_norm=l2_norm(r2f),
-        identity_gap=gap,
-        r1=r1f,
-        r2=r2f,
+        r1_norm=l2_norm(RealField(grid, r1v)),
+        r2_norm=l2_norm(RealField(grid, r2v)),
+        identity_gap=float(np.abs(r1v - (r5 - r9)).max()),
         r5_max=float(np.abs(r5).max()),
     )
 

@@ -38,6 +38,7 @@ __all__ = [
     "fit_loglog",
     "write_csv",
     "run_experiment",
+    "summary_text",
     "EXPERIMENTS",
 ]
 

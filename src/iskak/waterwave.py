@@ -82,22 +82,25 @@ def _gmres(apply_op, b, tol, max_iter, x0=None, residual=None):
     Used on the left-preconditioned strip system, which is O(1) conditioned,
     so a few dozen iterations reach rounding without restarts.  A singular
     operator (a Givens denominator negligible next to its column) raises SingularSystemError.
-    The Givens estimate only decides when to stop.  r is built from the raw
-    operator outputs A v_i kept along the way (r0 = b - A x0, or r0 and |b|
-    from residual(x0) when both are given, and b may then be None).  Without
-    a further application it equals b - A x up to the rounding of x, of
-    order eps |A| |x|, negligible on the strip system; so a Givens estimate
-    that has drifted from the truth cannot pass for convergence.  A zero b
-    returns x = r = 0.
+    Two starts: from zero with b (x0 None), or from x0 with residual(x0),
+    which returns r0 = b - A x0 and |b| (b unused).  A zero b returns
+    x = r = 0; a non-finite |b| or |r0| raises FloatingPointError before any
+    application.  The Givens estimate only decides when to stop.  r is built
+    from the raw operator outputs A v_i kept along the way.  Without a
+    further application it equals b - A x up to the rounding of x, of order
+    eps |A| |x|, negligible on the strip system; so a Givens estimate that
+    has drifted from the truth cannot pass for convergence.
     """
     if x0 is None:
         x, r, bnorm = np.zeros_like(b), b.copy(), _norm(b)
     else:
         x = x0.copy()
-        r, bnorm = (b - apply_op(x), _norm(b)) if residual is None else residual(x)
+        r, bnorm = residual(x)
     if bnorm == 0.0:
         return np.zeros_like(x), 0.0, np.zeros_like(x)
     beta = _norm(r)
+    if not (math.isfinite(bnorm) and math.isfinite(beta)):
+        raise FloatingPointError(f"GMRES start: non-finite norm (|b| = {bnorm}, |r0| = {beta})")
     if beta <= tol * bnorm:
         return x, beta / bnorm, r
     basis = [r / beta]    # lists, not a preallocated basis: a solve makes few iterations
@@ -304,10 +307,10 @@ class _StripWorkspace:
         surface: the (n_z + 1, N) collocation values.
 
         GMRES solves for the potential less its surface lift phi, which is
-        zero on the surface row.  A zero lift residual gives the zero
-        lift-free part at once, without an application; otherwise GMRES
-        starts from guess, an estimate of that part, if given, else from
-        zero.  The potential returned holds GMRES's verified x; with
+        zero on the surface row.  GMRES starts from guess, an estimate of
+        that part, if one is given and the lift residual is nonzero, else
+        from zero, where a zero lift residual returns the zero part without
+        an application.  The potential returned holds GMRES's verified x; with
         warm_start the solve stores x + r as last_solution, r its final
         residual: a preconditioned Richardson step, for later guesses.
         """
@@ -337,9 +340,7 @@ class _StripWorkspace:
             return (self.vecs @ r).ravel(), math.sqrt(float(self.lift_weight @ abs(m[-1])**2))
 
         sol = b_p = None
-        if not lift_res.any():      # a zero right side: _gmres returns zero, with no application
-            b_p = np.zeros(shape[0] * shape[1])
-        elif guess is not None:
+        if guess is not None and lift_res.any():
             sol = guess.ravel()
         else:
             b_p = np.fft.irfft(self.lift_column * np.fft.rfft(-lift_res), n=grid.n_points).ravel()

@@ -27,6 +27,21 @@ def test_all_exports_resolve(name):
     assert not missing
 
 
+def test_cross_module_imports_are_exported():
+    # a name one module takes from another is part of that module's public
+    # surface, so it is listed in its __all__ where the module keeps one
+    found = []
+    for path in sorted(pathlib.Path(iskak.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and node.level == 1 and node.module:
+                exported = getattr(importlib.import_module(f"iskak.{node.module}"),
+                                   "__all__", None)
+                if exported is not None:
+                    found += [f"{path.name}: {node.module}.{a.name}"
+                              for a in node.names if a.name not in exported]
+    assert not found
+
+
 def test_no_module_imports_another_modules_private_names():
     # modules share only public names, so a private helper can be reshaped
     # by its owner alone

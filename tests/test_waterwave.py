@@ -4,7 +4,9 @@ import scipy.fft
 from scipy.optimize import curve_fit
 
 from iskak import ik_solver, waterwave
+from iskak.config import apply_overrides, default_config
 from iskak.errors import DepthTooSmallError, NonConvergenceError, SingularSystemError
+from iskak.experiments import run_experiment
 from iskak.ik_solver import SimConfig, rk4_fields
 from iskak.operators import H_MIN_DEFAULT, ik_state_from_surface
 from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
@@ -357,7 +359,9 @@ class TestStripFields:
 
     def test_zero_right_side_keeps_a_zero_entry(self):
         # b = 0 is solved by x = 0 with a zero residual, whatever x0 was
-        x, res, r = _gmres(lambda v: 2.0 * v, np.zeros(8), 1e-12, 20, np.ones(8))
+        b = np.zeros(8)
+        x, res, r = _gmres(lambda v: 2.0 * v, None, 1e-12, 20, np.ones(8),
+                           residual=lambda x0: (b - 2.0 * x0, np.linalg.norm(b)))
         assert res == 0.0
         assert not x.any() and not r.any()
         grid, eta, _, _ = self.case(128)
@@ -698,6 +702,33 @@ class TestGmresBreakdown:
             _gmres(lambda v: d * v, np.ones(8), 1e-12, 20)
 
 
+class TestGmresNonFinite:
+    @pytest.mark.parametrize("fill, shown", [(np.nan, "nan"), (1e300, "inf")])
+    def test_non_finite_right_side_raises_before_any_application(self, fill, shown):
+        # |b| of an all-1e300 b overflows to inf, which a plain |r0| <= tol |b|
+        # test takes for convergence, and a NaN b fails only after max_iter
+        # applications
+        calls = []
+
+        def apply_op(v):
+            calls.append(1)
+            return v
+
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError,
+                                                        match=rf"\|b\| = {shown}"):
+            _gmres(apply_op, np.full(8, fill), 1e-12, 20)
+        assert calls == []
+
+    def test_run_abort_names_the_non_finite_norm(self):
+        cfg = apply_overrides(default_config("simulate"),
+                              ["model=ww", "phi_amplitude=1e200", "t_end=0.01"])
+        with np.errstate(over="ignore"):
+            checks = run_experiment(cfg).checks
+        run = next(c for c in checks if c.name == "run completed")
+        assert not run.passed
+        assert "non-finite norm (|b| = inf" in run.detail
+
+
 class TestGmresResidual:
     def test_returned_residual_is_the_true_one_on_the_strip_system(self, monkeypatch):
         # micro-case strip system, cold then warm: the returned residual and
@@ -755,7 +786,8 @@ class TestGmresResidual:
             b = rng.standard_normal(20)
             ref = np.linalg.solve(a, b)
             x0 = ref + 1e-3 * rng.standard_normal(20) if trial % 2 else None
-            x, res, _ = _gmres(lambda v: a @ v, b, 1e-14, 20, x0)
+            x, res, _ = _gmres(lambda v: a @ v, b, 1e-14, 20, x0,
+                               residual=lambda x0: (b - a @ x0, np.linalg.norm(b)))
             assert np.abs(x - ref).max() <= 1e-12 * np.abs(ref).max()
             assert abs(res - np.linalg.norm(b - a @ x) / np.linalg.norm(b)) <= 1e-14
 

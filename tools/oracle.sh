@@ -1,5 +1,5 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the seventeen reference configurations on revision REV
+# Refactor oracle: run the nineteen reference configurations on revision REV
 # and on the working tree, and compare every output file byte for byte.
 #
 #     tools/oracle.sh REV
@@ -24,8 +24,12 @@
 # transforms (above spectral.MATRIX_MAX_N), whose identity-gap check fails,
 # and `convergence --override phi_amplitude=0.02 --override t_end=0.2`, the
 # one sweep that starts both models from a nonzero potential, whose
-# velocity-slope check fails, and `consistency --override dtn=exact:24`, the
-# one run that builds its strip workspaces at an n_z other than 16.
+# velocity-slope check fails, `consistency --override dtn=exact:24`, the
+# one run that builds its strip workspaces at an n_z other than 16,
+# `consistency --override delta=0.4,0.2,0.1`, the one run without
+# delta = 0.3, whose identity-gap check takes its worst-leg branch, and
+# `convergence --override amplitude=0 --override t_end=0.05`, the
+# rest-data sweep, whose water-wave stages all start from a zero right side.
 # The config file is read from the working tree for both runs, so
 # REV may predate it.
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
@@ -79,6 +83,8 @@ configs=(
     "consistency-n512 consistency --override n_points=512"
     "convergence-phi convergence --override phi_amplitude=0.02 --override t_end=0.2"
     "consistency-nz24 consistency --override dtn=exact:24"
+    "consistency-worst-leg consistency --override delta=0.4,0.2,0.1"
+    "convergence-rest convergence --override amplitude=0 --override t_end=0.05"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
