@@ -85,14 +85,14 @@ def residuals(s: IkState, backend: DtnBackend, cg_tol: float = CG_TOL_DEFAULT) -
     inv_d6 = 1.0 / s.delta**6
     h = 1.0 + s.eta.values
 
-    d = time_derivatives(s, cg_tol)
-    phi = surface_potential(s)
+    eta_t, phi0_t, phi1_t = time_derivatives(s, cg_tol)
+    phi = RealField(grid, surface_potential(s))
     ww_eta_t, ww_phi_t, _ = zcs_rhs(WwState(s.eta, phi, s.delta), backend)
 
-    r1v = (d.eta_t - ww_eta_t) * inv_d6
+    r1v = (eta_t - ww_eta_t) * inv_d6
 
     # exact reconstruction of dt phi; gauge-free (no additive constant)
-    phi_t = d.phi0_t + d2 * (2.0 * h * d.eta_t * s.phi1.values + h * h * d.phi1_t)
+    phi_t = phi0_t + d2 * (2.0 * h * eta_t * s.phi1.values + h * h * phi1_t)
     r2v = (phi_t - ww_phi_t) * inv_d6
 
     # series tail computed against the same Lambda evaluation used in r1

@@ -267,10 +267,9 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
     errors = []
     for (tw, sw), (_, si), (_, sc) in zip(reference.trajectory, model.trajectory,
                                           control.trajectory):
-        phi_model = surface_potential(si)
         errors.append((tw, l2_norm(RealField(grid, sw.eta.values - si.eta.values)),
                        l2_norm(RealField(grid, dx(grid, sw.phi.values)
-                                         - dx(grid, phi_model.values))),
+                                         - dx(grid, surface_potential(si)))),
                        l2_norm(RealField(grid, sw.eta.values - sc.eta.values))))
     diag = model.diagnostics
     return _ConvLeg(delta, errors, min(diag.min_depth), min(diag.min_a),

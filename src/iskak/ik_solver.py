@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import NamedTuple
 
 import numpy as np
 
@@ -38,7 +37,6 @@ from .operators import (
 from .spectral import integrate
 
 __all__ = [
-    "IkDerivative",
     "SimConfig",
     "Diagnostics",
     "RunResult",
@@ -52,15 +50,6 @@ __all__ = [
 
 BLOWUP_GUARD = 1e6
 CFL_FACTOR = 0.5
-
-
-class IkDerivative(NamedTuple):
-    """Time derivatives of the state, in the order of IkState.FIELDS;
-    phi0_t + d^2 H^2 phi1_t = -F1 holds by construction of the elliptic solve."""
-
-    eta_t: np.ndarray
-    phi0_t: np.ndarray
-    phi1_t: np.ndarray
 
 
 @dataclass
@@ -121,13 +110,13 @@ def time_derivatives(
     s: IkState,
     cg_tol: float = CG_TOL_DEFAULT,
     guess: np.ndarray | None = None,
-) -> IkDerivative:
-    """Full state derivative: continuity for eta, elliptic solve for the pair;
-    guess, an estimate of phi1_t, starts the solve."""
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(eta_t, phi0_t, phi1_t) in IkState.FIELDS order: continuity for eta, the
+    elliptic solve for the pair, so phi0_t + d^2 H^2 phi1_t = -F1 holds by
+    construction; guess, an estimate of phi1_t, starts the solve."""
     dc = s.depth()
     eta_t, f1, f2 = stage_sources(s, dc)
-    return IkDerivative(eta_t, *solve_elliptic_pair(s.delta, dc, -f1, f2, cg_tol=cg_tol,
-                                                    psi1_guess=guess))
+    return (eta_t, *solve_elliptic_pair(s.delta, dc, -f1, f2, cg_tol=cg_tol, psi1_guess=guess))
 
 
 def _extrapolate(past):
@@ -153,8 +142,8 @@ def _stage_guess(i, ks, e):
 def rk4_fields(s, dt, rhs, warm):
     """One classical RK4 step over the fields a state names in s.FIELDS.
 
-    rhs(state, guess) returns a stage result: the time derivatives of those
-    fields, in that order, as arrays, possibly followed by more entries.
+    rhs(state, guess) returns a stage result: a plain tuple of the fields'
+    time derivatives, in order, as arrays, possibly followed by more entries.
     Its last entry is what the stage's solver computes (phi1_t on the IK
     side, the strip entry on the water-wave side); guess, an array or None,
     estimates it.  warm is None on a run's first step and otherwise the
@@ -209,15 +198,15 @@ def reproject(s: IkState, cg_tol: float = CG_TOL_DEFAULT) -> IkState:
     the reconstructed potential unchanged.
     The solve starts from the state's own phi1 at the same tolerance cg_tol,
     so a state that still meets the constraint costs one L1 application."""
-    pair = solve_elliptic_pair(s.delta, s.depth(), surface_potential(s).values,
-                               cg_tol=cg_tol, psi1_guess=s.phi1.values)
-    return s.with_rows(np.array((s.eta.values, *pair)))
+    pair = solve_elliptic_pair(s.delta, s.depth(), surface_potential(s), cg_tol=cg_tol,
+                               psi1_guess=s.rows()[2])
+    return s.with_rows(np.array((s.rows()[0], *pair)))
 
 
 def _record(s: IkState, cg_tol: float, guess: np.ndarray | None = None) -> tuple:
     """Energy, constraint_max and min_a; guess starts the elliptic solve."""
-    a = coef_a(s, time_derivatives(s, cg_tol, guess).phi1_t)
-    return energy(s), float(np.abs(constraint_residual(s).values).max()), float(a.min())
+    *_, phi1_t = time_derivatives(s, cg_tol, guess)
+    return energy(s), float(np.abs(constraint_residual(s)).max()), float(coef_a(s, phi1_t).min())
 
 
 def _recenter(s) -> None:

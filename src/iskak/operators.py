@@ -30,7 +30,7 @@ P = 1 / ((8/15) d^2 k^2 + 4/3) between depth scalings S = H^(-3/2), which
 turn the (4/3) H^3 term of L1 into the 4/3 of the flat symbol.  It stays
 symmetric positive definite; only PCG reads it, so it needs no
 row-exactness.  A breakdown (p.Ap <= 0, or a step that is not finite)
-raises NonConvergenceError.
+raises NonConvergenceError; a non-finite |b| or |r0|, FloatingPointError.
 
 stage_sources evaluates the continuity flux and the sources F1, F2 of a time
 step from shared transforms, with the symbols of spectral.kernels.
@@ -160,7 +160,7 @@ class IkState(ModelState):
     satisfy it, mid-step states may violate it at the discretization level.
     """
 
-    FIELDS = ("eta", "phi0", "phi1")   # evolved fields, in IkDerivative order; the potential second
+    FIELDS = ("eta", "phi0", "phi1")   # evolved, in time_derivatives order; the potential second
     GUESS_STEPS = 2                     # past steps the stage guesses use (rk4_fields)
 
     def depth(self) -> DepthCoefs:
@@ -203,22 +203,19 @@ def op_l1(delta: float, coefs: DepthCoefs, psi: RealField) -> RealField:
 # ---------------------------------------------------------------------------
 # pointwise fields of the model
 
-def constraint_residual(s: IkState) -> RealField:
+def constraint_residual(s: IkState) -> np.ndarray:
     """(2/3) lap phi0 + (2/15) d^2 H^2 lap phi1 + (4/3) phi1."""
-    grid = s.grid
-    h = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
-    res = (
-        (2.0 / 3.0) * lap(grid, s.phi0.values)
-        + (2.0 / 15.0) * s.delta**2 * (h * h) * lap(grid, s.phi1.values)
-        + (4.0 / 3.0) * s.phi1.values
-    )
-    return RealField(grid, res)
+    eta, _, p1 = s.rows()
+    h = 1.0 + eta    # not s.depth(): a record builds that once (ik_solver._record)
+    l0, l1 = lap(s.grid, s.rows()[1:])
+    return (2.0 / 3.0) * l0 + (2.0 / 15.0) * s.delta**2 * (h * h) * l1 + (4.0 / 3.0) * p1
 
 
-def surface_potential(s: IkState) -> RealField:
+def surface_potential(s: IkState) -> np.ndarray:
     """Trace of the velocity potential at the surface: phi0 + d^2 H^2 phi1."""
-    h = 1.0 + s.eta.values
-    return RealField(s.grid, s.phi0.values + s.delta**2 * (h * h) * s.phi1.values)
+    eta, p0, p1 = s.rows()
+    h = 1.0 + eta
+    return p0 + s.delta**2 * (h * h) * p1
 
 
 def stage_sources(s: IkState, dc: DepthCoefs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -261,11 +258,11 @@ def coef_a(s: IkState, phi1_t: np.ndarray) -> np.ndarray:
     forms, stage by stage over stacked rows.  Multipliers are row-exact, so
     this equals the dp chains bit for bit.
     """
-    grid = s.grid
-    depth = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
-    d2 = s.delta**2
-    u0, u1 = dx(grid, np.array((s.phi0.values, s.phi1.values)))
-    h, pt, v0, v1, p1, h3 = dealias(grid, np.array((depth, phi1_t, u0, u1, s.phi1.values,
+    grid, d2 = s.grid, s.delta**2
+    eta, _, phi1 = s.rows()
+    depth = 1.0 + eta    # not s.depth(): a record builds that once (ik_solver._record)
+    u0, u1 = dx(grid, s.rows()[1:])
+    h, pt, v0, v1, p1, h3 = dealias(grid, np.array((depth, phi1_t, u0, u1, phi1,
                                                     depth * depth * depth)))
     q = dealias(grid, dealias(grid, np.array((v0 * v1, v1 * v1, p1 * p1))))
     o = dealias(grid, np.array((h * pt, h * q[0], h3 * q[1], h * q[2])))
@@ -278,21 +275,19 @@ def coef_a(s: IkState, phi1_t: np.ndarray) -> np.ndarray:
 def energy(s: IkState) -> float:
     """Physical energy: (1/2)||eta||^2 plus half the kinetic quadratic form,
     the vertical integral of the squared scaled gradient of the potential ansatz."""
-    grid = s.grid
-    h = 1.0 + s.eta.values    # not s.depth(): a record builds that once (ik_solver._record)
+    eta, _, p1 = s.rows()
+    h = 1.0 + eta    # not s.depth(): a record builds that once (ik_solver._record)
     h2 = h * h
     d2 = s.delta * s.delta
-    p1 = s.phi1.values
-    u0 = dx(grid, s.phi0.values)
-    u1 = dx(grid, p1)
+    u0, u1 = dx(s.grid, s.rows()[1:])
     kinetic = (
         h * u0 * u0
         + (2.0 / 3.0) * d2 * (h2 * h) * u0 * u1
         + (1.0 / 5.0) * d2 * d2 * (h2 * h2 * h) * u1 * u1
         + (4.0 / 3.0) * d2 * (h2 * h) * p1 * p1
     )
-    dens = s.eta.values**2 + kinetic
-    return 0.5 * float(grid.spacing * dens.sum())
+    dens = eta**2 + kinetic
+    return 0.5 * float(s.grid.spacing * dens.sum())
 
 
 # ---------------------------------------------------------------------------
@@ -307,6 +302,8 @@ def _flat_precond(grid: PeriodicGrid, delta: float) -> Multiplier:
 def _pcg(apply_op, precond, b, tol, x0=None):
     """Preconditioned CG for apply_op x = b, to |r| <= tol |b|."""
     bnorm = math.sqrt(float(np.dot(b, b)))
+    if not math.isfinite(bnorm):
+        raise FloatingPointError(f"elliptic pair solve: non-finite norm (|b| = {bnorm})")
     if bnorm == 0.0:
         return np.zeros_like(b)
     if x0 is None:
@@ -316,6 +313,8 @@ def _pcg(apply_op, precond, b, tol, x0=None):
         x = x0.copy()
         r = b - apply_op(x)
     res = math.sqrt(float(np.dot(r, r)))
+    if not math.isfinite(res):
+        raise FloatingPointError(f"elliptic pair solve: non-finite norm (|r0| = {res})")
     if res <= tol * bnorm:
         return x
     z = precond(r)

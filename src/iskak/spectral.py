@@ -36,8 +36,9 @@ rounding level.  The size rule lives here alone.
 RealField is the typed boundary of the solvers: a grid function whose
 shape is checked on construction.  A state's fields are RealField views of
 the rows of the one array it holds (operators.ModelState, which checks
-them finite); the public operators take RealFields too.  The kernels,
-stage results and the elliptic solve's data and results are plain arrays.
+them finite); the profiles, DepthCoefs.from_eta, the L and DtN maps and
+the strip solve take RealFields too.  Formulas on a state read its rows
+and return plain arrays, as the kernels and the elliptic solve do.
 """
 
 from __future__ import annotations

@@ -28,7 +28,6 @@ from iskak.experiments import (
     run_elliptic_suite,
     summary_text,
 )
-from iskak.spectral import RealField
 from iskak.waterwave import DtnBackend
 
 
@@ -299,6 +298,17 @@ class TestCli:
         assert "config error" in err and message in err
         assert not (tmp_path / "simulate.csv").exists()
 
+    def test_overflowing_initial_potential_fails_the_experiment(self, tmp_path, capsys):
+        # |b| of the initial split overflows to inf: the elliptic pair solve
+        # names the non-finite norm instead of returning phi1 = 0 as converged
+        with np.errstate(over="ignore"):
+            code = main(["simulate", "--output-dir", str(tmp_path),
+                         "--override", "phi_amplitude=1e200", "--override", "t_end=0.01"])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "experiment failed: elliptic pair solve: non-finite norm (|b| = inf)" in err
+        assert not (tmp_path / "simulate.csv").exists()
+
     def test_record_every_error_names_its_own_rule(self, tmp_path, capsys):
         # reproject_every is no config key, so the message names only record_every
         code = main(["simulate", "--output-dir", str(tmp_path),
@@ -513,8 +523,7 @@ class TestCli:
         clean = ik_solver.constraint_residual
 
         def offset(s):
-            res = clean(s)
-            return RealField(res.grid, res.values + 1e-9)
+            return clean(s) + 1e-9
 
         monkeypatch.setattr(ik_solver, "constraint_residual", offset)
         code = main(["conservation", "--output-dir", str(tmp_path),

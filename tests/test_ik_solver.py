@@ -56,24 +56,25 @@ def wave_run():
 
 class TestEtaRhs:
     def test_rest(self, grid64):
-        assert np.abs(time_derivatives(rest_state(grid64)).eta_t).max() == 0.0
+        assert np.abs(time_derivatives(rest_state(grid64))[0]).max() == 0.0
 
     def test_flat_laplacian(self, grid64):
         s = IkState(zeros(grid64), field_from_function(grid64, np.cos), zeros(grid64), 0.3)
-        assert np.abs(time_derivatives(s).eta_t - np.cos(grid64.nodes)).max() <= 1e-12
+        assert np.abs(time_derivatives(s)[0] - np.cos(grid64.nodes)).max() <= 1e-12
 
     def test_divergence_form_zero_mean(self, grid64):
         rng = np.random.default_rng(1)
         s = IkState(random_band_limited(rng, grid64, 4, 0.2),
                     random_band_limited(rng, grid64),
                     random_band_limited(rng, grid64), 0.4)
-        assert abs(integrate(RealField(grid64, time_derivatives(s).eta_t))) <= 1e-13
+        assert abs(integrate(RealField(grid64, time_derivatives(s)[0]))) <= 1e-13
 
 
 class TestTimeDerivatives:
     def test_rest_fixed_point(self, grid64):
         d = time_derivatives(rest_state(grid64))
-        for f in (d.eta_t, d.phi0_t, d.phi1_t):
+        assert len(d) == 3
+        for f in d:
             assert np.abs(f).max() == 0.0
 
     def test_elevation_only_linearization(self, grid64):
@@ -82,20 +83,20 @@ class TestTimeDerivatives:
         eps, delta = 1e-6, 0.4
         eta = field_from_function(grid64, lambda x: eps * np.cos(x))
         s = IkState(eta, zeros(grid64), zeros(grid64), delta)
-        d = time_derivatives(s)
-        assert np.abs(d.eta_t).max() == 0.0
+        eta_t, phi0_t, _ = time_derivatives(s)
+        assert np.abs(eta_t).max() == 0.0
         denom = 1.0 + 0.4 * delta**2
         expected = -eps * (1.0 - delta**2 / 10.0) / denom * np.cos(grid64.nodes)
-        assert np.abs(d.phi0_t - expected).max() <= 1e-10
+        assert np.abs(phi0_t - expected).max() <= 1e-10
 
     def test_reconstruction_identity(self, grid64):
         rng = np.random.default_rng(2)
         s = IkState(random_band_limited(rng, grid64, 4, 0.15),
                     random_band_limited(rng, grid64, 5, 0.3),
                     random_band_limited(rng, grid64, 5, 0.3), 0.35)
-        d = time_derivatives(s)
+        _, phi0_t, phi1_t = time_derivatives(s)
         h2 = (1.0 + s.eta.values) ** 2
-        lhs = d.phi0_t + s.delta**2 * h2 * d.phi1_t
+        lhs = phi0_t + s.delta**2 * h2 * phi1_t
         assert np.abs(lhs + stage_sources(s, s.depth())[1]).max() <= 1e-8
 
 
@@ -171,9 +172,9 @@ class TestReproject:
         bad = IkState(s.eta, s.phi0,
                       RealField(grid128, s.phi1.values + 0.5 * np.cos(grid128.nodes)),
                       s.delta)
-        assert np.abs(constraint_residual(bad).values).max() > 0.1
+        assert np.abs(constraint_residual(bad)).max() > 0.1
         fixed = reproject(bad)
-        assert np.abs(constraint_residual(fixed).values).max() <= 1e-8
+        assert np.abs(constraint_residual(fixed)).max() <= 1e-8
 
     def test_surface_potential_preserved(self, grid128):
         s = cosine_state(grid128, 0.1, 0.3)
@@ -182,7 +183,7 @@ class TestReproject:
                       s.delta)
         phi_before = surface_potential(bad)
         fixed = reproject(bad)
-        assert np.abs(surface_potential(fixed).values - phi_before.values).max() <= 1e-10
+        assert np.abs(surface_potential(fixed) - phi_before).max() <= 1e-10
 
 
     @staticmethod
@@ -201,7 +202,7 @@ class TestReproject:
         s = self.stepped_state()
         out, calls = self.counted_reproject(s, monkeypatch)
         assert calls == 1
-        cold = ik_state_from_surface(s.eta, surface_potential(s), s.delta)
+        cold = ik_state_from_surface(s.eta, RealField(s.grid, surface_potential(s)), s.delta)
         for n in ("phi0", "phi1"):
             a, b = getattr(out, n).values, getattr(cold, n).values
             assert np.abs(a - b).max() <= 1e-12 * np.abs(b).max()
@@ -212,12 +213,13 @@ class TestReproject:
         s = self.stepped_state()
         bad = IkState(s.eta, s.phi0,
                       RealField(s.grid, s.phi1.values * (1.0 + 1e-6)), s.delta)
-        assert np.abs(constraint_residual(bad).values).max() > 1e-10
+        assert np.abs(constraint_residual(bad)).max() > 1e-10
         out, calls = self.counted_reproject(bad, monkeypatch)
         assert calls > 1
-        cold = ik_state_from_surface(bad.eta, surface_potential(bad), bad.delta)
+        cold = ik_state_from_surface(bad.eta, RealField(bad.grid, surface_potential(bad)),
+                                     bad.delta)
         for state in (out, cold):
-            assert np.abs(constraint_residual(state).values).max() <= 1e-12
+            assert np.abs(constraint_residual(state)).max() <= 1e-12
 
 
 class TestRecord:
@@ -235,9 +237,8 @@ class TestRecord:
             m.setattr(DepthCoefs, "from_eta", counted)
             got = ik_solver._record(s, 1e-12)
         assert len(builds) == 1
-        a = coef_a(s, time_derivatives(s, 1e-12).phi1_t)
-        assert got == (energy(s), float(np.abs(constraint_residual(s).values).max()),
-                       float(a.min()))
+        a = coef_a(s, time_derivatives(s, 1e-12)[2])
+        assert got == (energy(s), float(np.abs(constraint_residual(s)).max()), float(a.min()))
 
 
 class TestRun:

@@ -141,12 +141,12 @@ def test_coercivity_hundred_trials(grid64):
 class TestPointwiseFields:
     def test_constraint_trivial_cases(self, grid64):
         s = IkState(zeros(grid64), RealField(grid64, np.full(64, 1.2)), zeros(grid64), 0.3)
-        assert np.abs(constraint_residual(s).values).max() <= 1e-13
+        assert np.abs(constraint_residual(s)).max() <= 1e-13
 
     def test_constraint_direct_substitution(self, grid64):
         s = IkState(zeros(grid64), field_from_function(grid64, np.cos), zeros(grid64), 0.3)
         expected = -(2.0 / 3.0) * np.cos(grid64.nodes)
-        assert np.abs(constraint_residual(s).values - expected).max() <= 1e-12
+        assert np.abs(constraint_residual(s) - expected).max() <= 1e-12
 
     def test_f1_trivial_and_quadratic(self, grid64):
         def f1(s):
@@ -233,6 +233,29 @@ class TestPointwiseFields:
             devs.append(np.abs(coef_a(s, pt.values) - 1.0).max())
         assert devs[0] > devs[1] > devs[2]
         assert 3.2 <= devs[1] / devs[2] <= 4.8
+
+    @pytest.mark.parametrize("n", [64, 2 * MATRIX_MAX_N])
+    def test_state_formulas_are_the_one_row_formulas(self, n):
+        # energy and constraint_residual take one stacked dx or lap of
+        # (phi0, phi1): on both multiplier paths they equal the same formulas
+        # over one-row calls bit for bit, as surface_potential does
+        g = PeriodicGrid(n)
+        rng = np.random.default_rng(23)
+        for _ in range(5):
+            s = IkState(random_depth(rng, g), random_band_limited(rng, g),
+                        random_band_limited(rng, g), rng.uniform(0.05, 1.0))
+            eta, p0, p1 = s.eta.values, s.phi0.values, s.phi1.values
+            h, d2 = 1.0 + eta, s.delta**2
+            h2 = h * h
+            u0, u1 = dx(g, p0), dx(g, p1)
+            kinetic = (h * u0 * u0 + (2.0 / 3.0) * d2 * (h2 * h) * u0 * u1
+                       + (1.0 / 5.0) * d2 * d2 * (h2 * h2 * h) * u1 * u1
+                       + (4.0 / 3.0) * d2 * (h2 * h) * p1 * p1)
+            assert energy(s) == 0.5 * float(g.spacing * (eta**2 + kinetic).sum())
+            want = ((2.0 / 3.0) * lap(g, p0) + (2.0 / 15.0) * d2 * h2 * lap(g, p1)
+                    + (4.0 / 3.0) * p1)
+            assert np.array_equal(constraint_residual(s), want)
+            assert np.array_equal(surface_potential(s), p0 + d2 * h2 * p1)
 
 
 class TestEnergies:
@@ -330,6 +353,36 @@ class TestEllipticSolve:
         assert err.value.residual == pytest.approx(1.0)
         assert "breakdown" in str(err.value)
 
+    @pytest.mark.parametrize("warm", [False, True])
+    @pytest.mark.parametrize("fill, shown", [(np.nan, "nan"), (1e300, "inf")])
+    def test_pcg_non_finite_right_side_raises_before_any_application(self, fill, shown, warm):
+        # |b| of an all-1e300 b overflows to inf, which a plain |r0| <= tol |b|
+        # test takes for convergence (x = 0 returned), and a NaN b was
+        # reported as a breakdown after one application
+        calls = []
+
+        def apply_op(v):
+            calls.append(1)
+            return v
+
+        x0 = np.ones(64) if warm else None
+        message = rf"elliptic pair solve: non-finite norm \(\|b\| = {shown}\)"
+        with np.errstate(over="ignore"), pytest.raises(FloatingPointError, match=message):
+            operators._pcg(apply_op, lambda r: r, np.full(64, fill), 1e-12, x0=x0)
+        assert calls == []
+
+    def test_pcg_non_finite_warm_residual_raises_after_one_application(self):
+        calls = []
+
+        def apply_op(v):
+            calls.append(1)
+            return v
+
+        x0 = np.full(64, np.nan)
+        with pytest.raises(FloatingPointError, match=r"non-finite norm \(\|r0\| = nan\)"):
+            operators._pcg(apply_op, lambda r: r, np.ones(64), 1e-12, x0=x0)
+        assert calls == [1]
+
     def test_cold_solve_operator_count(self, monkeypatch):
         # the depth-scaled preconditioner: a cold initial-data solve of the
         # N = 128, delta = 0.2 cosine wave takes at most 10 L1 applications
@@ -417,14 +470,14 @@ class TestInitialData:
         eta = random_depth(rng, grid128, floor=0.85)
         phi = random_band_limited(rng, grid128, amplitude=0.2)
         s = ik_state_from_surface(eta, phi, 0.5)
-        assert np.abs(constraint_residual(s).values).max() <= 1e-10
+        assert np.abs(constraint_residual(s)).max() <= 1e-10
 
     def test_surface_potential_roundtrip(self, grid64):
         rng = np.random.default_rng(12)
         eta = random_depth(rng, grid64)
         phi = random_band_limited(rng, grid64)
         s = ik_state_from_surface(eta, phi, 0.25)
-        assert np.abs(surface_potential(s).values - phi.values).max() <= 1e-10
+        assert np.abs(surface_potential(s) - phi.values).max() <= 1e-10
 
 
 @given(seed=st.integers(0, 2**32 - 1), delta=st.floats(0.05, 1.0))

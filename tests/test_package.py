@@ -4,12 +4,15 @@ import os
 import pathlib
 import pkgutil
 import re
+import shlex
 import subprocess
 import sys
 
 import pytest
 
 import iskak
+from iskak.cli import build_parser
+from iskak.config import apply_overrides, default_config, load_config
 from iskak.operators import IkState
 from iskak.spectral import PeriodicGrid, RealField
 from iskak.waterwave import WwState
@@ -107,6 +110,38 @@ def test_benchmark_span_points_resolve():
         if obj is None or attr not in vars(obj):
             missing.append(f"{owner}.{attr}")
     assert not missing
+
+
+def oracle_configs():
+    """The entries of tools/oracle.sh's configs array, expanded by bash as the
+    script expands them, each split into words as `set -- $entry` splits it."""
+    root = pathlib.Path(__file__).resolve().parents[1]
+    text = (root / "tools" / "oracle.sh").read_text(encoding="utf-8")
+    block = re.search(r"^configs=\($.*?^\)$", text, re.M | re.S).group(0)
+    script = f'top={shlex.quote(str(root))}\n{block}\nprintf "%s\\n" "${{configs[@]}}"'
+    out = subprocess.run(["bash", "-c", script], capture_output=True, text=True, check=True)
+    return [line.split() for line in out.stdout.splitlines()]
+
+
+def test_oracle_configurations_load():
+    # the oracle compares each entry's outputs on two trees: an entry that
+    # both reject as a config error would compare as identical and pass
+    entries = oracle_configs()
+    names = [name for name, *_ in entries]
+    assert names and len(set(names)) == len(names)
+    failed = []
+    for name, *argv in entries:
+        try:
+            args = build_parser().parse_args(argv)
+            cfg = default_config(args.experiment)
+            if args.config:
+                cfg = load_config(args.config, cfg)
+            cfg = apply_overrides(cfg, args.override)
+            if cfg.experiment != args.experiment:
+                failed.append(f"{name}: config names {cfg.experiment}")
+        except (ValueError, OSError, SystemExit) as exc:
+            failed.append(f"{name}: {exc!r}")
+    assert not failed
 
 
 def test_state_fields_are_instance_realfields():

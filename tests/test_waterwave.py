@@ -589,11 +589,13 @@ class TestSurfaceEvolution:
 
 
 def test_stage_results_are_arrays(grid64):
-    # one stage-result contract for both models: rk4_fields combines plain arrays
+    # one stage-result contract for both models: rk4_fields combines plain
+    # tuples of plain arrays
     eta0 = field_from_function(grid64, lambda x: 0.05 * np.cos(x))
     phi = field_from_function(grid64, lambda x: 0.05 * np.sin(x))
     ik = ik_solver.time_derivatives(ik_state_from_surface(eta0, phi, 0.3))
     ww = zcs_rhs(WwState(eta0, phi, 0.3), DtnBackend.exact(16))
+    assert type(ik) is tuple and type(ww) is tuple
     for entry in (*ik, *ww):
         assert type(entry) is np.ndarray
 

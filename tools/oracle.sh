@@ -1,37 +1,17 @@
 #!/usr/bin/env bash
-# Refactor oracle: run the nineteen reference configurations on revision REV
-# and on the working tree, and compare every output file byte for byte.
+# Refactor oracle: run every reference configuration (the configs array
+# below) on revision REV and on the working tree, and compare every output
+# file byte for byte.
 #
 #     tools/oracle.sh REV
 #
 # REV is unpacked with `git archive` into a temporary directory; the working
-# tree is run as it stands, uncommitted edits included.  The configurations
-# are the six experiments at their default config, `simulate --override
-# model=ww`, `simulate --override n_points=512 --override t_end=0.02`, a
-# `convergence` sweep on steep data (`amplitude=0.5 k0=20 t_end=0.05`)
-# whose delta = 0.4 and 0.3 legs abort on depth collapse, which exercises
-# the abort path, `conservation
-# --override t_end=2e-3`, whose finer halving leg drifts by exactly zero,
-# which exercises the failing halving check, and `simulate --override
-# model=ww --override n_points=256 --override t_end=0.02`, whose strip
-# solve runs on transforms (above spectral.MATRIX_MAX_N), `simulate
-# --override k0=10 --override t_end=0.1`, whose IK constraint residual
-# outgrows its bound, which exercises the failing constraint check,
-# `simulate --config tools/oracle-simulate.cfg`, which exercises the
-# config-file reader, and `simulate --override model=ww --override
-# dtn=series:0`, which steps the series backend's Lambda^(0) control on its
-# own, `consistency --override n_points=512`, the one consistency run on
-# transforms (above spectral.MATRIX_MAX_N), whose identity-gap check fails,
-# and `convergence --override phi_amplitude=0.02 --override t_end=0.2`, the
-# one sweep that starts both models from a nonzero potential, whose
-# velocity-slope check fails, `consistency --override dtn=exact:24`, the
-# one run that builds its strip workspaces at an n_z other than 16,
-# `consistency --override delta=0.4,0.2,0.1`, the one run without
-# delta = 0.3, whose identity-gap check takes its worst-leg branch, and
-# `convergence --override amplitude=0 --override t_end=0.05`, the
-# rest-data sweep, whose water-wave stages all start from a zero right side.
-# The config file is read from the working tree for both runs, so
-# REV may predate it.
+# tree is run as it stands, uncommitted edits included.  Each configs entry
+# is a run name and the iskak command line that follows it, with its reason
+# in the comment above it; tests/test_package.py loads every entry's config,
+# since an entry that both trees reject as a config error compares as
+# identical.
+#
 # Each run's CSV, summary, snapshots, stdout and exit code are compared with
 # cmp, one verdict line per file.  A differing summary, stdout or exit code
 # also shows its whole diff, every hunk; a differing CSV the first lines of
@@ -66,24 +46,38 @@ mkdir -p "$work/rev"
 git -C "$top" archive "$rev" | tar -x -C "$work/rev"
 
 configs=(
+    # the six experiments at their default config
     "dispersion dispersion"
     "consistency consistency"
     "elliptic-suite elliptic-suite"
     "simulate simulate"
     "conservation conservation"
     "convergence convergence"
+    # the water-wave model at simulate's defaults
     "simulate-ww simulate --override model=ww"
+    # the IK model on transforms (above spectral.MATRIX_MAX_N)
     "simulate-n512 simulate --override n_points=512 --override t_end=0.02"
+    # steep data: the delta = 0.4 and 0.3 legs abort on depth collapse (the abort path)
     "convergence-abort convergence --override amplitude=0.5 --override k0=20 --override t_end=0.05"
+    # the finer halving leg drifts by exactly zero (the failing halving check)
     "conservation-halving conservation --override t_end=2e-3"
+    # the strip solve on transforms (above spectral.MATRIX_MAX_N)
     "simulate-ww-n256 simulate --override model=ww --override n_points=256 --override t_end=0.02"
+    # the IK constraint residual outgrows its bound (the failing constraint check)
     "simulate-k10 simulate --override k0=10 --override t_end=0.1"
+    # the config-file reader; both runs read the working tree's file, so REV may predate it
     "simulate-config simulate --config $top/tools/oracle-simulate.cfg"
+    # the series backend's Lambda^(0) control stepped on its own
     "simulate-ww-series simulate --override model=ww --override dtn=series:0"
+    # the one consistency run on transforms, whose identity-gap check fails
     "consistency-n512 consistency --override n_points=512"
+    # the one sweep from a nonzero potential, whose velocity-slope check fails
     "convergence-phi convergence --override phi_amplitude=0.02 --override t_end=0.2"
+    # the one run that builds its strip workspaces at an n_z other than 16
     "consistency-nz24 consistency --override dtn=exact:24"
+    # the one run without delta = 0.3: the identity-gap check's worst-leg branch
     "consistency-worst-leg consistency --override delta=0.4,0.2,0.1"
+    # rest data: every water-wave stage starts from a zero right side
     "convergence-rest convergence --override amplitude=0 --override t_end=0.05"
 )
 
