@@ -46,7 +46,9 @@ __all__ = [
 GAP_AT_ONE = 3.106059489970166e-04
 # convergence errors within 10x of this are rounding and left out of the fits
 NOISE_FLOOR = 1e-12
-# steps between the reprojections of simulate's IK runs and conservation's reprojection leg
+# steps between the reprojections of simulate's IK runs, the only runs that
+# reproject: conservation and convergence measure the constraint's transport,
+# and the benchmark pins this cadence (IK_WAVE_KINDS and SPAN_POINTS)
 REPROJECT_EVERY = 10
 
 
@@ -253,8 +255,8 @@ def _convergence_leg(cfg: ExperimentConfig, delta: float) -> _ConvLeg:
     grid = PeriodicGrid(cfg.n_points)
     eta0 = _cos_profile(grid, cfg.amplitude, cfg.k0)
     phi0 = _sin_profile(grid, cfg.phi_amplitude, cfg.k0)
-    sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, reproject_every=0,
-                    cg_tol=cfg.cg_tol, record_every=cfg.record_every)
+    sim = SimConfig(t_end=cfg.t_end, dt=cfg.dt, cg_tol=cfg.cg_tol,
+                    record_every=cfg.record_every)
 
     # the leg stops at its first aborted run, in the order reference, model, control
     results = []
@@ -439,8 +441,8 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
             aborted.append(f"{tag} dt={sim.dt:g}: {diag.aborted}")
         return diag
 
-    # the rest, reprojection and reference legs run on half the grid at half
-    # the step to the configured t_end: (128, 1e-3, 1.0) at the defaults
+    # the rest and reference legs run on half the grid at half the step to
+    # the configured t_end: (128, 1e-3, 1.0) at the defaults
     grid0, dt0 = PeriodicGrid(cfg.n_points // 2), cfg.dt / 2.0
 
     # rest state: everything flat to rounding
@@ -453,25 +455,22 @@ def run_conservation(cfg: ExperimentConfig) -> ExperimentReport:
                         f"mass {_drift(rest.mass):.2e}, energy {_drift(rest.energy):.2e}, "
                         f"constraint {rest_c:.2e}"))
 
-    # step-halving order on the configured drift run
+    # step-halving order on the configured drift run; neither leg reprojects, so the
+    # mass, constraint and sign checks read the transport (a leg with no record fails)
     grid = PeriodicGrid(cfg.n_points)
     order = [leg("order", grid, cfg.amplitude, cfg.k0, cfg.delta[0],
-                 SimConfig(t_end=cfg.t_end, dt=dt, record_every=10**9, cg_tol=cfg.cg_tol))
+                 SimConfig(t_end=cfg.t_end, dt=dt, record_every=cfg.record_every,
+                           cg_tol=cfg.cg_tol))
              for dt in (cfg.dt, cfg.dt / 2.0)]
     checks.append(_halving_check(cfg.dt, *(_rel_drift(d.energy) for d in order)))
-
-    # reprojection keeps the constraint at solver level
-    proj = leg("reproject", grid0, 0.1, 1, 0.2,
-               SimConfig(t_end=cfg.t_end, dt=dt0, reproject_every=REPROJECT_EVERY,
-                         record_every=100, cg_tol=cfg.cg_tol))
-    mass_worst = float(np.max([_drift(d.mass) for d in (*order, proj)]))  # NaN (no record) fails
-    checks.append(Check("mass drift <= 1e-11 on every leg", mass_worst <= 1e-11,
+    mass_worst = float(np.max([_drift(d.mass) for d in order]))
+    checks.append(Check("mass drift <= 1e-11 on both order legs", mass_worst <= 1e-11,
                         f"worst {mass_worst:.2e}"))
-    cmax = max(proj.constraint_max, default=np.nan)
-    checks.append(Check("constraint residual <= 1e-8 with periodic reprojection",
+    cmax = float(np.max([max(d.constraint_max, default=np.nan) for d in order]))
+    checks.append(Check("constraint residual <= 1e-8, transported without reprojection",
                         cmax <= 1e-8, f"max residual {cmax:.2e}"))
-    checks.append(_sign_check(min(proj.min_depth, default=np.nan),
-                              min(proj.min_a, default=np.nan)))
+    checks.append(_sign_check(float(np.min([min(d.min_depth, default=np.nan) for d in order])),
+                              float(np.min([min(d.min_a, default=np.nan) for d in order]))))
 
     # reference solver: mass and Hamiltonian drift (waterwave.hamiltonian)
     ww = leg("reference", grid0, 0.05, 1, 0.2,

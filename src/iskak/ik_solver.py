@@ -4,8 +4,9 @@ The state (eta, phi0, phi1) is advanced with classical RK4.  Each stage
 evaluates dt(eta) from the divergence-form continuity equation and recovers
 (dt phi0, dt phi1) from the coupled elliptic system with data
 f1 = -F1, f2 = F2, f3 = 0, so the compatibility constraint is transported
-rather than enforced; periodic reprojection through the initial-data solve
-keeps its discrete drift at the solver-tolerance level.
+rather than enforced, and conservation and convergence measure that transport.
+Only simulate reprojects (reproject), as the benchmark's step kinds pin it
+(IK_WAVE_KINDS in benchmarks/tests/test_tracing.py, and SPAN_POINTS).
 
 rk4_fields and run_loop step any operators.ModelState; run() here and
 waterwave.ww_run() are thin callers, so both models share one scheme, one

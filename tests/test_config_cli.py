@@ -446,67 +446,77 @@ class TestCli:
         assert "PASS" not in summary
 
     def test_conservation_names_aborted_legs(self, tmp_path, monkeypatch):
-        # solver failures injected into two legs, the reprojection leg's 3rd
-        # reprojection and the reference leg's t = 0 record: the report fails
-        # and names both legs, and the checks over a leg with no record
-        # evaluate rather than raise
-        def fail_on(owner, name, call):
+        # solver failures injected into two legs, the finer order leg's 2nd
+        # record (the 5th record at N = 64: the coarser leg makes 3 to
+        # t = 0.1) and the reference leg's t = 0 record: the report fails and
+        # names both legs, and the checks over a leg with no record evaluate
+        # rather than raise
+        def fail_on(owner, name, call, n_points=None):
             clean, calls = getattr(owner, name), []
 
             def failing(*args):
-                calls.append(1)
-                if len(calls) == call:
-                    raise NonConvergenceError(f"injected into {name}", 0, 1.0, 1e-12)
+                if n_points in (None, args[0].grid.n_points):
+                    calls.append(1)
+                    if len(calls) == call:
+                        raise NonConvergenceError(f"injected into {name}", 0, 1.0, 1e-12)
                 return clean(*args)
 
             monkeypatch.setattr(owner, name, failing)
 
-        fail_on(ik_solver, "reproject", 3)
+        fail_on(ik_solver, "_record", 5, n_points=64)
         fail_on(waterwave, "hamiltonian", 1)
         code = main(["conservation", "--output-dir", str(tmp_path),
                      "--override", "n_points=64", "--override", "t_end=0.1"])
         assert code == 1
         checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
         tail = ": no convergence in 0 iterations (residual 1.000e+00, tol 1.000e-12)"
-        assert (f"  FAIL no aborted leg: reproject dt=0.001: injected into reproject{tail}; "
+        assert (f"  FAIL no aborted leg: order dt=0.001: injected into _record{tail}; "
                 f"reference dt=0.001: injected into hamiltonian{tail}\n") in checks
         assert ("  FAIL reference run: mass <= 1e-11, Hamiltonian drift <= 1e-6: "
                 "mass nan, energy nan\n") in checks
         assert checks.endswith("result: FAIL\n")
-        # each leg's rows carry its own grid size and step; the reference
-        # leg failed its t = 0 record and wrote none
+        # each leg's rows carry its own grid size and step; the finer order
+        # leg kept its t = 0 record, and the reference leg wrote none
         header, *lines = (tmp_path / "conservation.csv").read_text().splitlines()
         cols = header.split(",")
         legs = {}
         for line in lines:
             cells = dict(zip(cols, line.split(",")))
-            legs.setdefault(cells["leg"], set()).add((int(cells["n_points"]), float(cells["dt"])))
+            legs.setdefault(cells["leg"], []).append(
+                (int(cells["n_points"]), float(cells["dt"]), float(cells["time"])))
         dt = default_config("conservation").dt
-        assert legs == {"rest": {(32, dt / 2)}, "order": {(64, dt), (64, dt / 2)},
-                        "reproject": {(32, dt / 2)}}
+        assert {tag: {row[:2] for row in rows} for tag, rows in legs.items()} == {
+            "rest": {(32, dt / 2)}, "order": {(64, dt), (64, dt / 2)}}
+        assert [row[2] for row in legs["order"] if row[1] == dt / 2] == [0.0]
 
     @pytest.mark.parametrize("fault, worst", [("leak", "worst "), ("no-record", "worst nan\n")],
                              ids=["leak", "no-record"])
-    def test_conservation_mass_check_reads_the_reprojection_leg(self, tmp_path, monkeypatch,
-                                                                fault, worst):
-        # the reproject leg alone (N = 32 and a nonzero surface here) either
-        # leaks mass into eta at each reprojection or fails its t = 0 record;
-        # the every-leg mass check fails on either, on a NaN drift for the second
+    def test_conservation_mass_check_reads_the_order_legs(self, tmp_path, monkeypatch,
+                                                          fault, worst):
+        # the order legs alone (N = 64 here; the rest leg runs on N = 32)
+        # either leak mass into eta at each step, or the finer one fails every
+        # record after the coarser one's three; the mass check fails on
+        # either, on a NaN drift for the second, as do the constraint and
+        # sign checks, though the coarser leg's records are clean
+        calls = []
         if fault == "leak":
-            clean = ik_solver.reproject
+            clean = ik_solver._rk4_stages
 
-            def leaking(s, cg_tol):
-                out = clean(s, cg_tol)
-                out.eta.values += 1e-9
-                return out
+            def leaking(s, dt, cg_tol, warm):
+                out, warm = clean(s, dt, cg_tol, warm)
+                if s.grid.n_points == 64:
+                    out.eta.values += 1e-9
+                return out, warm
 
-            monkeypatch.setattr(ik_solver, "reproject", leaking)
+            monkeypatch.setattr(ik_solver, "_rk4_stages", leaking)
         else:
             clean = ik_solver._record
 
             def failing(s, cg_tol, guess=None):
-                if s.grid.n_points == 32 and s.eta.values.any():
-                    raise NonConvergenceError("injected into _record", 0, 1.0, 1e-12)
+                if s.grid.n_points == 64:
+                    calls.append(1)
+                    if len(calls) > 3:
+                        raise NonConvergenceError("injected into _record", 0, 1.0, 1e-12)
                 return clean(s, cg_tol, guess)
 
             monkeypatch.setattr(ik_solver, "_record", failing)
@@ -514,8 +524,14 @@ class TestCli:
                      "--override", "n_points=64", "--override", "t_end=0.1"])
         assert code == 1
         checks = (tmp_path / "conservation.summary.txt").read_text().split("checks:\n")[1]
-        assert f"  FAIL mass drift <= 1e-11 on every leg: {worst}" in checks
+        assert f"  FAIL mass drift <= 1e-11 on both order legs: {worst}" in checks
         assert "PASS rest state" in checks
+        if fault == "no-record":
+            assert len(calls) == 4
+            assert ("  FAIL constraint residual <= 1e-8, transported without reprojection: "
+                    "max residual nan\n") in checks
+            assert ("  FAIL sign conditions: min depth and min a >= 0.5: "
+                    "min depth nan, min a nan\n") in checks
 
     def test_conservation_rest_check_names_the_constraint(self, tmp_path, monkeypatch):
         # a constraint residual of 1e-9 on every IK record fails the rest
@@ -534,13 +550,15 @@ class TestCli:
                 "mass 0.00e+00, energy 0.00e+00, constraint 1.00e-09\n") in checks
 
     def test_conservation_legs_read_the_config(self, tmp_path):
-        # the rest, reprojection and reference legs run on half the grid at
-        # half the step to the configured t_end, at the defaults N = 128,
-        # dt = 1e-3 to t = 1.0
+        # the rest and reference legs run on half the grid at half the step to
+        # the configured t_end, at the defaults N = 128, dt = 1e-3 to t = 1.0,
+        # with a record at each end; the order legs run on the grid at dt and
+        # dt / 2 and record every record_every steps
         cfg = default_config("conservation")
         assert (cfg.n_points // 2, cfg.dt / 2, cfg.t_end) == (128, 1e-3, 1.0)
         main(["conservation", "--output-dir", str(tmp_path), "--override", "n_points=64",
-              "--override", "t_end=0.02", "--override", "dt=0.005"])
+              "--override", "t_end=0.02", "--override", "dt=0.005",
+              "--override", "record_every=2"])
         header, *lines = (tmp_path / "conservation.csv").read_text().splitlines()
         cols = header.split(",")
         legs = {}
@@ -548,9 +566,56 @@ class TestCli:
             cells = dict(zip(cols, line.split(",")))
             legs.setdefault(cells["leg"], []).append(
                 (float(cells["time"]), int(cells["n_points"]), float(cells["dt"])))
-        for tag in ("rest", "reproject", "reference"):
+        assert set(legs) == {"rest", "order", "reference"}
+        for tag in ("rest", "reference"):
             assert {row[1:] for row in legs[tag]} == {(32, 0.0025)}
             assert [row[0] for row in legs[tag]] == [0.0, 0.02]
+        assert [row[1:] for row in legs["order"]] == [(64, 0.005)] * 3 + [(64, 0.0025)] * 5
+        assert [row[0] for row in legs["order"]] == pytest.approx(
+            [0.0, 0.01, 0.02, 0.0, 0.005, 0.01, 0.015, 0.02])
+
+    def test_conservation_constraint_check_sees_a_transport_fault(self, tmp_path, monkeypatch):
+        # F2's 4/15 scaled to 4/15.15 breaks the transport of the
+        # constraint: the order legs, which never reproject, read about
+        # 1.1e-6 against 2.6e-13 clean, so the check fails on the fault alone
+        clean = ik_solver.stage_sources
+
+        def faulty(s, dc):
+            eta_t, f1, f2 = clean(s, dc)
+            return eta_t, f1, f2 * (15.0 / 15.15)
+
+        def constraint_line(out):
+            main(["conservation", "--output-dir", str(out), "--override", "t_end=0.1"])
+            checks = (out / "conservation.summary.txt").read_text().split("checks:\n")[1]
+            return next(line for line in checks.splitlines() if "constraint residual" in line)
+
+        name = "constraint residual <= 1e-8, transported without reprojection"
+        assert constraint_line(tmp_path / "clean").startswith(f"  PASS {name}: ")
+        monkeypatch.setattr(ik_solver, "stage_sources", faulty)
+        line = constraint_line(tmp_path / "faulty")
+        assert line.startswith(f"  FAIL {name}: max residual ")
+        assert 1e-7 < float(line.rsplit(" ", 1)[1]) < 1e-5
+
+    def test_only_simulate_reprojects(self, tmp_path, monkeypatch):
+        # conservation and convergence measure the constraint's transport
+        # and never reproject; simulate's IK run reprojects every
+        # REPROJECT_EVERY steps
+        calls = []
+        clean = ik_solver.reproject
+
+        def counted(s, cg_tol):
+            calls.append(1)
+            return clean(s, cg_tol)
+
+        monkeypatch.setattr(ik_solver, "reproject", counted)
+        for argv in (["conservation", "--override", "n_points=64", "--override", "t_end=0.1"],
+                     ["convergence", "--override", "n_points=32", "--override", "t_end=0.02",
+                      "--override", "dt=1e-3", "--override", "record_every=10"]):
+            main([*argv, "--output-dir", str(tmp_path / argv[0])])
+            assert calls == [], argv[0]
+        assert main(["simulate", "--output-dir", str(tmp_path / "simulate"),
+                     "--override", "n_points=64", "--override", "t_end=0.05"]) == 0
+        assert len(calls) == 50 // experiments.REPROJECT_EVERY
 
     def test_convergence_checks_the_velocity_slope(self, monkeypatch):
         # synthetic legs: surface error as delta^6, velocity error as delta^4,

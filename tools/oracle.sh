@@ -79,6 +79,9 @@ configs=(
     "consistency-worst-leg consistency --override delta=0.4,0.2,0.1"
     # rest data: every water-wave stage starts from a zero right side
     "convergence-rest convergence --override amplitude=0 --override t_end=0.05"
+    # the order legs on a grid the data outgrow: they transport the constraint to
+    # about 5e-8 only, so its check fails (its halving ratio fails too)
+    "conservation-n64 conservation --override n_points=64 --override t_end=0.1"
 )
 
 # column_moves A B: for two CSVs of one header and row count, the largest
