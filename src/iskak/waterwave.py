@@ -159,10 +159,27 @@ class WwState(ModelState):
 # the products must live inside the resolved band.  The truncation sandwich
 # keeps each term exactly self-adjoint.
 
+def _slopes(grid: PeriodicGrid, eta: np.ndarray, phi: np.ndarray) -> np.ndarray:
+    """(dx eta, dx phi): one whole-stack dx product of the two rows less
+    their first entries, constant-exact (spectral module docstring), so a
+    constant gets an exact-zero slope."""
+    rows = np.array((eta, phi))
+    return kernels(grid).dx.whole(rows - rows[:, :1])
+
+
+def _lambda0(grid: PeriodicGrid, eta: np.ndarray, psi_x: np.ndarray) -> np.ndarray:
+    """Lambda^(0) psi = -dx(H psi_x), H psi_x the 2/3-rule product, from the
+    slope psi_x, in whole-stack products: one truncation of (H, psi_x), then
+    the truncation and the derivative of their product."""
+    k = kernels(grid)
+    h, u = k.dealias.whole(np.array((1.0 + eta, psi_x)))
+    return -k.dx.whole(k.dealias.whole(h * u))
+
+
 def lambda0(eta: RealField, psi: RealField) -> RealField:
     grid = psi.grid
-    h = 1.0 + eta.values
-    return RealField(grid, -dx(grid, dp(grid, h, dx(grid, psi.values))))
+    # the series backend's 2-row slope product, so the two agree bit for bit
+    return RealField(grid, _lambda0(grid, eta.values, _slopes(grid, eta.values, psi.values)[1]))
 
 
 def lambda1(eta: RealField, psi: RealField) -> RealField:
@@ -318,7 +335,7 @@ class _StripWorkspace:
         h = 1.0 + eta.values
         if float(h.min()) < h_min:
             raise DepthTooSmallError(float(h.min()), h_min)
-        eta_x, phi_x = dx(grid, np.array((eta.values, phi.values)))
+        eta_x, phi_x = _slopes(grid, eta.values, phi.values)
         zp1 = self.zp1[:, None]
         self.fields = f = _StripFields(h, eta_x, phi_x, -zp1 * eta_x,
                                        zp1**2 * (eta_x**2 / h), self.delta**2 * h)
@@ -417,15 +434,16 @@ class DtnBackend:
               guess: np.ndarray | None = None
               ) -> tuple[np.ndarray, np.ndarray | None, tuple[np.ndarray, np.ndarray]]:
         """Lambda phi, the strip entry (None for the series backend) and the
-        slopes (dx eta, dx phi), one 2-row dx call, which the strip solve
-        computes anyway.  Lambda phi is the flux of the verified potential;
-        the entry is the solve's polished last_solution, for guesses only.
-        The solve starts from guess, an estimate of the entry, when one is
-        given, and otherwise from zero (_StripWorkspace.solve), so the result
-        depends on the arguments alone."""
+        slopes (dx eta, dx phi) of _slopes, which the strip solve and
+        Lambda^(0) form anyway.  Lambda phi is the flux of the verified
+        potential; the entry is the solve's polished last_solution, for
+        guesses only.  The solve starts from guess, an estimate of the
+        entry, when one is given, and otherwise from zero
+        (_StripWorkspace.solve), so the result depends on the arguments
+        alone."""
         if self.kind == "series":
-            eta_x, phi_x = dx(phi.grid, np.array((eta.values, phi.values)))
-            return lambda0(eta, phi).values, None, (eta_x, phi_x)
+            eta_x, phi_x = _slopes(phi.grid, eta.values, phi.values)
+            return _lambda0(phi.grid, eta.values, phi_x), None, (eta_x, phi_x)
         ws = _strip_workspace(phi.grid, self.n_z, delta)
         w = ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=True, guess=guess)
         return ws.flux_divergence(w), ws.last_solution, (ws.fields.eta_x, ws.fields.phi_x)

@@ -126,6 +126,20 @@ class TestMultiplierMatrices:
             whole = mult.transform(v) if n > MATRIX_MAX_N else v @ mult.matrix
             assert np.array_equal(mult.whole(v), whole)
 
+    @pytest.mark.parametrize("n", [12, 64, MATRIX_MAX_N])
+    def test_matrices_sit_on_cache_lines(self, n):
+        # every matrix starts at a 64-byte boundary, where products read it
+        # fastest, and a copy at an 8-byte offset gives the same bits
+        grid = PeriodicGrid(n)
+        v = np.random.default_rng(n).standard_normal((17, n))
+        for mult in spectral.kernels(grid):
+            assert mult.matrix.ctypes.data % 64 == 0
+            moved = copy.copy(mult)
+            moved.matrix = np.empty(n * n + 1)[1:].reshape(n, n)
+            moved.matrix[...] = mult.matrix
+            assert np.array_equal(moved(v), mult(v))
+            assert np.array_equal(moved.whole(v), mult.whole(v))
+
 
 class TestDealiasedProduct:
     def test_resolved_quadratic_exact(self, grid64):
@@ -141,6 +155,15 @@ class TestDealiasedProduct:
         # cos(20x)^2 = 1/2 + cos(40x)/2; mode 40 is beyond the cutoff (21)
         v = np.cos(20 * grid64.nodes)
         assert np.abs(dp(grid64, v, v) - 0.5).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_factors_truncated_in_one_call_match_one_row_calls(self, n):
+        # the two factors go through one 2-row row-exact call: bit for bit
+        # the product of the one-row truncations
+        grid = PeriodicGrid(n)
+        a, b = np.random.default_rng(n).standard_normal((2, n))
+        assert np.array_equal(dp(grid, a, b),
+                              dealias(grid, dealias(grid, a) * dealias(grid, b)))
 
     def test_commutative(self, grid64):
         rng = np.random.default_rng(3)

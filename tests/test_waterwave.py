@@ -9,12 +9,13 @@ from iskak.errors import DepthTooSmallError, NonConvergenceError, SingularSystem
 from iskak.experiments import run_experiment
 from iskak.ik_solver import SimConfig, rk4_fields
 from iskak.operators import H_MIN_DEFAULT, ik_state_from_surface
-from iskak.spectral import PeriodicGrid, RealField, dx, field_from_function, l2_norm
+from iskak.spectral import PeriodicGrid, RealField, dp, dx, field_from_function, l2_norm
 from iskak.waterwave import (
     DTN_TOL_DEFAULT,
     DtnBackend,
     WwState,
     _gmres,
+    _slopes,
     _StripWorkspace,
     dtn_series,
     hamiltonian,
@@ -98,6 +99,30 @@ class TestExpansionTerms:
         manual = (lambda0(eta, phi).values + delta**2 * lambda1(eta, phi).values
                   + delta**4 * lambda2(eta, phi).values)
         assert np.abs(k2.values - manual).max() <= 1e-12
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_constant_potential_has_exact_zero_slope_and_map(self, n):
+        # the whole-stack slope subtracts each row's first entry first, so a
+        # constant potential gets exact zeros, not a rounding-level slope
+        grid = PeriodicGrid(n)
+        eta = random_band_limited(np.random.default_rng(n), grid, 4, 0.1)
+        flat = RealField(grid, np.full(n, 2.2))
+        assert not lambda0(eta, flat).values.any()
+        lam, _, (_, phi_x) = DtnBackend.series().apply(eta, flat, 0.3)
+        assert not lam.any() and not phi_x.any()
+
+    @pytest.mark.parametrize("n", [64, 128, 256])
+    def test_whole_stack_forms_match_the_row_exact_forms(self, n):
+        # the slopes and Lambda^(0) in whole-stack products move only at
+        # rounding level from the row-exact one-row formulas
+        grid = PeriodicGrid(n)
+        rng = np.random.default_rng(n)
+        eta, phi = random_band_limited(rng, grid, 4, 0.1), random_band_limited(rng, grid)
+        slopes = dx(grid, np.array((eta.values, phi.values)))
+        assert np.abs(_slopes(grid, eta.values, phi.values) - slopes).max() \
+            <= 1e-12 * np.abs(slopes).max()
+        ref = -dx(grid, dp(grid, 1.0 + eta.values, slopes[1]))
+        assert np.abs(lambda0(eta, phi).values - ref).max() <= 1e-12 * np.abs(ref).max()
 
     def test_series_flat_value(self, grid64):
         # flat symbols at k = 1, d = 0.3: 1 - 0.03 + 0.00108 = 0.97108
@@ -243,8 +268,9 @@ class TestStripFields:
         ws = _StripWorkspace(grid, 16, 0.2)
         ws.solve(eta, phi, DTN_TOL_DEFAULT, H_MIN_DEFAULT, warm_start=False)
         w = rng.standard_normal((17, n))
-        # reference: the application with its depth fields rebuilt inside it
-        h, eta_x, d2 = 1.0 + eta.values, dx(grid, eta.values), 0.2**2
+        # reference: the application with its depth fields rebuilt inside it,
+        # the slope by the workspace's own rule (_slopes)
+        h, eta_x, d2 = 1.0 + eta.values, _slopes(grid, eta.values, phi.values)[0], 0.2**2
         wz, wx, zp1 = ws.dz @ w, ws.dx.whole(w), ws.zp1[:, None]
         p = h * wx - zp1 * eta_x * wz
         q = -zp1 * eta_x * wx + zp1**2 * (eta_x**2 / h) * wz
